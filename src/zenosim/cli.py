@@ -93,6 +93,16 @@ def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     return table, summary
 
 
+def _deviations(table: Table) -> list[float]:
+    """|P_mc - P_analytic| / stderr at every MC point with a nonzero stderr."""
+    return [abs(r[3] - r[2]) / r[4] for r in table.rows if r[4] and r[4] > 0.0]
+
+
+def _max_deviation(table: Table) -> str:
+    devs = _deviations(table)
+    return _fmt(max(devs)) if devs else "n/a (every MC stderr is 0)"
+
+
 def _run_figure2(settings) -> tuple[Table, list[str]]:
     params = _params(settings)
     mc = settings["engine"] == "mc"
@@ -107,10 +117,10 @@ def _run_figure2(settings) -> tuple[Table, list[str]]:
         top = [r for r in table.rows if r[0] == t and r[1] == n_max][0]
         summary.append(f"P(N={n_max}) at t={_fmt(float(t))} ns: {_fmt(top[2])}")
     if mc:
-        devs = [abs(r[3] - r[2]) / r[4] for r in table.rows if r[4] and r[4] > 0.0]
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "persistent noise: deviations are expected, reported only")
-        summary.append(f"max |MC - analytic| in stderr units: {_fmt(max(devs))} ({status})")
+        summary.append(f"max |MC - analytic| in stderr units: {_max_deviation(table)} "
+                       f"({status})")
     return table, summary
 
 
@@ -144,17 +154,14 @@ def _run_mc_validate(settings) -> tuple[Table, list[str]]:
                           trajectories=settings["trajectories"],
                           base_seed=settings["base_seed"],
                           noise_reset=NoiseReset(settings["noise_reset"]))
-    devs = []
-    for row in table.rows:
-        _, _, analytic, p_mc, stderr = row
-        if stderr and stderr > 0.0:
-            devs.append(abs(p_mc - analytic) / stderr)
-    worst = max(devs)
+    devs = _deviations(table)
+    # with every stderr 0, within 3 stderr means equal to the analytic value
+    within = max(devs) <= 3.0 if devs else all(r[3] == r[2] for r in table.rows)
     summary = [
         f"grid points checked: {len(table.rows)} with "
         f"{settings['trajectories']} trajectories each",
-        f"max |MC - analytic| in stderr units: {_fmt(worst)}",
-        f"all within 3 stderr: {'yes' if worst <= 3.0 else 'NO'}",
+        f"max |MC - analytic| in stderr units: {_max_deviation(table)}",
+        f"all within 3 stderr: {'yes' if within else 'NO'}",
     ]
     return table, summary
 

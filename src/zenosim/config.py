@@ -228,6 +228,9 @@ def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None
         if math.isinf(scale):
             scale = max(settings["t_end"], 1.0)
         settings["dt"] = scale / 200.0
+    if experiment == "figure3" and settings["t_min"] > settings["t_max"]:
+        raise ConfigError(f"t_min ({settings['t_min']!r}) must not exceed "
+                          f"t_max ({settings['t_max']!r})")
     if experiment == "crossover_scan":
         if settings["t_end"] is None:
             settings["t_end"] = 40.0 * settings["tau_c"]

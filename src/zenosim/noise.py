@@ -21,12 +21,22 @@ Reproducibility contract
 Trajectories are grouped into fixed blocks of ``TRAJECTORY_BLOCK``.  Block b
 of an ensemble draws from its own counter-based Philox stream keyed by
 (base_seed, *context, b), consumed in a fixed documented order; trajectory
-i = b * TRAJECTORY_BLOCK + r reads row r of every block draw.  Partial sums
-are combined in block order, so results are bit-identical for a given
-(model, grid, M, base_seed) no matter how many workers process the blocks.
+i = b * TRAJECTORY_BLOCK + r reads row r of every block draw.
+
+One engine runs the blocks of every Monte Carlo path (``ensemble_average``
+here, the protocol engines in ``zenosim.zeno``).  It derives the block
+streams on the calling thread, runs the blocks on one worker thread per CPU
+available to the process (there is no setting), and hands their partial
+results back in block order, where they are combined exactly as a serial loop
+would combine them.  Results are therefore bit-identical for a given
+(model, grid, M, base_seed) whatever the worker count and whatever order the
+blocks finish in.  Each block in flight works through its grid (or, for the
+protocol noise, its rows) in chunks of about ``CHUNK_VALUES`` float64, which
+bounds its scratch memory and changes no bit of the result.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +45,10 @@ import numpy as np
 from .qubit import SIGMA_Z, DensityMatrix, PureState, QubitOperator, validate_density
 
 TRAJECTORY_BLOCK = 2048
+
+# float64 values per chunk of a block's grid (ensemble_average) or of its
+# rows (Ornstein-Uhlenbeck protocol draws); bounds each block's scratch memory
+CHUNK_VALUES = 1 << 20
 
 # maximum grid step, in units of tau_c, for Ornstein-Uhlenbeck sampling
 MAX_OU_STEP_FRACTION = 0.1
@@ -172,14 +186,6 @@ def sample_ou(model: NoiseModel, grid, seed: int) -> Trajectory:
     return Trajectory(grid, values, int(seed))
 
 
-def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral along the last axis; result[..., 0] = 0."""
-    segments = 0.5 * np.diff(times) * (values[..., 1:] + values[..., :-1])
-    out = np.zeros(values.shape, dtype=float)
-    np.cumsum(segments, axis=-1, out=out[..., 1:])
-    return out
-
-
 def dephasing_phase(traj: Trajectory, coupling: float, t: float) -> float:
     """Accumulated phase coupling * integral f(s) ds from the grid start to t.
 
@@ -304,17 +310,12 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     sum_phase = np.zeros(g, dtype=complex)        # sum of exp(-2i phi)
     sum_re2 = np.zeros(g, dtype=float)
     sum_im2 = np.zeros(g, dtype=float)
-
-    for block, rows in _block_row_counts(trajectories):
-        values = block_noise_values(model, grid, base_seed, block, rows, context)
-        if model.kind is NoiseKind.QUASI_STATIC:
-            phases = model.coupling * values[:, :1] * grid[np.newaxis, :]
-        else:
-            phases = model.coupling * _cumulative_trapezoid(grid, values)
-        factors = np.exp(-2j * phases)
-        sum_phase += factors.sum(axis=0)
-        sum_re2 += np.sum(factors.real ** 2, axis=0)
-        sum_im2 += np.sum(factors.imag ** 2, axis=0)
+    kernel = _ensemble_kernel(model, grid)
+    for block_phase, block_re2, block_im2 in _reduce_blocks(kernel, trajectories,
+                                                            base_seed, context):
+        sum_phase += block_phase
+        sum_re2 += block_re2
+        sum_im2 += block_im2
 
     m = float(trajectories)
     mean_factor = sum_phase / m
@@ -331,6 +332,120 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     stderr[:, 0, 1] = abs(rho0[0, 1]) * factor_stderr
     stderr[:, 1, 0] = stderr[:, 0, 1]
     return EnsembleResult(grid, mean, stderr, trajectories)
+
+
+def _grid_chunks(size: int, rows: int) -> list[tuple[int, int]]:
+    """Column ranges [c0, c1) of at most CHUNK_VALUES / rows columns.
+
+    numpy sums a one-column array along axis 0 pairwise but a wider one row
+    by row, as it sums the whole grid; a lone last column therefore joins
+    the chunk before it.
+    """
+    width = max(2, CHUNK_VALUES // rows)
+    bounds = list(range(0, size, width)) + [size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
+    """Block kernel of ``ensemble_average``.
+
+    ``kernel(gen, rows)`` draws the block exactly as ``block_noise_values``
+    does and returns its sums of exp(-2i phi), Re^2 and Im^2 per grid point.
+    Paths, phases and factors exist one grid chunk at a time; the OU path
+    value and the running trapezoid carry over from chunk to chunk, so every
+    number is the one the whole-grid computation gives.
+    """
+    ou = model.kind is NoiseKind.ORNSTEIN_UHLENBECK
+    if ou:
+        steps = np.diff(grid)
+        decay = np.exp(-steps / model.tau_c)
+        kick = np.sqrt(1.0 - decay * decay)
+        half_steps = 0.5 * steps
+
+    def ou_phases(normals, c0, c1, carry):
+        # Phases on grid columns [c0, c1) and the carry (path value, running
+        # integral) at column c1 - 1.  The buffer has one row per grid column
+        # c0 - lead .. c1 - 1, so the recursion runs over contiguous rows;
+        # column c0 - 1 ends the previous chunk.  It holds the normals, then
+        # the path, then the running integral.
+        lead = 1 if c0 else 0
+        path = np.empty((c1 - c0 + lead, normals.shape[0]))
+        path[0] = carry[0] if lead else normals[:, 0]
+        path[1:] = normals[:, c0 + 1 - lead:c1].T
+        for j in range(1, path.shape[0]):
+            k = c0 - lead + j - 1                 # the step onto grid[k + 1]
+            path[j] *= kick[k]
+            path[j] += decay[k] * path[j - 1]
+        f = path[-1].copy()
+        for j in range(path.shape[0] - 1, 0, -1):            # trapezoid segments
+            path[j] += path[j - 1]
+        path[1:] *= half_steps[c0 - lead:c1 - 1, np.newaxis]
+        path[0] = carry[1] if lead else 0.0
+        for j in range(2 - lead, path.shape[0]):             # cumsum, row by row
+            path[j] += path[j - 1]
+        carry = f, path[-1].copy()
+        phases = path[lead:]
+        phases *= model.coupling
+        return phases.T, carry
+
+    def kernel(gen: np.random.Generator, rows: int):
+        sums = (np.empty(grid.size, dtype=complex), np.empty(grid.size), np.empty(grid.size))
+        if ou:
+            normals = gen.standard_normal((rows, grid.size))
+            carry = None
+        else:
+            scale = model.coupling * gen.standard_normal((rows, 1))
+        for c0, c1 in _grid_chunks(grid.size, rows):
+            if ou:
+                phases, carry = ou_phases(normals, c0, c1, carry)
+            else:
+                phases = scale * grid[c0:c1]
+            # row-major like the whole-grid array, so each column sums row by row
+            factors = np.empty((rows, c1 - c0), dtype=complex)
+            np.multiply(-2j, phases, out=factors)
+            del phases
+            np.exp(factors, out=factors)
+            sums[0][c0:c1] = factors.sum(axis=0)
+            sums[1][c0:c1] = np.sum(factors.real ** 2, axis=0)
+            sums[2][c0:c1] = np.sum(factors.imag ** 2, axis=0)
+        return sums
+
+    return kernel
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _reduce_blocks(kernel, trajectories: int, base_seed: int,
+                   context: tuple[int, ...] = (), workers: int | None = None):
+    """Yield ``kernel(gen, rows)`` for every trajectory block, in block order.
+
+    The block streams are derived here, on the calling thread and in block
+    order, all of them before the first kernel starts, so whatever wraps
+    ``stream_generator`` runs on the caller's thread only.  The kernels run
+    on ``workers`` threads (default: every CPU this process may use, at most
+    one per block; one block runs inline).  A kernel must draw only from the
+    ``gen`` it is given, so its result does not depend on which thread runs
+    it or when.
+    """
+    blocks = list(_block_row_counts(trajectories))
+    workers = min(workers or _available_cpus(), len(blocks))
+    if workers <= 1:
+        for block, rows in blocks:
+            yield kernel(stream_generator(base_seed, *context, block), rows)
+        return
+    # imported here: it costs a run that needs no threads about 15 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    gens = [stream_generator(base_seed, *context, block) for block, _ in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(kernel, gens, [rows for _, rows in blocks])
 
 
 def dump_trajectory_csv(traj: Trajectory, path) -> None:

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .lindblad import DecoherenceParams
-from .noise import NoiseKind, NoiseModel, _block_row_counts, stream_generator
+from .noise import CHUNK_VALUES, NoiseKind, NoiseModel, _reduce_blocks
 from .qubit import SIGMA_Z, DensityMatrix
 from .tables import Table
 
@@ -177,7 +177,9 @@ def coherence_ratio(params: DecoherenceParams, t: float, n: int) -> float:
 #        quasi-static, persistent: standard_normal((rows, 1))
 #        OU, resample:             standard_normal((rows, N, S + 1))
 #        OU, persistent:           standard_normal((rows, N * S + 1))
-#      with S = ceil(10 tau / tau_c) sub-steps per interval (step <= tau_c/10)
+#      with S = ceil(10 tau / tau_c) sub-steps per interval (step <= tau_c/10);
+#      OU noise is drawn in consecutive row chunks of about CHUNK_VALUES
+#      values, which consume the stream in the same order as one fill
 #   2. jump uniforms:        random((rows, N))
 #   3. measurement uniforms: random((rows, N))
 
@@ -197,29 +199,33 @@ def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool,
     h = tau / s
     decay = math.exp(-h / model.tau_c)
     kick = math.sqrt(1.0 - decay * decay)
-    if persistent:
-        # one stationary path across the whole run; the phase accumulator
-        # resets at each projection, the path does not
-        z = gen.standard_normal((rows, n * s + 1))
+    phases = np.empty((rows, n))
+    chunk = max(1, CHUNK_VALUES // (n * (s + 1)))
+    for r0 in range(0, rows, chunk):
+        part = phases[r0:r0 + chunk]
+        if persistent:
+            # one stationary path across the whole run; the phase accumulator
+            # resets at each projection, the path does not
+            z = gen.standard_normal((len(part), n * s + 1))
+            f = z[:, 0].copy()
+            for k in range(n):
+                acc = np.zeros(len(part))
+                for j in range(1, s + 1):
+                    f_next = decay * f + kick * z[:, k * s + j]
+                    acc += 0.5 * h * (f + f_next)
+                    f = f_next
+                part[:, k] = acc
+            continue
+        # fresh stationary path per interval; all rows * n paths evolve in lockstep
+        z = gen.standard_normal((len(part), n, s + 1)).reshape(part.size, s + 1)
         f = z[:, 0].copy()
-        phases = np.empty((rows, n))
-        for k in range(n):
-            acc = np.zeros(rows)
-            for j in range(1, s + 1):
-                f_next = decay * f + kick * z[:, k * s + j]
-                acc += 0.5 * h * (f + f_next)
-                f = f_next
-            phases[:, k] = acc
-        return model.coupling * phases
-    # fresh stationary path per interval; all rows * n paths evolve in lockstep
-    z = gen.standard_normal((rows, n, s + 1)).reshape(rows * n, s + 1)
-    f = z[:, 0].copy()
-    acc = np.zeros(rows * n)
-    for j in range(1, s + 1):
-        f_next = decay * f + kick * z[:, j]
-        acc += 0.5 * h * (f + f_next)
-        f = f_next
-    return model.coupling * acc.reshape(rows, n)
+        acc = np.zeros(part.size)
+        for j in range(1, s + 1):
+            f_next = decay * f + kick * z[:, j]
+            acc += 0.5 * h * (f + f_next)
+            f = f_next
+        part[:] = acc.reshape(part.shape)
+    return model.coupling * phases
 
 
 def _default_noise(params: DecoherenceParams) -> NoiseModel:
@@ -227,19 +233,20 @@ def _default_noise(params: DecoherenceParams) -> NoiseModel:
     return NoiseModel.quasi_static(params.gamma2 / math.sqrt(2.0))
 
 
-def _mc_blocks(params: DecoherenceParams, config: ProtocolConfig,
-               noise: NoiseModel, context: tuple[int, ...]):
-    """Yield (rows, phases, jumped, meas_uniforms) per trajectory block."""
+def _kept_outcomes(params: DecoherenceParams, config: ProtocolConfig, noise: NoiseModel):
+    """Block draws: kept(gen, rows)[r, k] says projection k returned trajectory r's state."""
     n, tau = config.measurements, config.tau
     persistent = config.noise_reset is NoiseReset.PERSISTENT
     eps_sq = math.exp(-params.gamma1 * tau)          # no-jump weight of |1>
     p_jump = 0.5 * (1.0 - eps_sq)                    # from a fresh |+->-type state
-    for block, rows in _block_row_counts(config.trajectories):
-        gen = stream_generator(config.base_seed, *context, block)
+
+    def kept(gen: np.random.Generator, rows: int) -> np.ndarray:
         phases = _interval_phases(noise, tau, n, persistent, gen, rows)
         jumped = gen.random((rows, n)) < p_jump
-        u_meas = gen.random((rows, n))
-        yield rows, phases, jumped, u_meas
+        stay = _stay_probability(params, tau, phases, jumped)
+        return gen.random((rows, n)) < stay
+
+    return kept
 
 
 def _stay_probability(params: DecoherenceParams, tau: float,
@@ -250,11 +257,18 @@ def _stay_probability(params: DecoherenceParams, tau: float,
     tau/2) and the eigenstate phases differ by 2 phi, giving
     (1 + eps^2 + 2 eps cos 2 phi) / (2 (1 + eps^2)); after a jump the state
     is |0>, which projects onto either equatorial state with probability 1/2.
+    Computed in place: ``phases`` is overwritten and returned.
     """
     eps = math.exp(-0.5 * params.gamma1 * tau)
     eps_sq = eps * eps
-    no_jump = (1.0 + eps_sq + 2.0 * eps * np.cos(2.0 * phases)) / (2.0 * (1.0 + eps_sq))
-    return np.where(jumped, 0.5, no_jump)
+    stay = phases
+    stay *= 2.0
+    np.cos(stay, out=stay)
+    stay *= 2.0 * eps
+    stay += 1.0 + eps_sq
+    stay /= 2.0 * (1.0 + eps_sq)
+    np.copyto(stay, 0.5, where=jumped)
+    return stay
 
 
 def _check_mc_config(config: ProtocolConfig, kind: ProtocolKind,
@@ -285,13 +299,14 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
         return ProtocolResult(config.kind, config.engine, success_probability=1.0,
                               success_stderr=0.0, survivors_per_step=(m,) * n,
                               trajectories=m)
+    kept = _kept_outcomes(params, config, noise)
+
+    def block_survivors(gen, rows):
+        return np.logical_and.accumulate(kept(gen, rows), axis=1).sum(axis=0)
+
     survivors = np.zeros(n, dtype=np.int64)
-    for rows, phases, jumped, u_meas in _mc_blocks(params, config, noise, context):
-        stay = _stay_probability(params, config.tau, phases, jumped)
-        alive = np.ones(rows, dtype=bool)
-        for k in range(n):
-            alive &= u_meas[:, k] < stay[:, k]
-            survivors[k] += int(np.count_nonzero(alive))
+    for block in _reduce_blocks(block_survivors, m, config.base_seed, context):
+        survivors += block
     p = survivors[-1] / m
     stderr = math.sqrt(p * (1.0 - p) / m)
     return ProtocolResult(config.kind, config.engine, success_probability=float(p),
@@ -315,14 +330,15 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     if t == 0.0:
         sign_sum = m
     else:
-        sign_sum = 0
-        for rows, phases, jumped, u_meas in _mc_blocks(params, config, noise, context):
-            stay = _stay_probability(params, config.tau, phases, jumped)
-            signs = np.ones(rows, dtype=np.int64)
-            for k in range(n):
-                flip = u_meas[:, k] >= stay[:, k]
-                np.negative(signs, where=flip, out=signs)
-            sign_sum += int(signs.sum())
+        kept = _kept_outcomes(params, config, noise)
+
+        def block_sign_sum(gen, rows):
+            # a trajectory's sign flips at every projection that lands on
+            # the other eigenstate, so its final sign is the flip-count parity
+            odd = np.count_nonzero((n - np.count_nonzero(kept(gen, rows), axis=1)) % 2)
+            return rows - 2 * int(odd)
+
+        sign_sum = sum(_reduce_blocks(block_sign_sum, m, config.base_seed, context))
     mean_sign = sign_sum / m
     coherence = 0.5 * mean_sign
     stderr = 0.5 * math.sqrt(max(1.0 - mean_sign ** 2, 0.0) / m)

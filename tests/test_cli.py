@@ -64,6 +64,11 @@ class TestParseConfig:
         config = parse_config("experiment=figure2\ntimes=10,15\n")
         assert config["times"] == (10.0, 15.0)
 
+    def test_figure3_reversed_time_range_names_both_keys(self):
+        with pytest.raises(ConfigError, match="t_min.*t_max"):
+            parse_config("experiment=figure3\nt_min=800\nt_max=50\n")
+        assert parse_config("experiment=figure3\nt_min=50\nt_max=50\n")["t_min"] == 50.0
+
     def test_crossover_derived_defaults(self):
         config = parse_config("experiment=crossover_scan\ntau_c=2.0\n")
         assert config["t_end"] == 80.0
@@ -174,6 +179,25 @@ class TestMainEntry:
         assert main(["run", str(path), "--out", str(out)]) == 0
         assert (out / "figure3.csv").exists()
         assert (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("experiment", ["figure2\nengine=mc", "mc_validate"],
+                             ids=["figure2_mc", "mc_validate"])
+    def test_mc_without_decay_channels_exits_zero(self, tmp_path, capsys, experiment):
+        # every MC point is exact, so no stderr is nonzero
+        path = tmp_path / "config.txt"
+        path.write_text(f"experiment={experiment}\nt1=inf\nt2=inf\ntimes=20,30\n"
+                        "n_max=3\ntrajectories=1000\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "max |MC - analytic| in stderr units: n/a (every MC stderr is 0)" in summary
+        if experiment == "mc_validate":
+            assert "all within 3 stderr: yes" in summary
+
+    def test_validate_rejects_reversed_figure3_range(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=figure3\nt_min=800\nt_max=50\n")
+        assert main(["validate", str(path)]) == 2
+        assert "t_min" in capsys.readouterr().err
 
     def test_golden_figure2(self, tmp_path):
         # regression pin of the analytic sweep artifact
