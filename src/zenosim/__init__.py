@@ -11,14 +11,11 @@ are tested against each other.
 from .lindblad import (DecoherenceParams, IntegrationResult, PositivityLossError,
                        closed_form_rho, closed_form_rho_rotating, integrate,
                        master_rhs, pure_dephasing_coherence)
-from .noise import (EnsembleResult, NoiseKind, NoiseModel, Trajectory,
-                    dephasing_phase, dump_trajectory_csv, ensemble_average,
-                    sample_ou, sample_quasi_static, stream_generator,
-                    trajectory_rho)
+from .noise import (EnsembleResult, NoiseKind, NoiseModel, ensemble_average,
+                    stream_generator)
 from .qubit import (IDENTITY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                     DensityMatrix, PureState, QubitOperator, SystemHamiltonian,
-                    bloch_vector, corotating_projector, dynamical_fidelity,
-                    evolve_unitary, plus_state, rotation_y)
+                    dynamical_fidelity, plus_state)
 from .tables import Table, read_csv, write_csv
 from .zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                    ProtocolResult, coherence_ratio, figure2_sweep,
@@ -32,13 +29,10 @@ __all__ = [
     "DecoherenceParams", "IntegrationResult", "PositivityLossError",
     "closed_form_rho", "closed_form_rho_rotating", "integrate", "master_rhs",
     "pure_dephasing_coherence",
-    "EnsembleResult", "NoiseKind", "NoiseModel", "Trajectory", "dephasing_phase",
-    "dump_trajectory_csv", "ensemble_average", "sample_ou", "sample_quasi_static",
-    "stream_generator", "trajectory_rho",
+    "EnsembleResult", "NoiseKind", "NoiseModel", "ensemble_average", "stream_generator",
     "IDENTITY", "SIGMA_MINUS", "SIGMA_PLUS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "DensityMatrix", "PureState", "QubitOperator", "SystemHamiltonian",
-    "bloch_vector", "corotating_projector", "dynamical_fidelity", "evolve_unitary",
-    "plus_state", "rotation_y",
+    "dynamical_fidelity", "plus_state",
     "Table", "read_csv", "write_csv",
     "EngineKind", "NoiseReset", "ProtocolConfig", "ProtocolKind", "ProtocolResult",
     "coherence_ratio", "figure2_sweep", "figure3_surface", "nonselective_coherence",

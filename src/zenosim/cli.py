@@ -132,10 +132,16 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
     uplifts = {}
     for t in t_grid:
         at_t = [r for r in table.rows if r[0] == float(t)]
-        uplifts[float(t)] = at_t[-1][2] / at_t[0][2]
-    best_t = max(uplifts, key=uplifts.get)
-    summary = [f"max coherence uplift from N=1 to N={settings['n_max']}: "
-               f"{_fmt(uplifts[best_t])} at t={_fmt(best_t)} ns"]
+        if at_t[0][2] > 0.0:         # an N=1 coherence that underflowed has no uplift
+            uplifts[float(t)] = at_t[-1][2] / at_t[0][2]
+    if uplifts:
+        best_t = max(uplifts, key=uplifts.get)
+        uplift = f"{_fmt(uplifts[best_t])} at t={_fmt(best_t)} ns"
+        if len(uplifts) < len(t_grid):
+            uplift += f" (over the {len(uplifts)} t values where the N=1 coherence is nonzero)"
+    else:
+        uplift = "n/a (the N=1 coherence is 0 at every t)"
+    summary = [f"max coherence uplift from N=1 to N={settings['n_max']}: {uplift}"]
     return table, summary
 
 

@@ -19,6 +19,12 @@ EXPERIMENTS = ("decay_curve", "crossover_scan", "figure2", "figure3",
 
 DEFAULT_BASE_SEED = 123456789
 
+# bounds that keep every accepted run small: decay_curve costs about 0.3 ms
+# and 0.4 kB per RK4 step, and every 2048-trajectory block of crossover_scan
+# holds 16 kB per grid point
+MAX_RK4_STEPS = 100_000
+MAX_SCAN_POINTS = 2048
+
 
 class ConfigError(ValueError):
     """Configuration text could not be parsed or validated."""
@@ -28,9 +34,7 @@ class ConfigError(ValueError):
 class Field:
     parse: Callable[[str], Any]
     default: Any = None
-    required: bool = False
     check: Callable[[Any], str | None] = lambda v: None
-    choices: tuple[str, ...] | None = None
 
 
 def _parse_float(allow_inf=False, allow_zero=True, allow_negative=False):
@@ -71,26 +75,26 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _float_field(default=None, required=False, allow_inf=False, positive=False,
+def _float_field(default=None, allow_inf=False, positive=False,
                  allow_negative=False) -> Field:
     parse, check = _parse_float(allow_inf=allow_inf, allow_zero=not positive,
                                 allow_negative=allow_negative)
-    return Field(parse=parse, default=default, required=required, check=check)
+    return Field(parse=parse, default=default, check=check)
 
 
-def _int_field(default=None, required=False, minimum=1) -> Field:
+def _int_field(default=None, minimum=1) -> Field:
     parse, check = _parse_int(minimum)
-    return Field(parse=parse, default=default, required=required, check=check)
+    return Field(parse=parse, default=default, check=check)
 
 
-def _choice_field(choices: tuple[str, ...], default: str) -> Field:
+def _choice_field(options: tuple[str, ...], default: str) -> Field:
     def parse(text: str) -> str:
         return text.strip().lower()
 
     def check(value: str) -> str | None:
-        return None if value in choices else f"must be one of {', '.join(choices)}"
+        return None if value in options else f"must be one of {', '.join(options)}"
 
-    return Field(parse=parse, default=default, check=check, choices=choices)
+    return Field(parse=parse, default=default, check=check)
 
 
 def _str_field(default=None) -> Field:
@@ -118,7 +122,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "crossover_scan": {
         **_COMMON,
-        "coupling": _float_field(default=0.1),
+        "coupling": _float_field(default=0.1, positive=True),
         "tau_c": _float_field(default=1.0, positive=True),
         "t_end": _float_field(default=None, positive=True),     # 40 tau_c
         "dt": _float_field(default=None, positive=True),        # tau_c/100
@@ -212,22 +216,25 @@ def parse_config(text: str) -> ExperimentConfig:
         settings[key] = parsed
 
     for key, field in schema.items():
-        if key in settings:
-            continue
-        if field.required:
-            raise ConfigError(f"missing required key {key!r} for experiment {experiment!r}")
-        settings[key] = field.default
+        settings.setdefault(key, field.default)
 
     _resolve_derived_defaults(experiment, settings)
     return ExperimentConfig(experiment, settings)
 
 
 def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None:
-    if experiment == "decay_curve" and settings["dt"] is None:
-        scale = min(settings["t1"], settings["t2"])
-        if math.isinf(scale):
-            scale = max(settings["t_end"], 1.0)
-        settings["dt"] = scale / 200.0
+    if experiment == "decay_curve":
+        derived = settings["dt"] is None
+        if derived:
+            scale = min(settings["t1"], settings["t2"])
+            if math.isinf(scale):
+                scale = max(settings["t_end"], 1.0)
+            settings["dt"] = scale / 200.0
+        steps = settings["t_end"] / settings["dt"]
+        if steps > MAX_RK4_STEPS:
+            source = f" (dt = min(t1, t2)/200 = {settings['dt']:.3g})" if derived else ""
+            raise ConfigError(f"t_end/dt{source} asks for {steps:.3g} RK4 steps, more than "
+                              f"{MAX_RK4_STEPS}: lower t_end or raise dt")
     if experiment == "figure3" and settings["t_min"] > settings["t_max"]:
         raise ConfigError(f"t_min ({settings['t_min']!r}) must not exceed "
                           f"t_max ({settings['t_max']!r})")
@@ -238,3 +245,9 @@ def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None
             settings["dt"] = settings["tau_c"] / 100.0
         if settings["dt"] > settings["tau_c"] / 10.0:
             raise ConfigError("dt must not exceed tau_c/10")
+        # dt-spaced up to tau_c/10, then tau_c/10-spaced up to t_end
+        tau_c, dt = settings["tau_c"], settings["dt"]
+        points = tau_c / 10.0 / dt + 10.0 * settings["t_end"] / tau_c
+        if points > MAX_SCAN_POINTS:
+            raise ConfigError(f"t_end and dt ask for about {points:.3g} grid points, more than "
+                              f"{MAX_SCAN_POINTS}: lower t_end or raise dt")

@@ -1,13 +1,14 @@
 """Classical Gaussian dephasing noise and trajectory ensemble averaging.
 
-The noise f(t) is zero-mean, unit-variance Gaussian with one of three
+The noise f(t) is zero-mean, unit-variance Gaussian with one of two
 correlation structures:
 
 * quasi-static: one standard-normal constant per realisation (the
   infinite-correlation-time limit of low-frequency noise),
-* Ornstein-Uhlenbeck: stationary with autocorrelation exp(-|dt|/tau_c),
-* white: a bookkeeping tag only; white-spectrum decay is handled by the
-  relaxation rate in the master-equation module, never by sampled paths.
+* Ornstein-Uhlenbeck: stationary with autocorrelation exp(-|dt|/tau_c).
+
+White-spectrum decay is not sampled: the master-equation module handles it
+through the relaxation rate.
 
 A qubit coupled through H = coupling * f(t) * sigma_z accumulates the phase
 phi(t) = coupling * integral_0^t f(s) ds between its sigma_z eigenstates, so a
@@ -42,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qubit import SIGMA_Z, DensityMatrix, PureState, QubitOperator, validate_density
+from .qubit import DensityMatrix, PureState, validate_density
 
 TRAJECTORY_BLOCK = 2048
 
@@ -57,17 +58,15 @@ MAX_OU_STEP_FRACTION = 0.1
 class NoiseKind(str, Enum):
     QUASI_STATIC = "quasi-static"
     ORNSTEIN_UHLENBECK = "ornstein-uhlenbeck"
-    WHITE = "white"
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean, unit-variance Gaussian noise coupled through ``operator``."""
+    """Zero-mean, unit-variance Gaussian noise coupled through sigma_z."""
 
     kind: NoiseKind
     coupling: float          # rad/ns
-    tau_c: float             # ns; inf for quasi-static, 0 for white
-    operator: QubitOperator = SIGMA_Z
+    tau_c: float             # ns; inf for quasi-static
 
     def __post_init__(self):
         if not (self.coupling >= 0.0 and math.isfinite(self.coupling)):
@@ -77,50 +76,14 @@ class NoiseModel:
         if self.kind is NoiseKind.ORNSTEIN_UHLENBECK and not (
                 0.0 < self.tau_c < math.inf):
             raise ValueError(f"Ornstein-Uhlenbeck noise requires finite tau_c > 0, got {self.tau_c!r}")
-        if self.kind is NoiseKind.WHITE and self.tau_c != 0.0:
-            raise ValueError("white noise requires tau_c = 0")
-        if not self.operator.is_hermitian():
-            raise ValueError("noise operator must be Hermitian")
 
     @classmethod
-    def quasi_static(cls, coupling: float, operator: QubitOperator = SIGMA_Z) -> "NoiseModel":
-        return cls(NoiseKind.QUASI_STATIC, coupling, math.inf, operator)
+    def quasi_static(cls, coupling: float) -> "NoiseModel":
+        return cls(NoiseKind.QUASI_STATIC, coupling, math.inf)
 
     @classmethod
-    def ornstein_uhlenbeck(cls, coupling: float, tau_c: float,
-                           operator: QubitOperator = SIGMA_Z) -> "NoiseModel":
-        return cls(NoiseKind.ORNSTEIN_UHLENBECK, coupling, tau_c, operator)
-
-    @classmethod
-    def white(cls, coupling: float, operator: QubitOperator = SIGMA_Z) -> "NoiseModel":
-        return cls(NoiseKind.WHITE, coupling, 0.0, operator)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One sampled noise realisation f(t_i) on an increasing time grid.
-
-    A single-sample trajectory represents a quasi-static realisation that is
-    constant for all t >= 0.
-    """
-
-    sample_times: np.ndarray
-    values: np.ndarray
-    rng_stream_id: int
-
-    def __post_init__(self):
-        times = np.asarray(self.sample_times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size == 0:
-            raise ValueError("sample_times and values must be equal-length 1-d arrays")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("sample_times must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("trajectory contains non-finite entries")
-        times.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "sample_times", times)
-        object.__setattr__(self, "values", values)
+    def ornstein_uhlenbeck(cls, coupling: float, tau_c: float) -> "NoiseModel":
+        return cls(NoiseKind.ORNSTEIN_UHLENBECK, coupling, tau_c)
 
 
 def stream_generator(base_seed: int, *key: int) -> np.random.Generator:
@@ -162,75 +125,9 @@ def _ou_paths(grid: np.ndarray, tau_c: float, normals: np.ndarray) -> np.ndarray
     return paths
 
 
-def sample_quasi_static(model: NoiseModel, seed: int) -> Trajectory:
-    """One quasi-static realisation: f(t) = f0 with f0 ~ N(0, 1)."""
-    if model.kind is not NoiseKind.QUASI_STATIC:
-        raise ValueError(f"expected quasi-static model, got {model.kind.value}")
-    f0 = stream_generator(seed).standard_normal()
-    return Trajectory(np.array([0.0]), np.array([f0]), int(seed))
-
-
-def sample_ou(model: NoiseModel, grid, seed: int) -> Trajectory:
-    """One stationary Ornstein-Uhlenbeck realisation on ``grid``.
-
-    The update is the exact discrete recursion
-    f_{k+1} = exp(-dt/tau_c) f_k + sqrt(1 - exp(-2 dt/tau_c)) z_{k+1},
-    seeded from the stationary distribution, so the sampled autocorrelation is
-    exp(-|t - t'|/tau_c) at every lag without discretisation error.
-    """
-    if model.kind is not NoiseKind.ORNSTEIN_UHLENBECK:
-        raise ValueError(f"expected Ornstein-Uhlenbeck model, got {model.kind.value}")
-    grid = _check_ou_grid(grid, model.tau_c)
-    normals = stream_generator(seed).standard_normal((1, grid.size))
-    values = _ou_paths(grid, model.tau_c, normals)[0]
-    return Trajectory(grid, values, int(seed))
-
-
-def dephasing_phase(traj: Trajectory, coupling: float, t: float) -> float:
-    """Accumulated phase coupling * integral f(s) ds from the grid start to t.
-
-    Trapezoidal on the trajectory grid (exact for quasi-static realisations);
-    ``t`` may fall between samples, in which case the final partial segment
-    uses the linear interpolant of f.
-    """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    times, values = traj.sample_times, traj.values
-    if times.size == 1:
-        return coupling * values[0] * t
-    if t < times[0] or t > times[-1] * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"t = {t!r} lies outside the trajectory grid "
-                         f"[{times[0]!r}, {times[-1]!r}]")
-    t = min(t, float(times[-1]))
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    phase = float(np.sum(0.5 * np.diff(times[: idx + 1]) * (values[1: idx + 1] + values[:idx])))
-    if t > times[idx]:
-        dt = t - times[idx]
-        f_t = values[idx] + (values[idx + 1] - values[idx]) * dt / (times[idx + 1] - times[idx])
-        phase += 0.5 * dt * (values[idx] + f_t)
-    return coupling * phase
-
-
-def trajectory_rho(psi0: PureState, traj: Trajectory, coupling: float, t: float,
-                   operator: QubitOperator = SIGMA_Z) -> DensityMatrix:
-    """State of one noise realisation at time t (interaction picture).
-
-    Only sigma_z coupling is supported in this release; the relative phase
-    between the sigma_z eigenstates is 2 phi(t), so the off-diagonal element
-    picks up exp(-2i phi) while the populations stay fixed.
-    """
-    if np.max(np.abs(operator.matrix - SIGMA_Z.matrix)) > 1e-12:
-        raise ValueError("only sigma_z noise coupling is supported in this release")
-    phi = dephasing_phase(traj, coupling, t)
-    rho = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
-    rho[0, 1] *= np.exp(-2j * phi)
-    rho[1, 0] = np.conj(rho[0, 1])
-    return DensityMatrix(rho)
-
-
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Trajectory-averaged state on a time grid with statistical errors.
+    """Ensemble-mean state on a time grid with statistical errors.
 
     ``mean_rho`` holds the averaged density matrix per grid point, ``stderr``
     the per-element standard error sqrt((Var[Re] + Var[Im]) / M) of that mean.
@@ -274,36 +171,28 @@ def block_noise_values(model: NoiseModel, grid, base_seed: int, block: int,
     if model.kind is NoiseKind.QUASI_STATIC:
         f0 = gen.standard_normal((rows, 1))
         return np.broadcast_to(f0, (rows, grid.size)).copy()
-    if model.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-        normals = gen.standard_normal((rows, grid.size))
-        return _ou_paths(grid, model.tau_c, normals)
-    raise ValueError(f"{model.kind.value} noise has no sampled trajectories; "
-                     "white-spectrum decay is handled by the relaxation rate")
+    normals = gen.standard_normal((rows, grid.size))
+    return _ou_paths(grid, model.tau_c, normals)
 
 
 def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int,
                      base_seed: int, context: tuple[int, ...] = ()) -> EnsembleResult:
     """Average M = ``trajectories`` dephasing realisations of ``psi0`` on ``grid``.
 
-    Every per-trajectory state is exactly pure; only the mean loses purity.
+    Every per-trajectory state is exactly pure; only the mean is mixed.
     Results are bit-reproducible for fixed (model, grid, M, base_seed): see
     the module docstring for the block contract.
     """
     if trajectories < 100:
         raise ValueError(f"need at least 100 trajectories, got {trajectories}")
-    if np.max(np.abs(model.operator.matrix - SIGMA_Z.matrix)) > 1e-12:
-        raise ValueError("only sigma_z noise coupling is supported in this release")
     grid = np.asarray(grid, dtype=float)
     if model.kind is NoiseKind.ORNSTEIN_UHLENBECK:
         grid = _check_ou_grid(grid, model.tau_c)
-    elif model.kind is NoiseKind.QUASI_STATIC:
+    else:
         if grid.ndim != 1 or grid.size == 0 or (grid.size > 1 and not np.all(np.diff(grid) > 0)):
             raise ValueError("time grid must be 1-d and strictly increasing")
         if grid[0] < 0.0:
             raise ValueError("time grid must be non-negative")
-    else:
-        raise ValueError(f"{model.kind.value} noise has no sampled trajectories; "
-                         "white-spectrum decay is handled by the relaxation rate")
 
     rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
     g = grid.size
@@ -446,11 +335,3 @@ def _reduce_blocks(kernel, trajectories: int, base_seed: int,
     gens = [stream_generator(base_seed, *context, block) for block, _ in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(kernel, gens, [rows for _, rows in blocks])
-
-
-def dump_trajectory_csv(traj: Trajectory, path) -> None:
-    """Debug dump: one `t,f` row per sample."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,f\n")
-        for t, f in zip(traj.sample_times, traj.values):
-            fh.write(f"{t:.17g},{f:.17g}\n")

@@ -1,7 +1,7 @@
 """Exact 2x2 algebra for a single qubit.
 
-States, Pauli operators, unitaries, projectors and fidelity measures used by
-every other module.  Conventions are fixed here once and for all:
+States, Pauli operators, the system Hamiltonian with its propagator, and the
+dynamical fidelity used by every other module.  Conventions are fixed here once and for all:
 
 * basis: ``|0>`` is the ground state, ``|1>`` the excited state,
 * ``sigma_z |0> = +|0>``, ``sigma_plus |0> = |1>``,
@@ -20,7 +20,6 @@ TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 NORM_TOL = 1e-12
-UNITARY_TOL = 1e-9
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -35,25 +34,12 @@ def _frozen_array(values, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitOperator:
-    """A 2x2 complex operator (Hamiltonian, unitary, projector, ...)."""
+    """A 2x2 complex operator (Pauli matrix or propagator)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, (2, 2)))
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        product = self.matrix @ self.matrix.conj().T
-        return bool(np.max(np.abs(product - np.eye(2))) <= tol)
-
-    def dagger(self) -> "QubitOperator":
-        return QubitOperator(self.matrix.conj().T)
-
-    def __matmul__(self, other: "QubitOperator") -> "QubitOperator":
-        return QubitOperator(self.matrix @ other.matrix)
 
 
 IDENTITY = QubitOperator(np.eye(2))
@@ -102,9 +88,6 @@ class DensityMatrix:
         """Magnitude of the off-diagonal element |<0|rho|1>|."""
         return float(abs(self.matrix[0, 1]))
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def validate_density(arr: np.ndarray,
                      trace_tol: float = TRACE_TOL,
@@ -123,12 +106,7 @@ def validate_density(arr: np.ndarray,
 
 @dataclass(frozen=True)
 class SystemHamiltonian:
-    """H = (epsilon/2) sigma_z + (delta/2) sigma_x, frequencies in rad/ns.
-
-    The dephasing analysis in the other modules assumes the noise operator
-    commutes with the sigma_z part; ``commuting_noise_ok`` reports whether a
-    given noise operator satisfies that assumption for this Hamiltonian.
-    """
+    """H = (epsilon/2) sigma_z + (delta/2) sigma_x, frequencies in rad/ns."""
 
     epsilon: float
     delta: float = 0.0
@@ -158,30 +136,11 @@ class SystemHamiltonian:
         n_sigma = (self.epsilon * SIGMA_Z.matrix + self.delta * SIGMA_X.matrix) / omega
         return QubitOperator(math.cos(half) * np.eye(2) - 1j * math.sin(half) * n_sigma)
 
-    def commuting_noise_ok(self, operator: QubitOperator, tol: float = 1e-12) -> bool:
-        commutator = self.matrix @ operator.matrix - operator.matrix @ self.matrix
-        return bool(np.max(np.abs(commutator)) <= tol)
-
 
 def plus_state() -> PureState:
     """The sigma_x eigenstate (|0> + |1>)/sqrt(2)."""
     s = 1.0 / math.sqrt(2.0)
     return PureState(np.array([s, s], dtype=complex))
-
-
-def rotation_y(angle: float) -> QubitOperator:
-    """exp(-i angle sigma_y / 2): rotation of the Bloch vector about y."""
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
-    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    return QubitOperator([[c, -s], [s, c]])
-
-
-def corotating_projector(psi: PureState, hs: SystemHamiltonian, time: float) -> QubitOperator:
-    """Rank-1 projector onto exp(-i H t)|psi>, tracking the free evolution."""
-    u = hs.evolution(time).matrix
-    rotated = u @ psi.amplitudes
-    return QubitOperator(np.outer(rotated, rotated.conj()))
 
 
 def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
@@ -197,19 +156,3 @@ def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
     if abs(value.imag) >= 1e-10:
         raise ValueError(f"fidelity has non-negligible imaginary part {value.imag!r}")
     return float(value.real)
-
-
-def evolve_unitary(rho: DensityMatrix, u: QubitOperator) -> DensityMatrix:
-    """Conjugation U rho U^dagger; rejects non-unitary U."""
-    if not u.is_unitary(UNITARY_TOL):
-        raise ValueError("operator is not unitary within 1e-9")
-    return DensityMatrix(u.matrix @ rho.matrix @ u.matrix.conj().T)
-
-
-def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
-    """(x, y, z) = (tr rho sigma_x, tr rho sigma_y, tr rho sigma_z)."""
-    m = rho.matrix
-    x = float((m[0, 1] + m[1, 0]).real)
-    y = float((1j * (m[0, 1] - m[1, 0])).real)
-    z = float((m[0, 0] - m[1, 1]).real)
-    return (x, y, z)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .lindblad import DecoherenceParams
 from .noise import CHUNK_VALUES, NoiseKind, NoiseModel, _reduce_blocks
-from .qubit import SIGMA_Z, DensityMatrix
+from .qubit import DensityMatrix
 from .tables import Table
 
 
@@ -161,9 +161,13 @@ def coherence_ratio(params: DecoherenceParams, t: float, n: int) -> float:
 
     |<0|rho(N,t)|1>| / (exp(-t/(2 T1)) / 2) = exp(-t^2 / (N T2^2)): the
     relaxation contribution cancels algebraically, leaving only the part the
-    measurements suppress.
+    measurements suppress.  Where the envelope underflows to 0 the closed
+    form is used instead.
     """
+    _check_protocol_args(t, n)
     envelope = 0.5 * math.exp(-0.5 * params.gamma1 * t)
+    if envelope == 0.0:
+        return math.exp(-(params.gamma2 * t) ** 2 / n)
     return nonselective_coherence(params, t, n) / envelope
 
 
@@ -193,8 +197,6 @@ def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool,
             return model.coupling * tau * np.broadcast_to(f0, (rows, n)).copy()
         return model.coupling * tau * gen.standard_normal((rows, n))
 
-    if model.kind is not NoiseKind.ORNSTEIN_UHLENBECK:
-        raise ValueError(f"{model.kind.value} noise has no sampled trajectories")
     s = max(1, math.ceil(10.0 * tau / model.tau_c - 1e-12))
     h = tau / s
     decay = math.exp(-h / model.tau_c)
@@ -271,14 +273,11 @@ def _stay_probability(params: DecoherenceParams, tau: float,
     return stay
 
 
-def _check_mc_config(config: ProtocolConfig, kind: ProtocolKind,
-                     noise: NoiseModel | None) -> None:
+def _check_mc_config(config: ProtocolConfig, kind: ProtocolKind) -> None:
     if config.engine is not EngineKind.MONTE_CARLO:
         raise ValueError("config.engine must be monte-carlo")
     if config.kind is not kind:
         raise ValueError(f"config.kind must be {kind.value}")
-    if noise is not None and np.max(np.abs(noise.operator.matrix - SIGMA_Z.matrix)) > 1e-12:
-        raise ValueError("only sigma_z noise coupling is supported in this release")
 
 
 def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
@@ -287,11 +286,11 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     """Estimate the all-outcomes-positive probability by trajectory sampling.
 
     ``noise`` defaults to the quasi-static model matching params.gamma2;
-    any sigma_z-coupled model (e.g. Ornstein-Uhlenbeck) may be substituted.
+    an Ornstein-Uhlenbeck model may be substituted.
     A failed projection terminates its trajectory.  The estimate is the
     surviving fraction with binomial standard error.
     """
-    _check_mc_config(config, ProtocolKind.SELECTIVE, noise)
+    _check_mc_config(config, ProtocolKind.SELECTIVE)
     if noise is None:
         noise = _default_noise(params)
     m, n = config.trajectories, config.measurements
@@ -323,7 +322,7 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     eigenstates; tracking the sign of that state is enough, and the ensemble
     mean of the signs is twice the coherence of the averaged state.
     """
-    _check_mc_config(config, ProtocolKind.NON_SELECTIVE, noise)
+    _check_mc_config(config, ProtocolKind.NON_SELECTIVE)
     if noise is None:
         noise = _default_noise(params)
     m, n, t = config.trajectories, config.measurements, config.total_time

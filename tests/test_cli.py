@@ -199,6 +199,59 @@ class TestMainEntry:
         assert main(["validate", str(path)]) == 2
         assert "t_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["decay_curve", "crossover_scan", "figure2",
+                                            "figure3", "ratio_plot", "mc_validate"])
+    def test_validate_accepts_defaults(self, tmp_path, experiment):
+        path = tmp_path / "config.txt"
+        path.write_text(f"experiment={experiment}\n")
+        assert main(["validate", str(path)]) == 0
+
+    def test_validate_rejects_zero_crossover_coupling(self, tmp_path, capsys):
+        # the summary's relative slope error divides by 4 coupling^2 tau_c
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=crossover_scan\ncoupling=0\n")
+        assert main(["validate", str(path)]) == 2
+        assert "coupling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t2,reported", [
+        (1.0, "n/a (the N=1 coherence is 0 at every t)"),
+        (20.0, "at t=500 ns (over the 10 t values where the N=1 coherence is nonzero)"),
+    ])
+    def test_figure3_with_vanishing_single_measurement_coherence(self, tmp_path, capsys,
+                                                                 t2, reported):
+        # exp(-(t/T2)^2) underflows to 0 from t = 27 T2 on: at every t >= 50 ns
+        # for T2 = 1 ns, at the 6 largest of 16 t values for T2 = 20 ns
+        path = tmp_path / "config.txt"
+        path.write_text(f"experiment=figure3\nt2={t2}\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "max coherence uplift from N=1 to N=16: " in summary
+        assert reported in summary
+
+    @pytest.mark.parametrize("experiment", ["figure3", "ratio_plot"])
+    def test_vanishing_relaxation_envelope(self, tmp_path, capsys, experiment):
+        # with T1 = 1 ps the envelope exp(-t/(2 T1)) underflows to 0; the
+        # ratio is still exp(-t^2/(N T2^2))
+        path = tmp_path / "config.txt"
+        path.write_text(f"experiment={experiment}\nt1=0.001\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        table = read_csv(tmp_path / "out" / f"{experiment}.csv")
+        for t, n, _, ratio in table.rows:
+            assert ratio == pytest.approx(math.exp(-(t / 400.0) ** 2 / n), rel=1e-12)
+
+    @pytest.mark.parametrize("text,keys", [
+        ("experiment=decay_curve\nt1=0.001\n", ("t_end", "dt", "t1", "t2")),
+        ("experiment=decay_curve\ndt=0.0001\n", ("t_end", "dt")),
+        ("experiment=crossover_scan\nt_end=400\n", ("t_end", "dt")),
+    ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan"])
+    def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        for key in keys:
+            assert key in err
+
     def test_golden_figure2(self, tmp_path):
         # regression pin of the analytic sweep artifact
         path = tmp_path / "config.txt"

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zenosim.noise import (NoiseKind, NoiseModel, Trajectory,
-                           _block_row_counts, block_noise_values, dephasing_phase,
-                           dump_trajectory_csv, ensemble_average, sample_ou,
-                           sample_quasi_static, trajectory_rho)
-from zenosim.qubit import SIGMA_X, bloch_vector, plus_state
+from zenosim.noise import (NoiseKind, NoiseModel, _block_row_counts,
+                           block_noise_values, ensemble_average)
+from zenosim.qubit import PureState, plus_state
 
 QS = NoiseModel.quasi_static(0.1)
 OU = NoiseModel.ornstein_uhlenbeck(0.1, 1.0)
@@ -29,39 +27,28 @@ class TestNoiseModel:
             with pytest.raises(ValueError):
                 NoiseModel(NoiseKind.ORNSTEIN_UHLENBECK, 0.1, bad)
 
-    def test_white_requires_zero_tau(self):
-        assert NoiseModel.white(0.1).tau_c == 0.0
-        with pytest.raises(ValueError):
-            NoiseModel(NoiseKind.WHITE, 0.1, 1.0)
-
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError, match="coupling"):
             NoiseModel.quasi_static(-0.1)
 
-    def test_rejects_non_hermitian_operator(self):
-        from zenosim.qubit import SIGMA_PLUS
-        with pytest.raises(ValueError, match="Hermitian"):
-            NoiseModel.quasi_static(0.1, operator=SIGMA_PLUS)
-
 
 class TestQuasiStaticSampling:
     def test_same_seed_same_value(self):
-        a = sample_quasi_static(QS, 1234)
-        b = sample_quasi_static(QS, 1234)
-        assert a.values[0] == b.values[0]
-        assert a.rng_stream_id == 1234
+        grid = np.linspace(0.0, 1.0, 5)
+        a = block_noise_values(QS, grid, 1234, 0, 10)
+        b = block_noise_values(QS, grid, 1234, 0, 10)
+        assert np.array_equal(a, b)
+        # one constant per realisation
+        assert np.all(a == a[:, :1])
 
     def test_different_seeds_differ(self):
-        assert sample_quasi_static(QS, 1).values[0] != sample_quasi_static(QS, 2).values[0]
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="quasi-static"):
-            sample_quasi_static(OU, 0)
+        grid = np.array([0.0])
+        assert block_noise_values(QS, grid, 1, 0, 1)[0, 0] != \
+            block_noise_values(QS, grid, 2, 0, 1)[0, 0]
 
     def test_standard_normal_statistics(self):
-        # mean -> 0 +- 0.01 and variance -> 1 +- 0.02 over 1e5 seeds
-        values = np.array([sample_quasi_static(QS, seed).values[0]
-                           for seed in range(100_000)])
+        # mean -> 0 +- 0.01 and variance -> 1 +- 0.02 over 1e5 realisations
+        values = all_block_values(QS, np.array([0.0]), 7, 100_000)[:, 0]
         assert abs(values.mean()) <= 0.01
         assert abs(values.var() - 1.0) <= 0.02
 
@@ -77,17 +64,14 @@ class TestQuasiStaticSampling:
 class TestOrnsteinUhlenbeckSampling:
     def test_same_seed_same_path(self):
         grid = np.linspace(0.0, 2.0, 21)
-        a = sample_ou(OU, grid, 7)
-        b = sample_ou(OU, grid, 7)
-        assert np.array_equal(a.values, b.values)
+        a = block_noise_values(OU, grid, 7, 0, 10)
+        b = block_noise_values(OU, grid, 7, 0, 10)
+        assert np.array_equal(a, b)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="grid step"):
-            sample_ou(OU, np.linspace(0.0, 2.0, 11), 0)  # step 0.2 > tau_c/10
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="Ornstein"):
-            sample_ou(QS, np.linspace(0.0, 1.0, 11), 0)
+            # step 0.2 > tau_c/10
+            ensemble_average(plus_state(), OU, np.linspace(0.0, 2.0, 11), 200, 0)
 
     def test_lag_autocorrelation(self):
         # sampled lag-k correlation matches exp(-k dt / tau_c) within 3 stderr
@@ -109,99 +93,8 @@ class TestOrnsteinUhlenbeckSampling:
     def test_long_tau_c_is_nearly_quasi_static(self):
         model = NoiseModel.ornstein_uhlenbeck(0.1, 1e6)
         grid = np.linspace(0.0, 10.0, 11)
-        for seed in range(5):
-            traj = sample_ou(model, grid, seed)
-            assert np.max(np.abs(traj.values - traj.values[0])) < 0.05
-
-
-class TestTrajectory:
-    def test_rejects_decreasing_grid(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Trajectory(np.array([0.0, 2.0, 1.0]), np.zeros(3), 0)
-
-    def test_rejects_non_finite_values(self):
-        with pytest.raises(ValueError, match="finite"):
-            Trajectory(np.array([0.0, 1.0]), np.array([0.0, math.inf]), 0)
-
-    def test_dump_csv_roundtrip(self, tmp_path):
-        traj = sample_ou(OU, np.linspace(0.0, 1.0, 11), 3)
-        path = tmp_path / "traj.csv"
-        dump_trajectory_csv(traj, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,f"
-        parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(parsed[:, 0], traj.sample_times)
-        assert np.array_equal(parsed[:, 1], traj.values)
-
-
-class TestDephasingPhase:
-    def test_constant_noise(self):
-        traj = Trajectory(np.array([0.0]), np.array([0.5]), 0)
-        assert dephasing_phase(traj, 0.1, 10.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_coupling(self):
-        traj = sample_ou(OU, np.linspace(0.0, 1.0, 11), 1)
-        assert dephasing_phase(traj, 0.0, 1.0) == 0.0
-
-    def test_outside_grid_rejected(self):
-        traj = sample_ou(OU, np.linspace(0.0, 1.0, 11), 1)
-        with pytest.raises(ValueError, match="outside"):
-            dephasing_phase(traj, 0.1, 2.0)
-
-    def test_grid_refinement_agreement(self):
-        # same physical path integrated on the sampling grid and on the
-        # 2x-coarsened grid: the trapezoid results agree to 1e-3 relative
-        # (relative to the phase excursion, which can pass through zero)
-        tau_c = 1.0
-        model = NoiseModel.ornstein_uhlenbeck(0.1, tau_c)
-        h = 5e-5 * tau_c
-        grid = h * np.arange(0, 40_001)
-        fine = sample_ou(model, grid, 2024)
-        coarse = Trajectory(fine.sample_times[::2], fine.values[::2], fine.rng_stream_id)
-        probes = grid[2000::2000]
-        phi_fine = np.array([dephasing_phase(fine, 0.1, t) for t in probes])
-        phi_coarse = np.array([dephasing_phase(coarse, 0.1, t) for t in probes])
-        scale = np.max(np.abs(phi_fine))
-        assert scale > 0.0
-        assert np.max(np.abs(phi_coarse - phi_fine)) <= 1e-3 * scale
-
-    def test_partial_segment_interpolation(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0)
-        # integral of the linear ramp up to t = 0.5 is 0.125
-        assert dephasing_phase(traj, 1.0, 0.5) == pytest.approx(0.125, abs=1e-15)
-
-
-class TestTrajectoryRho:
-    def test_zero_phase_returns_input(self):
-        traj = Trajectory(np.array([0.0]), np.array([0.3]), 0)
-        rho = trajectory_rho(plus_state(), traj, 0.1, 0.0)
-        assert np.allclose(rho.matrix, plus_state().density().matrix, atol=1e-15)
-
-    def test_quarter_phase_rotates_to_y(self):
-        # phi = pi/4 turns the Bloch vector by pi/2 about +z: x -> +y
-        traj = Trajectory(np.array([0.0]), np.array([1.0]), 0)
-        rho = trajectory_rho(plus_state(), traj, math.pi / 4, 1.0)
-        assert bloch_vector(rho) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-
-    def test_populations_untouched(self):
-        rng = np.random.default_rng(3)
-        amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        from zenosim.qubit import PureState
-        psi = PureState(amps / np.linalg.norm(amps))
-        traj = Trajectory(np.array([0.0]), np.array([1.7]), 0)
-        rho = trajectory_rho(psi, traj, 0.3, 5.0)
-        expected = np.abs(psi.amplitudes) ** 2
-        assert rho.populations == pytest.approx(tuple(expected), abs=1e-12)
-
-    def test_states_stay_pure(self):
-        traj = sample_ou(OU, np.linspace(0.0, 1.0, 11), 9)
-        rho = trajectory_rho(plus_state(), traj, 0.2, 1.0)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_sigma_z_operator(self):
-        traj = Trajectory(np.array([0.0]), np.array([1.0]), 0)
-        with pytest.raises(ValueError, match="sigma_z"):
-            trajectory_rho(plus_state(), traj, 0.1, 1.0, operator=SIGMA_X)
+        values = block_noise_values(model, grid, 0, 0, 5)
+        assert np.max(np.abs(values - values[:, :1])) < 0.05
 
 
 class TestEnsembleAverage:
@@ -209,15 +102,24 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match="100"):
             ensemble_average(plus_state(), QS, np.linspace(0, 1, 5), 99, 0)
 
-    def test_rejects_white_noise(self):
-        with pytest.raises(ValueError, match="white"):
-            ensemble_average(plus_state(), NoiseModel.white(0.1), np.linspace(0, 1, 5), 200, 0)
-
     def test_zero_coupling_keeps_full_coherence(self):
         model = NoiseModel.quasi_static(0.0)
         initial = plus_state().density().coherence
         result = ensemble_average(plus_state(), model, np.linspace(0, 50, 6), 200, 1)
         assert np.all(result.coherence() == initial)
+
+    def test_zero_phase_returns_input(self):
+        result = ensemble_average(plus_state(), OU, np.linspace(0.0, 1.0, 11), 200, 4)
+        assert np.array_equal(result.mean_rho[0], plus_state().density().matrix)
+
+    def test_populations_untouched(self):
+        rng = np.random.default_rng(3)
+        amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        psi = PureState(amps / np.linalg.norm(amps))
+        result = ensemble_average(psi, OU, np.linspace(0.0, 2.0, 21), 500, 9)
+        expected = np.abs(psi.amplitudes) ** 2
+        for index in range(21):
+            assert result.rho(index).populations == pytest.approx(tuple(expected), abs=1e-12)
 
     def test_quasi_static_gaussian_decay(self):
         # ensemble coherence matches the Gaussian-integral value
@@ -231,17 +133,22 @@ class TestEnsembleAverage:
         assert dev <= 3.0 * result.coherence_stderr()[1]
 
     def test_matches_explicit_trajectory_average(self):
-        # the vectorised ensemble equals a plain mean of per-trajectory states
+        # the vectorised ensemble equals a plain mean of per-trajectory states:
+        # each trajectory's trapezoid phase phi multiplies rho01 by exp(-2i phi)
         grid = np.linspace(0.0, 1.0, 11)
         m = 300
         result = ensemble_average(plus_state(), OU, grid, m, 17)
         values = all_block_values(OU, grid, 17, m)
-        psi = plus_state()
+        rho0 = plus_state().density().matrix
         for t_index in (0, 4, 10):
             states = []
             for row in range(m):
-                traj = Trajectory(grid, values[row], row)
-                states.append(trajectory_rho(psi, traj, OU.coupling, grid[t_index]).matrix)
+                f, t = values[row, :t_index + 1], grid[:t_index + 1]
+                phi = OU.coupling * float(np.sum(0.5 * np.diff(t) * (f[1:] + f[:-1])))
+                rho = rho0.copy()
+                rho[0, 1] *= np.exp(-2j * phi)
+                rho[1, 0] = np.conj(rho[0, 1])
+                states.append(rho)
             assert np.allclose(np.mean(states, axis=0), result.mean_rho[t_index], atol=1e-12)
 
     def test_bit_reproducible_and_block_order_free(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from zenosim.lindblad import DecoherenceParams, closed_form_rho_rotating
 from zenosim.noise import NoiseModel
@@ -14,6 +15,7 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
                           pn_approx, run_protocol, selective_run_mc,
                           selective_step_probability)
+from zenosim.zeno import _stay_probability
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
@@ -170,6 +172,29 @@ class TestCoherenceRatio:
     def test_matches_suppressed_exponent(self, n):
         expected = math.exp(-((400.0 / 400.0) ** 2) / n)
         assert coherence_ratio(FIG3, 400.0, n) == pytest.approx(expected, abs=1e-12)
+
+
+class TestStayProbability:
+    @given(gamma1=st.floats(0.0, 1e4), tau=st.floats(1e-9, 1e3),
+           phases=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                         elements=st.floats(-1e4, 1e4)),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_born_probability_in_place(self, gamma1, tau, phases, data):
+        jumped = data.draw(arrays(np.bool_, phases.shape))
+        jumped_before = jumped.copy()
+        # a strided view inside a buffer whose border must stay untouched
+        buffer = np.full((phases.shape[0] + 2, phases.shape[1] + 2), 7.0)
+        view = buffer[1:-1, 1:-1]
+        view[:] = phases
+        stay = _stay_probability(DecoherenceParams(gamma1, 0.0), tau, view, jumped)
+        assert stay is view
+        border = np.ones(buffer.shape, dtype=bool)
+        border[1:-1, 1:-1] = False
+        assert np.all(buffer[border] == 7.0)
+        assert np.all((stay >= 0.0) & (stay <= 1.0))
+        assert np.all(stay[jumped] == 0.5)
+        assert np.array_equal(jumped, jumped_before)
 
 
 class TestSelectiveMonteCarlo:
