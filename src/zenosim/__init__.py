@@ -15,7 +15,8 @@ from .noise import (EnsembleResult, NoiseKind, NoiseModel, ensemble_average,
                     stream_generator)
 from .qubit import (IDENTITY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                     DensityMatrix, PureState, QubitOperator, SystemHamiltonian,
-                    dynamical_fidelity, plus_state)
+                    bloch_vector, corotating_projector, dynamical_fidelity,
+                    plus_state, rotation_y)
 from .tables import Table, read_csv, write_csv
 from .zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                    ProtocolResult, coherence_ratio, figure2_sweep,
@@ -32,7 +33,8 @@ __all__ = [
     "EnsembleResult", "NoiseKind", "NoiseModel", "ensemble_average", "stream_generator",
     "IDENTITY", "SIGMA_MINUS", "SIGMA_PLUS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "DensityMatrix", "PureState", "QubitOperator", "SystemHamiltonian",
-    "dynamical_fidelity", "plus_state",
+    "bloch_vector", "corotating_projector", "dynamical_fidelity", "plus_state",
+    "rotation_y",
     "Table", "read_csv", "write_csv",
     "EngineKind", "NoiseReset", "ProtocolConfig", "ProtocolKind", "ProtocolResult",
     "coherence_ratio", "figure2_sweep", "figure3_surface", "nonselective_coherence",

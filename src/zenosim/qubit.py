@@ -1,7 +1,8 @@
 """Exact 2x2 algebra for a single qubit.
 
-States, Pauli operators, the system Hamiltonian with its propagator, and the
-dynamical fidelity used by every other module.  Conventions are fixed here once and for all:
+States, Pauli operators, the system Hamiltonian with its propagator, y rotations,
+co-rotating projectors, Bloch vectors and the dynamical fidelity.  Conventions
+are fixed here once and for all:
 
 * basis: ``|0>`` is the ground state, ``|1>`` the excited state,
 * ``sigma_z |0> = +|0>``, ``sigma_plus |0> = |1>``,
@@ -141,6 +142,25 @@ def plus_state() -> PureState:
     """The sigma_x eigenstate (|0> + |1>)/sqrt(2)."""
     s = 1.0 / math.sqrt(2.0)
     return PureState(np.array([s, s], dtype=complex))
+
+
+def rotation_y(angle: float) -> QubitOperator:
+    """exp(-i angle sigma_y / 2): rotation of the Bloch vector about y."""
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+    return QubitOperator([[c, -s], [s, c]])
+
+
+def corotating_projector(psi: PureState, hs: SystemHamiltonian, time: float) -> QubitOperator:
+    """Rank-1 projector onto exp(-i H t)|psi>, tracking the free evolution."""
+    rotated = hs.evolution(time).matrix @ psi.amplitudes
+    return QubitOperator(np.outer(rotated, rotated.conj()))
+
+
+def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
+    """(x, y, z) = (tr rho sigma_x, tr rho sigma_y, tr rho sigma_z)."""
+    return tuple(float(np.trace(rho.matrix @ s.matrix).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
 def dynamical_fidelity(rho: DensityMatrix, psi: PureState,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
-                           SystemHamiltonian, dynamical_fidelity, plus_state)
+                           SystemHamiltonian, bloch_vector, corotating_projector,
+                           dynamical_fidelity, plus_state, rotation_y)
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
@@ -31,6 +32,56 @@ class TestPlusState:
     def test_density_entries(self):
         rho = plus_state().density().matrix
         assert np.allclose(rho, 0.5 * np.ones((2, 2)), atol=1e-12)
+
+
+class TestRotationY:
+    def test_zero_angle_is_identity(self):
+        assert np.allclose(rotation_y(0.0).matrix, np.eye(2), atol=1e-15)
+
+    def test_half_pi_maps_ground_to_plus(self):
+        rotated = rotation_y(math.pi / 2).matrix @ KET0.amplitudes
+        rho = np.outer(rotated, rotated.conj())
+        assert np.allclose(rho, plus_state().density().matrix, atol=1e-12)
+
+    def test_inverse(self):
+        u = rotation_y(math.pi / 2).matrix @ rotation_y(-math.pi / 2).matrix
+        assert np.max(np.abs(u - np.eye(2))) <= 1e-12
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            rotation_y(math.nan)
+
+    @given(st.floats(-10.0, 10.0))
+    @settings(max_examples=50, deadline=None)
+    def test_always_unitary(self, angle):
+        u = rotation_y(angle).matrix
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+
+
+class TestCorotatingProjector:
+    def test_time_zero_plus(self):
+        proj = corotating_projector(plus_state(), SystemHamiltonian(1.0), 0.0)
+        assert np.allclose(proj.matrix, 0.5 * np.ones((2, 2)), atol=1e-12)
+
+    def test_idempotent(self):
+        proj = corotating_projector(plus_state(), SystemHamiltonian(1.0), 7.3)
+        assert np.max(np.abs(proj.matrix @ proj.matrix - proj.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("seed,time", [(1, 0.4), (2, 3.7), (3, 12.0)])
+    def test_unit_trace(self, seed, time):
+        proj = corotating_projector(random_state(seed), SystemHamiltonian(0.8, 0.05), time)
+        assert abs(np.trace(proj.matrix) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_projects_corotating_state_onto_itself(self, k):
+        # the projector at time k*tau leaves the freely evolved state alone
+        hs = SystemHamiltonian(1.3, 0.0)
+        tau = 2.1
+        psi = plus_state()
+        u = hs.evolution(k * tau).matrix
+        evolved = u @ psi.density().matrix @ u.conj().T
+        proj = corotating_projector(psi, hs, k * tau).matrix
+        assert np.max(np.abs(proj @ evolved @ proj - evolved)) <= 1e-12
 
 
 class TestDynamicalFidelity:
@@ -62,6 +113,23 @@ class TestDynamicalFidelity:
         f0 = dynamical_fidelity(rho, psi, hs, t)
         f1 = dynamical_fidelity(shifted, psi, hs, t + s)
         assert f1 == pytest.approx(f0, abs=1e-12)
+
+
+class TestBlochVector:
+    def test_plus(self):
+        assert bloch_vector(plus_state().density()) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+
+    def test_mixed(self):
+        assert bloch_vector(MIXED) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
+
+    def test_excited_points_down(self):
+        # convention: sigma_z |0> = +|0>, so |1><1| sits at the south pole
+        assert bloch_vector(KET1.density()) == pytest.approx((0.0, 0.0, -1.0), abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_norm_bounded(self, seed):
+        x, y, z = bloch_vector(random_state(seed).density())
+        assert math.sqrt(x * x + y * y + z * z) <= 1.0 + 1e-10
 
 
 class TestInvariantEnforcement:
