@@ -219,7 +219,30 @@ def parse_config(text: str) -> ExperimentConfig:
         settings.setdefault(key, field.default)
 
     _resolve_derived_defaults(experiment, settings)
+    _check_exponents(settings)
     return ExperimentConfig(experiment, settings)
+
+
+def _check_exponents(settings: dict[str, Any]) -> None:
+    """Reject values whose decay exponents t/T1, (t/T2)^2 or 4 coupling^2 tau_c overflow."""
+    if "t1" in settings:
+        t1, t2 = settings["t1"], settings["t2"]
+        gamma1 = 0.0 if math.isinf(t1) else 1.0 / t1
+        gamma2 = 0.0 if math.isinf(t2) else 1.0 / t2
+        for key in ("t", "t_end", "t_min", "t_max", "times"):
+            values = settings.get(key, ())
+            for t in values if isinstance(values, tuple) else (values,):
+                if not (math.isfinite(gamma1 * t)
+                        and math.isfinite((gamma2 * t) * (gamma2 * t))):
+                    raise ConfigError(
+                        f"{key} = {t!r} overflows the decay exponent t/t1 or (t/t2)^2 "
+                        f"(t1 = {t1!r}, t2 = {t2!r}): "
+                        f"lower {key} or raise t1 and t2")
+    if "coupling" in settings:
+        coupling, tau_c = settings["coupling"], settings["tau_c"]
+        if not math.isfinite(4.0 * coupling * coupling * tau_c):
+            raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the "
+                              "decay rate 4 coupling^2 tau_c: lower coupling or tau_c")
 
 
 def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None:

@@ -31,9 +31,9 @@ available to the process (there is no setting), and hands their partial
 results back in block order, where they are combined exactly as a serial loop
 would combine them.  Results are therefore bit-identical for a given
 (model, grid, M, base_seed) whatever the worker count and whatever order the
-blocks finish in.  Each block in flight works through its grid (or, for the
-protocol noise, its rows) in chunks of about ``CHUNK_VALUES`` float64, which
-bounds its scratch memory and changes no bit of the result.
+blocks finish in.  Each block in flight works through its grid in chunks of
+about ``CHUNK_VALUES`` float64, which bounds its scratch memory and changes no
+bit of the result.
 """
 
 import math
@@ -47,8 +47,8 @@ from .qubit import DensityMatrix, PureState, validate_density
 
 TRAJECTORY_BLOCK = 2048
 
-# float64 values per chunk of a block's grid (ensemble_average) or of its
-# rows (Ornstein-Uhlenbeck protocol draws); bounds each block's scratch memory
+# float64 values per chunk of a block's grid in ensemble_average; bounds each
+# block's scratch memory
 CHUNK_VALUES = 1 << 20
 
 # maximum grid step, in units of tau_c, for Ornstein-Uhlenbeck sampling

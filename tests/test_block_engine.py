@@ -108,9 +108,8 @@ def test_outputs_do_not_depend_on_finishing_order(engine):
 def test_chunk_budget_does_not_change_outputs(monkeypatch):
     default = mc_outputs()
     # 4-column grid chunks leave a lone last column of the 1001-point grid
-    # for both block sizes; OU protocol draws split into many row chunks
+    # for both block sizes
     monkeypatch.setattr(noise, "CHUNK_VALUES", 4 * TRAJECTORY_BLOCK)
-    monkeypatch.setattr(zeno, "CHUNK_VALUES", 4 * TRAJECTORY_BLOCK)
     assert mc_outputs() == default
 
 

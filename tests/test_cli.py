@@ -252,6 +252,20 @@ class TestMainEntry:
         for key in keys:
             assert key in err
 
+    @pytest.mark.parametrize("text,key", [
+        ("experiment=ratio_plot\nt=1e300\n", "t"),
+        ("experiment=figure2\ntimes=1e300\n", "times"),
+        ("experiment=crossover_scan\ncoupling=1e200\n", "coupling"),
+    ], ids=["ratio_plot_t", "figure2_times", "crossover_scan_coupling"])
+    def test_run_rejects_overflowing_exponents(self, tmp_path, capsys, text, key):
+        # (t/t2)^2 and coupling^2 used to raise OverflowError past the CLI
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} = ")
+        assert not (tmp_path / "out").exists()
+
     def test_golden_figure2(self, tmp_path):
         # regression pin of the analytic sweep artifact
         path = tmp_path / "config.txt"

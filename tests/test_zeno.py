@@ -1,4 +1,7 @@
+import itertools
 import math
+import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
                           pn_approx, run_protocol, selective_run_mc,
                           selective_step_probability)
-from zenosim.zeno import _stay_probability
+from zenosim.zeno import _ou_interval_coefficients, _stay_probability
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
@@ -281,6 +284,94 @@ class TestNonselectiveMonteCarlo:
         a = nonselective_run_mc(FIG3, mc_config(400.0, 4, kind=ProtocolKind.NON_SELECTIVE))
         b = nonselective_run_mc(FIG3, mc_config(400.0, 4, kind=ProtocolKind.NON_SELECTIVE))
         assert a.coherence == b.coherence
+
+
+def ou_phase_covariance(coupling, tau_c, tau, n, persistent):
+    """Covariance of the n interval phases under stationary OU noise.
+
+    Each phase has variance coupling^2 2 tau_c^2 (x - 1 + a), x = tau/tau_c,
+    a = exp(-x); on one persistent path intervals j != k share
+    coupling^2 tau_c^2 (1 - a)^2 a^(|j - k| - 1), on resampled paths nothing.
+    """
+    x = tau / tau_c
+    a = math.exp(-x)
+    cov = np.zeros((n, n))
+    if persistent:
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        cov = coupling ** 2 * tau_c ** 2 * (1.0 - a) ** 2 * a ** (lag - 1.0)
+    np.fill_diagonal(cov, coupling ** 2 * 2.0 * tau_c ** 2 * (x - 1.0 + a))
+    return cov
+
+
+def sign_pattern_average(cov, values, weight):
+    """2^-n sum over s in values^n of prod(weight(s_k)) exp(-2 s^T C s).
+
+    E[exp(2i s.phi)] = exp(-2 s^T C s) for Gaussian phases, so expanding each
+    cos 2 phi_k into exponentials turns a protocol average into this sum.
+    """
+    n = len(cov)
+    s = np.array(list(itertools.product(values, repeat=n)), dtype=float)
+    weights = np.prod(np.vectorize(weight)(s), axis=1)
+    quad = np.einsum("pi,ij,pj->p", s, cov, s)
+    return float(np.sum(weights * np.exp(-2.0 * quad))) / 2.0 ** n
+
+
+class TestOrnsteinUhlenbeckProtocols:
+    """OU protocol engines against the exact Gaussian law of the interval phases."""
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-4, 1.0, 1e4])
+    def test_interval_coefficients_are_exact(self, x):
+        # reference: the closed forms evaluated in 60-digit decimals, so the
+        # cancellation in x - 1 + a and x - 2 tanh(x/2) costs nothing
+        with localcontext() as ctx:
+            ctx.prec = 60
+            tau_c = Decimal("0.5")
+            big_x = Decimal(x)
+            a = (-big_x).exp()
+            th = (1 - a) / (1 + a)
+            reference = (tau_c * (2 * (big_x - 1 + a)).sqrt(), a, (1 - a * a).sqrt(),
+                         tau_c * (1 - a), tau_c * (1 - a) * th.sqrt(),
+                         tau_c * (2 * (big_x - 2 * th)).sqrt())
+        values = _ou_interval_coefficients(0.5 * x, 0.5)
+        assert all(v >= 0.0 for v in values)
+        for value, exact in zip(values, reference):
+            assert value == pytest.approx(float(exact), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("reset", list(NoiseReset))
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_mc_matches_exact_phase_law(self, kind, reset, n):
+        coupling, tau_c, t = 0.6, 1.0, 4.0
+        params = DecoherenceParams.from_times(20.0, math.inf)
+        eps = math.exp(-0.5 * params.gamma1 * t / n)
+        cov = ou_phase_covariance(coupling, tau_c, t / n, n, reset is NoiseReset.PERSISTENT)
+        noise = NoiseModel.ornstein_uhlenbeck(coupling, tau_c)
+        config = mc_config(t, n, m=20_000, seed=17, kind=kind, reset=reset)
+        if kind is ProtocolKind.SELECTIVE:
+            # P_N = E[prod_k (1/2 + (eps/2) cos 2 phi_k)]
+            expected = sign_pattern_average(cov, (-1, 0, 1), lambda s: eps / 2 if s else 1.0)
+            result = selective_run_mc(params, config, noise)
+            value, stderr = result.success_probability, result.success_stderr
+        else:
+            # coherence = (eps^N / 2) E[prod_k cos 2 phi_k]
+            expected = 0.5 * eps ** n * sign_pattern_average(cov, (-1, 1), lambda s: 1.0)
+            result = nonselective_run_mc(params, config, noise)
+            value, stderr = result.coherence, result.coherence_stderr
+        assert abs(value - expected) <= 4.0 * stderr
+
+    def test_interval_far_longer_than_correlation_time(self):
+        # tau/tau_c = 1e6: one draw per interval whatever the ratio
+        coupling, tau_c, t = 0.4, 1e-3, 1e3
+        noise = NoiseModel.ornstein_uhlenbeck(coupling, tau_c)
+        start = time.perf_counter()
+        result = selective_run_mc(DecoherenceParams(0.0, 0.0), mc_config(t, 1, m=1000, seed=19),
+                                  noise)
+        elapsed = time.perf_counter() - start
+        x = t / tau_c
+        variance = coupling ** 2 * 2.0 * tau_c ** 2 * (x - 1.0 + math.exp(-x))
+        expected = 0.5 + 0.5 * math.exp(-2.0 * variance)
+        assert abs(result.success_probability - expected) <= 4.0 * result.success_stderr
+        assert elapsed < 1.0
 
 
 class TestRunProtocol:
