@@ -84,11 +84,15 @@ def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     expected = -4.0 * coupling ** 2 * tau_c
     short_exp = _local_exponent(grid, normalised, (grid > 0) & (grid <= fine_end))
     long_exp = _local_exponent(grid, normalised, long_mask)
+    # a scan shorter than 40 tau_c names the tail window it fitted instead
+    slope_window, long_window = "", " for t >= 20 tau_c"
+    if long_start < 20.0 * tau_c:
+        slope_window = long_window = f" for t >= t_end/2 = {long_start:.6g} ns"
     summary = [
-        f"long-time log-coherence slope: {_fmt(slope)} per ns "
+        f"long-time log-coherence slope{slope_window}: {_fmt(slope)} per ns "
         f"(theory {_fmt(expected)}, relative error {_fmt(abs(slope / expected - 1.0))})",
         f"local decay exponent for t <= tau_c/10: {_fmt(short_exp)} (quadratic regime -> 2)",
-        f"local decay exponent for t >= 20 tau_c: {_fmt(long_exp)} (exponential regime -> 1)",
+        f"local decay exponent{long_window}: {_fmt(long_exp)} (exponential regime -> 1)",
     ]
     return table, summary
 
@@ -137,7 +141,7 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
     if uplifts:
         best_t = max(uplifts, key=uplifts.get)
         uplift = f"{_fmt(uplifts[best_t])} at t={_fmt(best_t)} ns"
-        if len(uplifts) < len(t_grid):
+        if len(uplifts) < len(set(t_grid.tolist())):        # equal t values share a key
             uplift += f" (over the {len(uplifts)} t values where the N=1 coherence is nonzero)"
     else:
         uplift = "n/a (the N=1 coherence is 0 at every t)"

@@ -19,9 +19,9 @@ EXPERIMENTS = ("decay_curve", "crossover_scan", "figure2", "figure3",
 
 DEFAULT_BASE_SEED = 123456789
 
-# bounds that keep every accepted run small: decay_curve costs about 0.3 ms
-# and 0.4 kB per RK4 step, and every 2048-trajectory block of crossover_scan
-# holds 16 kB per grid point
+# bounds that keep every accepted run short: decay_curve costs about 0.3 ms
+# and 0.4 kB per RK4 step, crossover_scan about 4 ms per grid point at 1e5
+# trajectories on 2 CPUs (its memory does not grow with the grid)
 MAX_RK4_STEPS = 100_000
 MAX_SCAN_POINTS = 2048
 
@@ -224,7 +224,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _check_exponents(settings: dict[str, Any]) -> None:
-    """Reject values whose decay exponents t/T1, (t/T2)^2 or 4 coupling^2 tau_c overflow."""
+    """Reject values that overflow a decay exponent or the crossover_scan fit.
+
+    The exponents are t/T1, (t/T2)^2, 4 coupling^2 tau_c and 4 coupling^2
+    tau_c t_end; the fit sums t^2 over the grid.
+    """
     if "t1" in settings:
         t1, t2 = settings["t1"], settings["t2"]
         gamma1 = 0.0 if math.isinf(t1) else 1.0 / t1
@@ -239,10 +243,16 @@ def _check_exponents(settings: dict[str, Any]) -> None:
                         f"(t1 = {t1!r}, t2 = {t2!r}): "
                         f"lower {key} or raise t1 and t2")
     if "coupling" in settings:
-        coupling, tau_c = settings["coupling"], settings["tau_c"]
-        if not math.isfinite(4.0 * coupling * coupling * tau_c):
+        coupling, tau_c, t_end = settings["coupling"], settings["tau_c"], settings["t_end"]
+        rate = 4.0 * coupling * coupling * tau_c
+        if not math.isfinite(rate):
             raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the "
                               "decay rate 4 coupling^2 tau_c: lower coupling or tau_c")
+        # the slope fit sums t^2 over up to MAX_SCAN_POINTS grid points
+        if not (math.isfinite(rate * t_end) and math.isfinite(MAX_SCAN_POINTS * t_end * t_end)):
+            raise ConfigError(f"tau_c = {tau_c!r} with coupling = {coupling!r} and t_end = "
+                              f"{t_end!r} overflows the decay exponent 4 coupling^2 tau_c t_end "
+                              "or the fit's sum of t^2: lower tau_c, coupling or t_end")
 
 
 def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None:

@@ -21,8 +21,10 @@ Reproducibility contract
 ------------------------
 Trajectories are grouped into fixed blocks of ``TRAJECTORY_BLOCK``.  Block b
 of an ensemble draws from its own counter-based Philox stream keyed by
-(base_seed, *context, b), consumed in a fixed documented order; trajectory
-i = b * TRAJECTORY_BLOCK + r reads row r of every block draw.
+(base_seed, *context, b), consumed in a fixed documented order: quasi-static
+noise is one normal per trajectory, Ornstein-Uhlenbeck noise one
+(grid points, rows) array of normals, grid point after grid point.
+Trajectory i = b * TRAJECTORY_BLOCK + r reads entry r of every grid point.
 
 One engine runs the blocks of every Monte Carlo path (``ensemble_average``
 here, the protocol engines in ``zenosim.zeno``).  It derives the block
@@ -31,9 +33,9 @@ available to the process (there is no setting), and hands their partial
 results back in block order, where they are combined exactly as a serial loop
 would combine them.  Results are therefore bit-identical for a given
 (model, grid, M, base_seed) whatever the worker count and whatever order the
-blocks finish in.  Each block in flight works through its grid in chunks of
-about ``CHUNK_VALUES`` float64, which bounds its scratch memory and changes no
-bit of the result.
+blocks finish in.  Each block in flight draws and works through its grid in
+chunks of about ``CHUNK_VALUES`` float64, so its scratch memory does not grow
+with the grid, and the chunk size changes no bit of the result.
 """
 
 import math
@@ -47,9 +49,9 @@ from .qubit import DensityMatrix, PureState, validate_density
 
 TRAJECTORY_BLOCK = 2048
 
-# float64 values per chunk of a block's grid in ensemble_average; bounds each
-# block's scratch memory
-CHUNK_VALUES = 1 << 20
+# float64 values per grid chunk of a block in ensemble_average; a block in
+# flight holds a few arrays of this size, whatever the length of the grid
+CHUNK_VALUES = 1 << 18
 
 # maximum grid step, in units of tau_c, for Ornstein-Uhlenbeck sampling
 MAX_OU_STEP_FRACTION = 0.1
@@ -109,20 +111,22 @@ def _check_ou_grid(grid: np.ndarray, tau_c: float) -> np.ndarray:
     return grid
 
 
-def _ou_paths(grid: np.ndarray, tau_c: float, normals: np.ndarray) -> np.ndarray:
-    """Exact discrete Ornstein-Uhlenbeck paths from iid standard normals.
+def _ou_paths(normals: np.ndarray, steps: np.ndarray, tau_c: float,
+              start: float | np.ndarray) -> np.ndarray:
+    """Exact discrete Ornstein-Uhlenbeck paths, built in place in ``normals``.
 
-    ``normals`` has shape (rows, len(grid)); column 0 seeds the stationary
-    distribution, column k the innovation for the step onto grid[k].
+    Row k of ``normals`` (shape (points, rows)) is the innovation of a step of
+    length steps[k] from the path value before it, ``start`` before row 0; an
+    infinite step starts from the stationary distribution.
     """
-    steps = np.diff(grid)
     decay = np.exp(-steps / tau_c)
     kick = np.sqrt(1.0 - decay * decay)
-    paths = np.empty_like(normals)
-    paths[:, 0] = normals[:, 0]
-    for k in range(steps.size):
-        paths[:, k + 1] = decay[k] * paths[:, k] + kick[k] * normals[:, k + 1]
-    return paths
+    previous = start
+    for k, row in enumerate(normals):
+        row *= kick[k]
+        row += decay[k] * previous
+        previous = row
+    return normals
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,9 @@ class EnsembleResult:
     """Ensemble-mean state on a time grid with statistical errors.
 
     ``mean_rho`` holds the averaged density matrix per grid point, ``stderr``
-    the per-element standard error sqrt((Var[Re] + Var[Im]) / M) of that mean.
+    the per-element standard error sqrt((Var[Re] + Var[Im]) / M) of that mean,
+    with unbiased variances.  Each trajectory's factor exp(-2i phi) has
+    modulus 1, so Var[Re] + Var[Im] = (1 - |mean factor|^2) M / (M - 1).
     """
 
     time_grid: np.ndarray
@@ -171,8 +177,8 @@ def block_noise_values(model: NoiseModel, grid, base_seed: int, block: int,
     if model.kind is NoiseKind.QUASI_STATIC:
         f0 = gen.standard_normal((rows, 1))
         return np.broadcast_to(f0, (rows, grid.size)).copy()
-    normals = gen.standard_normal((rows, grid.size))
-    return _ou_paths(grid, model.tau_c, normals)
+    steps = np.diff(grid, prepend=-np.inf)
+    return _ou_paths(gen.standard_normal((grid.size, rows)), steps, model.tau_c, 0.0).T
 
 
 def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int,
@@ -197,21 +203,13 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
     g = grid.size
     sum_phase = np.zeros(g, dtype=complex)        # sum of exp(-2i phi)
-    sum_re2 = np.zeros(g, dtype=float)
-    sum_im2 = np.zeros(g, dtype=float)
-    kernel = _ensemble_kernel(model, grid)
-    for block_phase, block_re2, block_im2 in _reduce_blocks(kernel, trajectories,
-                                                            base_seed, context):
-        sum_phase += block_phase
-        sum_re2 += block_re2
-        sum_im2 += block_im2
+    for block_sum in _reduce_blocks(_ensemble_kernel(model, grid), trajectories,
+                                    base_seed, context):
+        sum_phase += block_sum
 
     m = float(trajectories)
     mean_factor = sum_phase / m
-    # unbiased per-element variance of the off-diagonal factor
-    var_re = np.maximum(sum_re2 / m - mean_factor.real ** 2, 0.0) * m / max(m - 1.0, 1.0)
-    var_im = np.maximum(sum_im2 / m - mean_factor.imag ** 2, 0.0) * m / max(m - 1.0, 1.0)
-    factor_stderr = np.sqrt((var_re + var_im) / m)
+    factor_stderr = np.sqrt(np.maximum(1.0 - np.abs(mean_factor) ** 2, 0.0) / (m - 1.0))
 
     mean = np.empty((g, 2, 2), dtype=complex)
     mean[:] = rho0
@@ -224,81 +222,52 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
 
 
 def _grid_chunks(size: int, rows: int) -> list[tuple[int, int]]:
-    """Column ranges [c0, c1) of at most CHUNK_VALUES / rows columns.
-
-    numpy sums a one-column array along axis 0 pairwise but a wider one row
-    by row, as it sums the whole grid; a lone last column therefore joins
-    the chunk before it.
-    """
-    width = max(2, CHUNK_VALUES // rows)
-    bounds = list(range(0, size, width)) + [size]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
+    """Grid ranges [c0, c1) of at most CHUNK_VALUES / rows points, at least one."""
+    width = max(1, CHUNK_VALUES // rows)
+    return [(c0, min(c0 + width, size)) for c0 in range(0, size, width)]
 
 
 def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
     """Block kernel of ``ensemble_average``.
 
-    ``kernel(gen, rows)`` draws the block exactly as ``block_noise_values``
-    does and returns its sums of exp(-2i phi), Re^2 and Im^2 per grid point.
-    Paths, phases and factors exist one grid chunk at a time; the OU path
-    value and the running trapezoid carry over from chunk to chunk, so every
-    number is the one the whole-grid computation gives.
+    ``kernel(gen, rows)`` draws the block as ``block_noise_values`` does, one
+    grid chunk at a time in stream order, and returns its sum of exp(-2i phi)
+    over the rows at each grid point.  A chunk is a (points, rows) array, so
+    each grid point sums contiguous values and the chunk size changes no bit;
+    the OU path value and its running trapezoid integral carry over from one
+    chunk to the next.
     """
-    ou = model.kind is NoiseKind.ORNSTEIN_UHLENBECK
-    if ou:
-        steps = np.diff(grid)
-        decay = np.exp(-steps / model.tau_c)
-        kick = np.sqrt(1.0 - decay * decay)
-        half_steps = 0.5 * steps
+    if model.kind is NoiseKind.QUASI_STATIC:
+        def chunk_integrals(gen, rows):
+            f0 = gen.standard_normal(rows)
+            for c0, c1 in _grid_chunks(grid.size, rows):
+                yield c0, c1, np.multiply.outer(grid[c0:c1], f0)
+    else:
+        steps = np.diff(grid, prepend=-np.inf)
+        half_steps = 0.5 * np.diff(grid, prepend=0.0)[:, np.newaxis]
 
-    def ou_phases(normals, c0, c1, carry):
-        # Phases on grid columns [c0, c1) and the carry (path value, running
-        # integral) at column c1 - 1.  The buffer has one row per grid column
-        # c0 - lead .. c1 - 1, so the recursion runs over contiguous rows;
-        # column c0 - 1 ends the previous chunk.  It holds the normals, then
-        # the path, then the running integral.
-        lead = 1 if c0 else 0
-        path = np.empty((c1 - c0 + lead, normals.shape[0]))
-        path[0] = carry[0] if lead else normals[:, 0]
-        path[1:] = normals[:, c0 + 1 - lead:c1].T
-        for j in range(1, path.shape[0]):
-            k = c0 - lead + j - 1                 # the step onto grid[k + 1]
-            path[j] *= kick[k]
-            path[j] += decay[k] * path[j - 1]
-        f = path[-1].copy()
-        for j in range(path.shape[0] - 1, 0, -1):            # trapezoid segments
-            path[j] += path[j - 1]
-        path[1:] *= half_steps[c0 - lead:c1 - 1, np.newaxis]
-        path[0] = carry[1] if lead else 0.0
-        for j in range(2 - lead, path.shape[0]):             # cumsum, row by row
-            path[j] += path[j - 1]
-        carry = f, path[-1].copy()
-        phases = path[lead:]
-        phases *= model.coupling
-        return phases.T, carry
+        def chunk_integrals(gen, rows):
+            f = integral = 0.0           # path value and integral before the chunk
+            for c0, c1 in _grid_chunks(grid.size, rows):
+                path = _ou_paths(gen.standard_normal((c1 - c0, rows)), steps[c0:c1],
+                                 model.tau_c, f)
+                integrals = np.empty_like(path)
+                integrals[0] = path[0] + f
+                np.add(path[1:], path[:-1], out=integrals[1:])
+                integrals *= half_steps[c0:c1]
+                integrals[0] += integral
+                np.cumsum(integrals, axis=0, out=integrals)
+                f, integral = path[-1].copy(), integrals[-1].copy()
+                del path
+                yield c0, c1, integrals
 
     def kernel(gen: np.random.Generator, rows: int):
-        sums = (np.empty(grid.size, dtype=complex), np.empty(grid.size), np.empty(grid.size))
-        if ou:
-            normals = gen.standard_normal((rows, grid.size))
-            carry = None
-        else:
-            scale = model.coupling * gen.standard_normal((rows, 1))
-        for c0, c1 in _grid_chunks(grid.size, rows):
-            if ou:
-                phases, carry = ou_phases(normals, c0, c1, carry)
-            else:
-                phases = scale * grid[c0:c1]
-            # row-major like the whole-grid array, so each column sums row by row
-            factors = np.empty((rows, c1 - c0), dtype=complex)
-            np.multiply(-2j, phases, out=factors)
-            del phases
+        sums = np.empty(grid.size, dtype=complex)
+        for c0, c1, integrals in chunk_integrals(gen, rows):
+            factors = np.multiply(-2j * model.coupling, integrals)
             np.exp(factors, out=factors)
-            sums[0][c0:c1] = factors.sum(axis=0)
-            sums[1][c0:c1] = np.sum(factors.real ** 2, axis=0)
-            sums[2][c0:c1] = np.sum(factors.imag ** 2, axis=0)
+            sums[c0:c1] = factors.sum(axis=1)
+            del factors
         return sums
 
     return kernel

@@ -1,13 +1,15 @@
 """The block engine's determinism contract, checked rather than stated.
 
 Every Monte Carlo path must give the same bits whatever the number of worker
-threads, whatever order the blocks finish in and whatever the chunk budget.
+threads, whatever order the blocks finish in and whatever the chunk budget,
+and a block's scratch memory must not grow with its grid.
 """
 
 import concurrent.futures
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,10 +109,22 @@ def test_outputs_do_not_depend_on_finishing_order(engine):
 
 def test_chunk_budget_does_not_change_outputs(monkeypatch):
     default = mc_outputs()
-    # 4-column grid chunks leave a lone last column of the 1001-point grid
-    # for both block sizes
-    monkeypatch.setattr(noise, "CHUNK_VALUES", 4 * TRAJECTORY_BLOCK)
-    assert mc_outputs() == default
+    for budget in (1, 3 * TRAJECTORY_BLOCK):          # one- and three-point chunks
+        monkeypatch.setattr(noise, "CHUNK_VALUES", budget)
+        assert mc_outputs() == default
+
+
+def test_block_memory_does_not_grow_with_the_grid():
+    # one inline block on a 4001-point OU grid: drawn whole, its normals
+    # alone would take 66 MB
+    grid = np.linspace(0.0, 40.0, 4001)
+    tracemalloc.start()
+    try:
+        ensemble_average(plus_state(), OU, grid, TRAJECTORY_BLOCK, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * noise.CHUNK_VALUES * 8
 
 
 def test_engine_yields_in_block_order():
@@ -153,12 +167,12 @@ def test_single_block_runs_inline(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1948, TRAJECTORY_BLOCK])
-def test_grid_chunks_cover_the_grid_without_lone_columns(rows):
+def test_grid_chunks_cover_the_grid_contiguously(rows):
     for size in range(1, 40):
-        for budget in (rows, 2 * rows, 5 * rows, noise.CHUNK_VALUES):
+        for budget in (1, rows // 2, rows, 2 * rows, 5 * rows, noise.CHUNK_VALUES):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(noise, "CHUNK_VALUES", budget)
                 chunks = noise._grid_chunks(size, rows)
             assert chunks[0][0] == 0 and chunks[-1][1] == size
             assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            assert all(c1 - c0 >= 2 for c0, c1 in chunks) or size == 1
+            assert all(1 <= c1 - c0 <= max(1, budget // rows) for c0, c1 in chunks)

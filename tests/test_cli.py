@@ -228,6 +228,24 @@ class TestMainEntry:
         assert "max coherence uplift from N=1 to N=16: " in summary
         assert reported in summary
 
+    def test_figure3_counts_equal_t_values_once(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=figure3\nt_min=100\nt_max=100\nt_points=3\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "max coherence uplift from N=1 to N=16: " in summary
+        assert summary.endswith(" at t=100 ns\n")
+
+    def test_short_crossover_scan_names_its_fit_window(self, tmp_path, capsys):
+        # t_end = 0.05 < 40 tau_c: both tail fits start at t_end/2
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=crossover_scan\nt_end=0.05\ntrajectories=1000\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert lines[-3].startswith("long-time log-coherence slope for t >= t_end/2 = 0.025 ns: ")
+        assert lines[-1].startswith("local decay exponent for t >= t_end/2 = 0.025 ns: ")
+        assert "20 tau_c" not in "\n".join(lines)
+
     @pytest.mark.parametrize("experiment", ["figure3", "ratio_plot"])
     def test_vanishing_relaxation_envelope(self, tmp_path, capsys, experiment):
         # with T1 = 1 ps the envelope exp(-t/(2 T1)) underflows to 0; the
@@ -256,9 +274,11 @@ class TestMainEntry:
         ("experiment=ratio_plot\nt=1e300\n", "t"),
         ("experiment=figure2\ntimes=1e300\n", "times"),
         ("experiment=crossover_scan\ncoupling=1e200\n", "coupling"),
-    ], ids=["ratio_plot_t", "figure2_times", "crossover_scan_coupling"])
+        ("experiment=crossover_scan\ntau_c=1e300\n", "tau_c"),
+    ], ids=["ratio_plot_t", "figure2_times", "crossover_scan_coupling", "crossover_scan_tau_c"])
     def test_run_rejects_overflowing_exponents(self, tmp_path, capsys, text, key):
-        # (t/t2)^2 and coupling^2 used to raise OverflowError past the CLI
+        # (t/t2)^2 and coupling^2 used to raise OverflowError past the CLI; the
+        # default t_end = 40 tau_c overflowed the crossover_scan fit
         path = tmp_path / "config.txt"
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2

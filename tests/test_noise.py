@@ -17,6 +17,14 @@ def all_block_values(model, grid, base_seed, trajectories):
     return np.vstack(blocks)
 
 
+def trapezoid_factors(model, grid, values):
+    """exp(-2i phi) per trajectory (row) and grid point, phi the trapezoid phase."""
+    segments = 0.5 * np.diff(grid) * (values[:, 1:] + values[:, :-1])
+    integrals = np.zeros(values.shape)
+    np.cumsum(segments, axis=-1, out=integrals[:, 1:])
+    return np.exp(-2j * model.coupling * integrals)
+
+
 class TestNoiseModel:
     def test_quasi_static_requires_infinite_tau(self):
         with pytest.raises(ValueError, match="tau_c"):
@@ -157,20 +165,30 @@ class TestEnsembleAverage:
         b = ensemble_average(plus_state(), OU, grid, 5000, 3)
         assert np.array_equal(a.mean_rho, b.mean_rho) and np.array_equal(a.stderr, b.stderr)
         # processing blocks in any order and reducing in index order gives the
-        # same bits as the serial run
+        # same bits as the serial run; each grid point sums its block's
+        # trajectories as one contiguous row
         partials = {b_idx: block_noise_values(OU, grid, 3, b_idx, rows)
                     for b_idx, rows in _block_row_counts(5000)}
         factor_sum = np.zeros(grid.size, dtype=complex)
         for b_idx in sorted(partials, reverse=True):
-            values = partials[b_idx]
-            segments = 0.5 * np.diff(grid) * (values[:, 1:] + values[:, :-1])
-            phases = np.zeros_like(values)
-            np.cumsum(segments, axis=-1, out=phases[:, 1:])
-            partials[b_idx] = np.exp(-2j * OU.coupling * phases).sum(axis=0)
+            factors = trapezoid_factors(OU, grid, partials[b_idx])
+            partials[b_idx] = np.ascontiguousarray(factors.T).sum(axis=1)
         for b_idx in sorted(partials):
             factor_sum += partials[b_idx]
         rho01 = plus_state().density().matrix[0, 1]
         assert np.array_equal(rho01 * (factor_sum / 5000), a.mean_rho[:, 0, 1])
+
+    @pytest.mark.parametrize("model", [QS, OU], ids=["quasi-static", "ornstein-uhlenbeck"])
+    def test_stderr_is_the_spread_of_the_trajectory_factors(self, model):
+        # stderr of rho01 = |rho01| sqrt((Var[Re] + Var[Im]) / M) over the
+        # per-trajectory factors, two blocks of them
+        grid = np.linspace(0.0, 2.0, 21)
+        m = 3000
+        result = ensemble_average(plus_state(), model, grid, m, 12)
+        factors = trapezoid_factors(model, grid, all_block_values(model, grid, 12, m))
+        variance = factors.real.var(axis=0, ddof=1) + factors.imag.var(axis=0, ddof=1)
+        expected = 0.5 * np.sqrt(variance / m)
+        assert np.allclose(result.coherence_stderr(), expected, rtol=1e-9, atol=0.0)
 
     def test_mean_states_are_physical(self):
         grid = np.linspace(0.0, 2.0, 21)
