@@ -62,12 +62,12 @@ def _local_exponent(times: np.ndarray, coherence: np.ndarray, mask: np.ndarray) 
 def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     coupling, tau_c = settings["coupling"], settings["tau_c"]
     t_end, dt = settings["t_end"], settings["dt"]
-    fine_end = tau_c / 10.0
     coarse = tau_c / 10.0
-    grid = np.concatenate([
-        dt * np.arange(0, int(round(fine_end / dt)) + 1),
-        fine_end + coarse * np.arange(1, int(math.ceil((t_end - fine_end) / coarse)) + 1),
-    ])
+    fine_end = min(coarse, t_end)
+    # whole steps per span: the 1e-9 keeps 398.99999999999994 at 399 steps
+    # and stops 399.00000000000006 from adding a point past t_end
+    fine, rest = (int(math.floor(x + 1e-9)) for x in (fine_end / dt, (t_end - fine_end) / coarse))
+    grid = np.concatenate([dt * np.arange(0, fine + 1), fine_end + coarse * np.arange(1, rest + 1)])
     model = NoiseModel.ornstein_uhlenbeck(coupling, tau_c)
     ensemble = ensemble_average(plus_state(), model, grid, settings["trajectories"],
                                 settings["base_seed"])
@@ -82,7 +82,7 @@ def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     long_mask = grid >= long_start
     slope = float(np.polyfit(grid[long_mask], np.log(normalised[long_mask]), 1)[0])
     expected = -4.0 * coupling ** 2 * tau_c
-    short_exp = _local_exponent(grid, normalised, (grid > 0) & (grid <= fine_end))
+    short_exp = _local_exponent(grid, normalised, (grid > 0) & (grid <= coarse))
     long_exp = _local_exponent(grid, normalised, long_mask)
     # a scan shorter than 40 tau_c names the tail window it fitted instead
     slope_window, long_window = "", " for t >= 20 tau_c"
@@ -150,20 +150,15 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
 
 
 def _run_ratio_plot(settings) -> tuple[Table, list[str]]:
-    params = _params(settings)
-    table = figure3_surface(params, [settings["t"]], range(1, settings["n_max"] + 1))
-    last = table.rows[-1]
-    summary = [f"ratio at N={settings['n_max']}, t={_fmt(settings['t'])} ns: {_fmt(last[3])} "
+    t = settings["t"]
+    table, _ = _run_figure3({**settings, "t_min": t, "t_max": t, "t_points": 1})
+    summary = [f"ratio at N={settings['n_max']}, t={_fmt(t)} ns: {_fmt(table.rows[-1][3])} "
                f"(measurement-suppressed dephasing only; relaxation cancels)"]
     return table, summary
 
 
 def _run_mc_validate(settings) -> tuple[Table, list[str]]:
-    params = _params(settings)
-    table = figure2_sweep(params, settings["times"], settings["n_max"],
-                          trajectories=settings["trajectories"],
-                          base_seed=settings["base_seed"],
-                          noise_reset=NoiseReset(settings["noise_reset"]))
+    table, _ = _run_figure2({**settings, "engine": "mc"})
     devs = _deviations(table)
     # with every stderr 0, within 3 stderr means equal to the analytic value
     within = max(devs) <= 3.0 if devs else all(r[3] == r[2] for r in table.rows)

@@ -7,6 +7,9 @@ key keeps the last value while emitting a warning.
 
 Every experiment fills unspecified keys from documented defaults; times are
 in ns, ``inf`` is accepted where a decay channel can be switched off.
+``mc_validate`` and ``ratio_plot`` run on the ``figure2`` and ``figure3``
+runners, so each pair builds its schema from one shared block.  Parsing also
+bounds each run's work: RK4 steps, scan points and MC trajectory-intervals.
 """
 
 import math
@@ -14,16 +17,16 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
-EXPERIMENTS = ("decay_curve", "crossover_scan", "figure2", "figure3",
-               "ratio_plot", "mc_validate")
-
 DEFAULT_BASE_SEED = 123456789
 
 # bounds that keep every accepted run short: decay_curve costs about 0.3 ms
 # and 0.4 kB per RK4 step, crossover_scan about 4 ms per grid point at 1e5
-# trajectories on 2 CPUs (its memory does not grow with the grid)
+# trajectories on 2 CPUs (its memory does not grow with the grid), and an MC
+# sweep about 3 s per 8.4e7 trajectory-intervals (the figure2 engine=mc
+# defaults) on 2 CPUs, so about 20 s at the bound
 MAX_RK4_STEPS = 100_000
 MAX_SCAN_POINTS = 2048
+MAX_MC_INTERVALS = 500_000_000
 
 
 class ConfigError(ValueError):
@@ -37,35 +40,6 @@ class Field:
     check: Callable[[Any], str | None] = lambda v: None
 
 
-def _parse_float(allow_inf=False, allow_zero=True, allow_negative=False):
-    def parse(text: str) -> float:
-        value = float(text)
-        if math.isnan(value):
-            raise ValueError("nan is not a valid value")
-        if math.isinf(value) and not allow_inf:
-            raise ValueError("value must be finite")
-        return value
-
-    def check(value: float) -> str | None:
-        if not allow_negative and value < 0.0:
-            return "must be >= 0"
-        if not allow_zero and value == 0.0:
-            return "must be nonzero"
-        return None
-
-    return parse, check
-
-
-def _parse_int(minimum: int):
-    def parse(text: str) -> int:
-        return int(text, 10)
-
-    def check(value: int) -> str | None:
-        return None if value >= minimum else f"must be >= {minimum}"
-
-    return parse, check
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     if not values:
@@ -77,14 +51,27 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _float_field(default=None, allow_inf=False, positive=False,
                  allow_negative=False) -> Field:
-    parse, check = _parse_float(allow_inf=allow_inf, allow_zero=not positive,
-                                allow_negative=allow_negative)
+    def parse(text: str) -> float:
+        value = float(text)
+        if math.isnan(value):
+            raise ValueError("nan is not a valid value")
+        if math.isinf(value) and not allow_inf:
+            raise ValueError("value must be finite")
+        return value
+
+    def check(value: float) -> str | None:
+        if not allow_negative and value < 0.0:
+            return "must be >= 0"
+        if positive and value == 0.0:
+            return "must be nonzero"
+        return None
+
     return Field(parse=parse, default=default, check=check)
 
 
 def _int_field(default=None, minimum=1) -> Field:
-    parse, check = _parse_int(minimum)
-    return Field(parse=parse, default=default, check=check)
+    return Field(parse=lambda text: int(text, 10), default=default,
+                 check=lambda v: None if v >= minimum else f"must be >= {minimum}")
 
 
 def _choice_field(options: tuple[str, ...], default: str) -> Field:
@@ -113,6 +100,22 @@ _RATE_BLOCK = {
     "delta": _float_field(default=0.0, allow_negative=True),
 }
 
+# figure2 and mc_validate sweep P(N) over the same grid
+_SWEEP_BLOCK = {
+    **_COMMON, **_RATE_BLOCK,
+    "times": Field(parse=_parse_float_list, default=(20.0, 25.0, 30.0, 35.0),
+                   check=lambda v: None if all(x > 0 for x in v) else "times must be > 0"),
+    "n_max": _int_field(default=20),
+    "noise_reset": _choice_field(("resample", "persistent"), "resample"),
+}
+
+# figure3 and ratio_plot probe the long-T2 regime by default
+_SURFACE_BLOCK = {
+    **_COMMON, **_RATE_BLOCK,
+    "t2": _float_field(default=400.0, allow_inf=True, positive=True),
+    "n_max": _int_field(default=16),
+}
+
 SCHEMAS: dict[str, dict[str, Field]] = {
     "decay_curve": {
         **_COMMON, **_RATE_BLOCK,
@@ -129,39 +132,21 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "trajectories": _int_field(default=100_000, minimum=100),
     },
     "figure2": {
-        **_COMMON, **_RATE_BLOCK,
-        "times": Field(parse=_parse_float_list, default=(20.0, 25.0, 30.0, 35.0),
-                       check=lambda v: None if all(x > 0 for x in v) else "times must be > 0"),
-        "n_max": _int_field(default=20),
+        **_SWEEP_BLOCK,
         "engine": _choice_field(("analytic", "mc"), "analytic"),
         "trajectories": _int_field(default=100_000, minimum=1000),
-        "noise_reset": _choice_field(("resample", "persistent"), "resample"),
     },
     "figure3": {
-        **_COMMON, **_RATE_BLOCK,
+        **_SURFACE_BLOCK,
         "t_min": _float_field(default=50.0, positive=True),
         "t_max": _float_field(default=800.0, positive=True),
         "t_points": _int_field(default=16, minimum=1),
-        "n_max": _int_field(default=16),
     },
-    "ratio_plot": {
-        **_COMMON, **_RATE_BLOCK,
-        "t": _float_field(default=400.0, positive=True),
-        "n_max": _int_field(default=16),
-    },
-    "mc_validate": {
-        **_COMMON, **_RATE_BLOCK,
-        "times": Field(parse=_parse_float_list, default=(20.0, 25.0, 30.0, 35.0),
-                       check=lambda v: None if all(x > 0 for x in v) else "times must be > 0"),
-        "n_max": _int_field(default=20),
-        "trajectories": _int_field(default=10_000, minimum=1000),
-        "noise_reset": _choice_field(("resample", "persistent"), "resample"),
-    },
+    "ratio_plot": {**_SURFACE_BLOCK, "t": _float_field(default=400.0, positive=True)},
+    "mc_validate": {**_SWEEP_BLOCK, "trajectories": _int_field(default=10_000, minimum=1000)},
 }
 
-# figure3/ratio_plot probe the long-T2 regime by default
-SCHEMAS["figure3"]["t2"] = _float_field(default=400.0, allow_inf=True, positive=True)
-SCHEMAS["ratio_plot"]["t2"] = _float_field(default=400.0, allow_inf=True, positive=True)
+EXPERIMENTS = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -268,6 +253,13 @@ def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None
             source = f" (dt = min(t1, t2)/200 = {settings['dt']:.3g})" if derived else ""
             raise ConfigError(f"t_end/dt{source} asks for {steps:.3g} RK4 steps, more than "
                               f"{MAX_RK4_STEPS}: lower t_end or raise dt")
+    if "times" in settings and settings.get("engine", "mc") == "mc":
+        trajectories, n_max = settings["trajectories"], settings["n_max"]
+        points = len(settings["times"])
+        if trajectories * points * n_max * (n_max + 1) // 2 > MAX_MC_INTERVALS:
+            raise ConfigError(f"trajectories x len(times) x n_max(n_max+1)/2 = {trajectories} x "
+                              f"{points} x {n_max}({n_max}+1)/2 trajectory-intervals is more than "
+                              f"{MAX_MC_INTERVALS:.3g}: lower trajectories, n_max or times")
     if experiment == "figure3" and settings["t_min"] > settings["t_max"]:
         raise ConfigError(f"t_min ({settings['t_min']!r}) must not exceed "
                           f"t_max ({settings['t_max']!r})")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenosim import cli, config as config_module
 from zenosim.cli import main, run_experiment
 from zenosim.config import DEFAULT_BASE_SEED, ConfigError, parse_config
 from zenosim.tables import read_csv
@@ -148,6 +149,46 @@ class TestRunExperiment:
         table = read_csv(paths["csv"])
         assert table.columns == ("t", "abs01", "stderr")
 
+    @pytest.mark.parametrize("text,t_end", [
+        ("tau_c=0.3\n", 12.0),     # (12 - 0.03)/0.03 = 399.00000000000006 took a 400th step
+        ("tau_c=0.7\n", 28.0),
+        ("t_end=0.05\n", 0.05),    # t_end < tau_c/10: the fine grid ran on to 0.1
+    ], ids=["tau_c_0.3", "tau_c_0.7", "t_end_0.05"])
+    def test_crossover_grid_stops_at_t_end(self, tmp_path, text, t_end):
+        config = parse_config("experiment=crossover_scan\ntrajectories=100\n" + text)
+        t = read_csv(run_experiment(config, out_dir=tmp_path)["csv"]).column("t")
+        assert t[-1] == pytest.approx(t_end, rel=1e-12)
+        assert max(t) <= t_end * (1.0 + 1e-12)
+        assert all(b > a for a, b in zip(t, t[1:]))
+
+
+class TestSharedRunners:
+    """ratio_plot and mc_validate are figure3 and figure2 with their own summaries."""
+
+    def test_every_experiment_has_a_runner(self):
+        assert set(cli._RUNNERS) == set(config_module.SCHEMAS)
+
+    @pytest.mark.parametrize("t,keys", [(400.0, ""), (123.456, "t1=inf\nn_max=7\n"),
+                                        (400.0, "t1=0.001\n")],
+                             ids=["defaults", "custom", "vanishing_envelope"])
+    def test_ratio_plot_is_figure3_at_one_t(self, tmp_path, t, keys):
+        ratio = parse_config(f"experiment=ratio_plot\nt={t!r}\n" + keys)
+        surface = parse_config(f"experiment=figure3\nt_min={t!r}\nt_max={t!r}\nt_points=1\n"
+                               + keys)
+        a = run_experiment(ratio, out_dir=tmp_path / "ratio")["csv"].read_bytes()
+        b = run_experiment(surface, out_dir=tmp_path / "surface")["csv"].read_bytes()
+        assert a == b
+
+    @pytest.mark.parametrize("reset", ["resample", "persistent"])
+    def test_mc_validate_is_figure2_mc(self, tmp_path, reset):
+        keys = (f"times=20,35\nn_max=4\ntrajectories=2000\nbase_seed=7\n"
+                f"noise_reset={reset}\n")
+        validate = parse_config("experiment=mc_validate\n" + keys)
+        sweep = parse_config("experiment=figure2\nengine=mc\n" + keys)
+        a = run_experiment(validate, out_dir=tmp_path / "validate")["csv"].read_bytes()
+        b = run_experiment(sweep, out_dir=tmp_path / "sweep")["csv"].read_bytes()
+        assert a == b
+
 
 class TestMainEntry:
     def test_validate_ok(self, tmp_path, capsys):
@@ -206,6 +247,16 @@ class TestMainEntry:
         path.write_text(f"experiment={experiment}\n")
         assert main(["validate", str(path)]) == 0
 
+    def test_mc_sweep_bound_counts_trajectory_intervals(self, monkeypatch):
+        # the MC defaults validate under the real bound; a trajectory of the
+        # default sweep runs 4 times x n_max(n_max+1)/2 = 4 x 210 intervals
+        parse_config("experiment=figure2\nengine=mc\n")
+        monkeypatch.setattr(config_module, "MAX_MC_INTERVALS", 1000 * 4 * 210)
+        parse_config("experiment=mc_validate\ntrajectories=1000\n")
+        with pytest.raises(ConfigError, match="trajectories"):
+            parse_config("experiment=mc_validate\ntrajectories=1001\n")
+        parse_config("experiment=figure2\ntrajectories=1001\n")      # analytic: no MC work
+
     def test_validate_rejects_zero_crossover_coupling(self, tmp_path, capsys):
         # the summary's relative slope error divides by 4 coupling^2 tau_c
         path = tmp_path / "config.txt"
@@ -261,7 +312,12 @@ class TestMainEntry:
         ("experiment=decay_curve\nt1=0.001\n", ("t_end", "dt", "t1", "t2")),
         ("experiment=decay_curve\ndt=0.0001\n", ("t_end", "dt")),
         ("experiment=crossover_scan\nt_end=400\n", ("t_end", "dt")),
-    ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan"])
+        ("experiment=figure2\nengine=mc\nn_max=3000\ntrajectories=1000\n",
+         ("trajectories", "n_max", "times")),
+        ("experiment=mc_validate\ntrajectories=1000000000000\n",
+         ("trajectories", "n_max", "times")),
+    ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan", "figure2_mc",
+            "mc_validate"])
     def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
         path = tmp_path / "config.txt"
         path.write_text(text)
