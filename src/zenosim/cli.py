@@ -64,10 +64,13 @@ def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     t_end, dt = settings["t_end"], settings["dt"]
     coarse = tau_c / 10.0
     fine_end = min(coarse, t_end)
-    # whole steps per span: the 1e-9 keeps 398.99999999999994 at 399 steps
-    # and stops 399.00000000000006 from adding a point past t_end
-    fine, rest = (int(math.floor(x + 1e-9)) for x in (fine_end / dt, (t_end - fine_end) / coarse))
-    grid = np.concatenate([dt * np.arange(0, fine + 1), fine_end + coarse * np.arange(1, rest + 1)])
+    # fine_end ends the dt-spaced span and t_end the tau_c/10-spaced one, also where
+    # the step does not divide the span; steps count to 1e-9 (398.99999999999994 -> 399)
+    fine = np.append(dt * np.arange(0, math.ceil(fine_end / dt - 1e-9)), fine_end)
+    steps = (t_end - fine_end) / coarse
+    whole = math.floor(steps + 1e-9)
+    tail = [t_end] if steps - whole > 1e-9 else []
+    grid = np.concatenate([fine, fine_end + coarse * np.arange(1, whole + 1), tail])
     model = NoiseModel.ornstein_uhlenbeck(coupling, tau_c)
     ensemble = ensemble_average(plus_state(), model, grid, settings["trajectories"],
                                 settings["base_seed"])

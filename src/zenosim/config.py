@@ -75,13 +75,8 @@ def _int_field(default=None, minimum=1) -> Field:
 
 
 def _choice_field(options: tuple[str, ...], default: str) -> Field:
-    def parse(text: str) -> str:
-        return text.strip().lower()
-
-    def check(value: str) -> str | None:
-        return None if value in options else f"must be one of {', '.join(options)}"
-
-    return Field(parse=parse, default=default, check=check)
+    return Field(parse=lambda text: text.strip().lower(), default=default,
+                 check=lambda v: None if v in options else f"must be one of {', '.join(options)}")
 
 
 def _str_field(default=None) -> Field:
@@ -270,8 +265,10 @@ def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None
             settings["dt"] = settings["tau_c"] / 100.0
         if settings["dt"] > settings["tau_c"] / 10.0:
             raise ConfigError("dt must not exceed tau_c/10")
-        # dt-spaced up to tau_c/10, then tau_c/10-spaced up to t_end
         tau_c, dt = settings["tau_c"], settings["dt"]
+        if settings["t_end"] < 2.0 * dt:     # the decay fits need the points dt and 2 dt
+            raise ConfigError(f"t_end ({settings['t_end']!r}) must be at least 2 dt ({dt!r})")
+        # dt-spaced up to tau_c/10, then tau_c/10-spaced up to t_end
         points = tau_c / 10.0 / dt + 10.0 * settings["t_end"] / tau_c
         if points > MAX_SCAN_POINTS:
             raise ConfigError(f"t_end and dt ask for about {points:.3g} grid points, more than "

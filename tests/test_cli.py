@@ -153,13 +153,16 @@ class TestRunExperiment:
         ("tau_c=0.3\n", 12.0),     # (12 - 0.03)/0.03 = 399.00000000000006 took a 400th step
         ("tau_c=0.7\n", 28.0),
         ("t_end=0.05\n", 0.05),    # t_end < tau_c/10: the fine grid ran on to 0.1
-    ], ids=["tau_c_0.3", "tau_c_0.7", "t_end_0.05"])
+        ("dt=0.06\n", 40.0),       # dt does not divide tau_c/10: the grid keeps 0.1
+        ("t_end=0.15\ndt=0.06\n", 0.15),    # t_end is not a whole coarse step past 0.1
+    ], ids=["tau_c_0.3", "tau_c_0.7", "t_end_0.05", "dt_0.06", "t_end_0.15_dt_0.06"])
     def test_crossover_grid_stops_at_t_end(self, tmp_path, text, t_end):
         config = parse_config("experiment=crossover_scan\ntrajectories=100\n" + text)
         t = read_csv(run_experiment(config, out_dir=tmp_path)["csv"]).column("t")
         assert t[-1] == pytest.approx(t_end, rel=1e-12)
         assert max(t) <= t_end * (1.0 + 1e-12)
         assert all(b > a for a, b in zip(t, t[1:]))
+        assert max(b - a for a, b in zip(t, t[1:])) <= 0.1 * config["tau_c"] * (1.0 + 1e-12)
 
 
 class TestSharedRunners:
@@ -263,6 +266,16 @@ class TestMainEntry:
         path.write_text("experiment=crossover_scan\ncoupling=0\n")
         assert main(["validate", str(path)]) == 2
         assert "coupling" in capsys.readouterr().err
+
+    def test_validate_rejects_crossover_scan_shorter_than_two_steps(self, tmp_path, capsys):
+        # t_end = 0.015 < 2 dt would leave a decay fit a single grid point
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=crossover_scan\nt_end=0.015\n")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "t_end" in err and "2 dt" in err
+        path.write_text("experiment=crossover_scan\nt_end=0.02\n")
+        assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("t2,reported", [
         (1.0, "n/a (the N=1 coherence is 0 at every t)"),
