@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, parse_config
 from .lindblad import DecoherenceParams, integrate
 from .noise import NoiseModel, ensemble_average
-from .qubit import DensityMatrix, SystemHamiltonian, dynamical_fidelity, plus_state
+from .qubit import SystemHamiltonian, dynamical_fidelities, first_unphysical, plus_state
 from .tables import Table, write_csv
 from .zeno import NoiseReset, figure2_sweep, figure3_surface
 
@@ -37,15 +37,16 @@ def _run_decay_curve(settings) -> tuple[Table, list[str]]:
     params = _params(settings)
     psi0 = plus_state()
     result = integrate(psi0.density(), params, settings["t_end"], settings["dt"])
-    rows = []
-    for i, t in enumerate(result.times):
-        u = params.hs.evolution(float(t)).matrix
-        lab = DensityMatrix(u @ result.states[i] @ u.conj().T)
-        fid = dynamical_fidelity(lab, psi0, params.hs, float(t))
-        m = lab.matrix
-        rows.append((float(t), float(m[0, 0].real), float(m[1, 1].real),
-                     float(m[0, 1].real), float(m[0, 1].imag),
-                     float(abs(m[0, 1])), fid))
+    u = params.hs.propagators(result.times)
+    lab = u @ result.states @ u.conj().swapaxes(1, 2)
+    bad = first_unphysical(lab)
+    if bad is not None:
+        raise ValueError(f"lab-frame state at t = {float(result.times[bad[0]])!r}: {bad[1]}")
+    fid = dynamical_fidelities(lab, psi0, u)
+    coh = lab[:, 0, 1]
+    columns = (result.times, lab[:, 0, 0].real, lab[:, 1, 1].real, coh.real, coh.imag,
+               np.abs(coh), fid)
+    rows = list(zip(*(c.tolist() for c in columns)))
     table = Table(("t", "p00", "p11", "re01", "im01", "abs01", "fidelity"), rows)
     summary = [f"final fidelity at t={_fmt(settings['t_end'])} ns: {_fmt(rows[-1][6])}"]
     return table, summary
@@ -118,11 +119,13 @@ def _run_figure2(settings) -> tuple[Table, list[str]]:
         trajectories=settings["trajectories"] if mc else None,
         base_seed=settings["base_seed"] if mc else None,
         noise_reset=NoiseReset(settings["noise_reset"]))
-    summary = []
     n_max = settings["n_max"]
-    for t in settings["times"]:
-        top = [r for r in table.rows if r[0] == t and r[1] == n_max][0]
-        summary.append(f"P(N={n_max}) at t={_fmt(float(t))} ns: {_fmt(top[2])}")
+    top = {}
+    for r in table.rows:
+        if r[1] == n_max:
+            top.setdefault(r[0], r)
+    summary = [f"P(N={n_max}) at t={_fmt(float(t))} ns: {_fmt(top[t][2])}"
+               for t in settings["times"]]
     if mc:
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "persistent noise: deviations are expected, reported only")
@@ -136,11 +139,12 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
     t_grid = np.linspace(settings["t_min"], settings["t_max"], settings["t_points"])
     n_grid = range(1, settings["n_max"] + 1)
     table = figure3_surface(params, t_grid, n_grid)
-    uplifts = {}
-    for t in t_grid:
-        at_t = [r for r in table.rows if r[0] == float(t)]
-        if at_t[0][2] > 0.0:         # an N=1 coherence that underflowed has no uplift
-            uplifts[float(t)] = at_t[-1][2] / at_t[0][2]
+    first, last = {}, {}             # rows run over N within each t, t in grid order
+    for r in table.rows:
+        first.setdefault(r[0], r)
+        last[r[0]] = r
+    # an N=1 coherence that underflowed has no uplift
+    uplifts = {t: last[t][2] / r[2] for t, r in first.items() if r[2] > 0.0}
     if uplifts:
         best_t = max(uplifts, key=uplifts.get)
         uplift = f"{_fmt(uplifts[best_t])} at t={_fmt(best_t)} ns"

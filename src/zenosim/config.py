@@ -9,7 +9,7 @@ Every experiment fills unspecified keys from documented defaults; times are
 in ns, ``inf`` is accepted where a decay channel can be switched off.
 ``mc_validate`` and ``ratio_plot`` run on the ``figure2`` and ``figure3``
 runners, so each pair builds its schema from one shared block.  Parsing also
-bounds each run's work: RK4 steps, scan points and MC trajectory-intervals.
+bounds each run's work: table rows, scan points and MC trajectory-intervals.
 """
 
 import math
@@ -19,12 +19,15 @@ from typing import Any, Callable
 
 DEFAULT_BASE_SEED = 123456789
 
-# bounds that keep every accepted run short: decay_curve costs about 0.3 ms
-# and 0.4 kB per RK4 step, crossover_scan about 4 ms per grid point at 1e5
-# trajectories on 2 CPUs (its memory does not grow with the grid), and an MC
-# sweep about 3 s per 8.4e7 trajectory-intervals (the figure2 engine=mc
-# defaults) on 2 CPUs, so about 20 s at the bound
-MAX_RK4_STEPS = 100_000
+# bounds that keep every accepted run short: a table row costs about 13 us
+# and 0.7 kB in decay_curve (its RK4 step, lab-frame state and CSV line) and
+# at most 10 us in analytic figure2/figure3, so about 1.3 s at the row bound;
+# crossover_scan costs about 4 ms per grid point at 1e5 trajectories on 2 CPUs
+# (its memory does not grow with the grid), and an MC sweep about 3 s per
+# 8.4e7 trajectory-intervals (the figure2 engine=mc defaults) on 2 CPUs, so
+# about 20 s at the bound; crossover_scan's trajectories x grid points cost
+# about the same per value (1.5 s per 4.1e7 at its defaults) and share it
+MAX_TABLE_ROWS = 100_000
 MAX_SCAN_POINTS = 2048
 MAX_MC_INTERVALS = 500_000_000
 
@@ -243,11 +246,25 @@ def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None
             if math.isinf(scale):
                 scale = max(settings["t_end"], 1.0)
             settings["dt"] = scale / 200.0
+        # integrate takes ceil(t_end/dt - 1e-12) steps, one table row each plus
+        # the row at t = 0; ceil(x) + 1 > n exactly when x > n - 1
         steps = settings["t_end"] / settings["dt"]
-        if steps > MAX_RK4_STEPS:
+        if steps - 1e-12 > MAX_TABLE_ROWS - 1:
             source = f" (dt = min(t1, t2)/200 = {settings['dt']:.3g})" if derived else ""
-            raise ConfigError(f"t_end/dt{source} asks for {steps:.3g} RK4 steps, more than "
-                              f"{MAX_RK4_STEPS}: lower t_end or raise dt")
+            raise ConfigError(f"t_end/dt{source} asks for {steps + 1:.6g} table rows (RK4 steps "
+                              f"+ 1), more than {MAX_TABLE_ROWS}: lower t_end or raise dt")
+    if "n_max" in settings:
+        # a row per (t, N): figure2 and mc_validate over times, figure3 over
+        # t_points, ratio_plot at its one t
+        if "times" in settings:
+            points, keys = len(settings["times"]), ("times", "n_max")
+        elif "t_points" in settings:
+            points, keys = settings["t_points"], ("t_points", "n_max")
+        else:
+            points, keys = 1, ("n_max",)
+        if points * settings["n_max"] > MAX_TABLE_ROWS:
+            raise ConfigError(f"{' x '.join(keys)} asks for {points * settings['n_max']} table "
+                              f"rows, more than {MAX_TABLE_ROWS}: lower {' or '.join(keys)}")
     if "times" in settings and settings.get("engine", "mc") == "mc":
         trajectories, n_max = settings["trajectories"], settings["n_max"]
         points = len(settings["times"])
@@ -263,13 +280,23 @@ def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None
             settings["t_end"] = 40.0 * settings["tau_c"]
         if settings["dt"] is None:
             settings["dt"] = settings["tau_c"] / 100.0
-        if settings["dt"] > settings["tau_c"] / 10.0:
-            raise ConfigError("dt must not exceed tau_c/10")
-        tau_c, dt = settings["tau_c"], settings["dt"]
-        if settings["t_end"] < 2.0 * dt:     # the decay fits need the points dt and 2 dt
-            raise ConfigError(f"t_end ({settings['t_end']!r}) must be at least 2 dt ({dt!r})")
+        tau_c, dt, t_end = settings["tau_c"], settings["dt"], settings["t_end"]
+        if t_end < 2.0 * dt:     # the decay fits need the points dt and 2 dt
+            raise ConfigError(f"t_end ({t_end!r}) must be at least 2 dt ({dt!r})")
+        # the short-time fit needs two grid points in (0, tau_c/10], where the grid
+        # has ceil(min(tau_c/10, t_end)/dt - 1e-9) of them; ceil(x) < 2 exactly when x <= 1
+        if min(tau_c / 10.0, t_end) / dt - 1e-9 <= 1.0:
+            raise ConfigError(f"dt ({dt!r}) leaves the short-time fit over t <= tau_c/10 "
+                              f"({tau_c / 10.0!r}) fewer than two grid points: lower dt or "
+                              "raise tau_c")
         # dt-spaced up to tau_c/10, then tau_c/10-spaced up to t_end
-        points = tau_c / 10.0 / dt + 10.0 * settings["t_end"] / tau_c
+        points = tau_c / 10.0 / dt + 10.0 * t_end / tau_c
         if points > MAX_SCAN_POINTS:
             raise ConfigError(f"t_end and dt ask for about {points:.3g} grid points, more than "
                               f"{MAX_SCAN_POINTS}: lower t_end or raise dt")
+        # a noise value per trajectory and grid point costs about what an MC
+        # sweep's trajectory-interval does
+        if settings["trajectories"] * points > MAX_MC_INTERVALS:
+            raise ConfigError(f"trajectories x grid points = {settings['trajectories']} x "
+                              f"{points:.3g} is more than {MAX_MC_INTERVALS:.3g}: lower "
+                              "trajectories or t_end, or raise dt")

@@ -95,14 +95,38 @@ def validate_density(arr: np.ndarray,
                      herm_tol: float = HERMITICITY_TOL,
                      positivity_tol: float = POSITIVITY_TOL) -> None:
     """Raise ValueError unless ``arr`` is a physical 2x2 state within tolerances."""
-    trace = complex(arr[0, 0] + arr[1, 1])
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(f"trace {trace!r} deviates from 1 beyond {trace_tol}")
-    if np.max(np.abs(arr - arr.conj().T)) > herm_tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    eigenvalues = np.linalg.eigvalsh(arr)
-    if eigenvalues[0] < -positivity_tol:
-        raise ValueError(f"negative eigenvalue {eigenvalues[0]!r} below -{positivity_tol}")
+    bad = first_unphysical(np.asarray(arr)[None], trace_tol, herm_tol, positivity_tol)
+    if bad is not None:
+        raise ValueError(bad[1])
+
+
+def first_unphysical(stack: np.ndarray,
+                     trace_tol: float = TRACE_TOL,
+                     herm_tol: float = HERMITICITY_TOL,
+                     positivity_tol: float = POSITIVITY_TOL) -> tuple[int, str] | None:
+    """Index and reason of the first non-physical state in a (G, 2, 2) stack, else None.
+
+    The checks are those of ``validate_density``, one vectorised pass each;
+    the smaller eigenvalue of a Hermitian 2x2 matrix is taken in closed form.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    finite = np.all(np.isfinite(stack.view(float)), axis=(1, 2))
+    trace = stack[:, 0, 0] + stack[:, 1, 1]
+    asymmetry = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    p00, p11 = stack[:, 0, 0].real, stack[:, 1, 1].real
+    lowest = 0.5 * (p00 + p11) - np.hypot(0.5 * (p00 - p11), np.abs(stack[:, 1, 0]))
+    bad = (~finite | (np.abs(trace - 1.0) > trace_tol) | (asymmetry > herm_tol)
+           | (lowest < -positivity_tol))
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        return i, "matrix contains non-finite entries"
+    if abs(trace[i] - 1.0) > trace_tol:
+        return i, f"trace {complex(trace[i])!r} deviates from 1 beyond {trace_tol}"
+    if asymmetry[i] > herm_tol:
+        return i, "matrix is not Hermitian within tolerance"
+    return i, f"negative eigenvalue {float(lowest[i])!r} below -{positivity_tol}"
 
 
 @dataclass(frozen=True)
@@ -134,8 +158,22 @@ class SystemHamiltonian:
         if omega == 0.0:
             return IDENTITY
         half = 0.5 * omega * time
+        return QubitOperator(self._propagator(omega, math.cos(half), math.sin(half)))
+
+    def propagators(self, times) -> np.ndarray:
+        """``evolution`` at every time of a 1-D array, as a (G, 2, 2) stack."""
+        times = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
+        omega = math.hypot(self.epsilon, self.delta)
+        if omega == 0.0:
+            return np.broadcast_to(IDENTITY.matrix, (times.size, 2, 2)).copy()
+        half = (0.5 * omega * times)[:, None, None]
+        return self._propagator(omega, np.cos(half), np.sin(half))
+
+    def _propagator(self, omega: float, cos_half, sin_half) -> np.ndarray:
         n_sigma = (self.epsilon * SIGMA_Z.matrix + self.delta * SIGMA_X.matrix) / omega
-        return QubitOperator(math.cos(half) * np.eye(2) - 1j * math.sin(half) * n_sigma)
+        return cos_half * np.eye(2) - 1j * sin_half * n_sigma
 
 
 def plus_state() -> PureState:
@@ -170,9 +208,17 @@ def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
     Measures how close ``rho`` is to the purely unitary evolution of ``psi``;
     equals 1 when the state tracked the free evolution perfectly.
     """
-    u = hs.evolution(time).matrix
-    rotated = u.conj().T @ rho.matrix @ u
-    value = complex(psi.amplitudes.conj() @ rotated @ psi.amplitudes)
-    if abs(value.imag) >= 1e-10:
-        raise ValueError(f"fidelity has non-negligible imaginary part {value.imag!r}")
-    return float(value.real)
+    return float(dynamical_fidelities(rho.matrix[None], psi,
+                                      hs.evolution(time).matrix[None])[0])
+
+
+def dynamical_fidelities(states: np.ndarray, psi: PureState,
+                         propagators: np.ndarray) -> np.ndarray:
+    """``dynamical_fidelity`` over (G, 2, 2) stacks of states and of their exp(-iHt)."""
+    rotated = propagators.conj().swapaxes(1, 2) @ states @ propagators
+    values = (psi.amplitudes.conj() @ rotated) @ psi.amplitudes
+    leak = np.abs(values.imag) >= 1e-10
+    if leak.any():
+        raise ValueError("fidelity has non-negligible imaginary part "
+                         f"{float(values.imag[np.argmax(leak)])!r}")
+    return values.real

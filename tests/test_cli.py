@@ -6,6 +6,8 @@ import pytest
 from zenosim import cli, config as config_module
 from zenosim.cli import main, run_experiment
 from zenosim.config import DEFAULT_BASE_SEED, ConfigError, parse_config
+from zenosim.lindblad import DecoherenceParams, IntegrationResult, integrate
+from zenosim.qubit import DensityMatrix, SystemHamiltonian, dynamical_fidelity, plus_state
 from zenosim.tables import read_csv
 
 
@@ -92,6 +94,31 @@ class TestRunExperiment:
         abs01 = np.array(table.column("abs01"))
         expected = 0.5 * np.exp(-0.5 * ts / 1000.0 - (ts / 20.0) ** 2)
         assert np.max(np.abs(abs01 - expected)) <= 1e-8
+
+    def test_decay_curve_rows_match_per_row_states(self, tmp_path):
+        # delta = 0.05 is nonzero but under the 10% sigma_x warning
+        config = parse_config("experiment=decay_curve\nepsilon=1\ndelta=0.05\n")
+        table = read_csv(run_experiment(config, out_dir=tmp_path)["csv"])
+        hs = SystemHamiltonian(1.0, 0.05)
+        params = DecoherenceParams.from_times(1000.0, 20.0, hs)
+        result = integrate(plus_state().density(), params, config["t_end"], config["dt"])
+        assert len(table.rows) == len(result.times)
+        for row, t, state in zip(table.rows, result.times, result.states):
+            u = hs.evolution(float(t)).matrix
+            lab = DensityMatrix(u @ state @ u.conj().T)
+            m = lab.matrix
+            expected = (float(t), m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag,
+                        abs(m[0, 1]), dynamical_fidelity(lab, plus_state(), hs, float(t)))
+            assert max(abs(a - b) for a, b in zip(row, expected)) <= 1e-14
+
+    def test_decay_curve_rejects_unphysical_lab_state(self, tmp_path, monkeypatch):
+        def broken(rho0, params, t_end, dt):
+            states = np.array([rho0.matrix, [[0.5, 0.75], [0.75, 0.5]]], dtype=complex)
+            return IntegrationResult(np.array([0.0, 0.5]), states)
+
+        monkeypatch.setattr(cli, "integrate", broken)
+        with pytest.raises(ValueError, match=r"lab-frame state at t = 0\.5: negative eigenvalue"):
+            run_experiment(parse_config("experiment=decay_curve\n"), out_dir=tmp_path)
 
     def test_figure2_curves_monotone(self, tmp_path):
         config = parse_config("experiment=figure2\n")
@@ -277,6 +304,36 @@ class TestMainEntry:
         path.write_text("experiment=crossover_scan\nt_end=0.02\n")
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("dt,accepted", [
+        (0.1, False), (0.1 * (1.0 - 1e-12), False), (0.06, True), (None, True),
+    ], ids=["tau_c_over_10", "just_below", "two_points", "default"])
+    def test_validate_needs_two_short_time_fit_points(self, tmp_path, capsys, dt, accepted):
+        # the fit over t <= tau_c/10 = 0.1 needs two grid points; the grid
+        # counts dt steps to 1e-9, so a dt within 1e-9 of 0.1 leaves one
+        path = tmp_path / "config.txt"
+        value = "" if dt is None else f"dt={dt!r}\n"
+        path.write_text("experiment=crossover_scan\n" + value)
+        assert main(["validate", str(path)]) == (0 if accepted else 2)
+        if not accepted:
+            err = capsys.readouterr().err
+            assert "dt" in err and "tau_c" in err
+
+    def test_table_row_bound_counts_rows(self, monkeypatch):
+        # 101 rows for t_end/dt = 100 steps; 4 times x n_max = 20 for figure2
+        monkeypatch.setattr(config_module, "MAX_TABLE_ROWS", 101)
+        parse_config("experiment=decay_curve\nt_end=10\ndt=0.1\n")
+        parse_config("experiment=figure3\nt_points=5\nn_max=20\n")
+        monkeypatch.setattr(config_module, "MAX_TABLE_ROWS", 100)
+        with pytest.raises(ConfigError, match="t_end/dt"):
+            parse_config("experiment=decay_curve\nt_end=10\ndt=0.1\n")
+        monkeypatch.setattr(config_module, "MAX_TABLE_ROWS", 80)
+        parse_config("experiment=figure2\n")
+        parse_config("experiment=ratio_plot\nn_max=80\n")
+        with pytest.raises(ConfigError, match="times x n_max"):
+            parse_config("experiment=figure2\nn_max=21\n")
+        with pytest.raises(ConfigError, match="n_max"):
+            parse_config("experiment=ratio_plot\nn_max=81\n")
+
     @pytest.mark.parametrize("t2,reported", [
         (1.0, "n/a (the N=1 coherence is 0 at every t)"),
         (20.0, "at t=500 ns (over the 10 t values where the N=1 coherence is nonzero)"),
@@ -329,8 +386,12 @@ class TestMainEntry:
          ("trajectories", "n_max", "times")),
         ("experiment=mc_validate\ntrajectories=1000000000000\n",
          ("trajectories", "n_max", "times")),
+        ("experiment=crossover_scan\ntrajectories=1000000000000\n",
+         ("trajectories", "t_end", "dt")),
+        ("experiment=figure2\nn_max=100000000\n", ("times", "n_max")),
+        ("experiment=figure3\nt_points=100000000\n", ("t_points", "n_max")),
     ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan", "figure2_mc",
-            "mc_validate"])
+            "mc_validate", "crossover_scan_trajectories", "figure2", "figure3"])
     def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
         path = tmp_path / "config.txt"
         path.write_text(text)

@@ -1,19 +1,41 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from zenosim.lindblad import (DecoherenceParams, closed_form_rho,
+from zenosim import lindblad
+from zenosim.config import MAX_TABLE_ROWS
+from zenosim.lindblad import (DecoherenceParams, PositivityLossError, closed_form_rho,
                               closed_form_rho_rotating, integrate, master_rhs,
                               pure_dephasing_coherence)
 from zenosim.noise import NoiseModel, ensemble_average
-from zenosim.qubit import (PureState, SystemHamiltonian,
+from zenosim.qubit import (DensityMatrix, PureState, SystemHamiltonian,
                            dynamical_fidelity, plus_state)
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
+PAIRS = [(1000.0, 20.0), (1000.0, 400.0), (math.inf, 50.0), (200.0, math.inf)]
+# excited population 0.3 and a complex coherence: p00, p11 and rho10 all move
+MIXED_RHO0 = DensityMatrix(np.array([[0.7, 0.2 - 0.35j], [0.2 + 0.35j, 0.3]]))
+
+
+def stepwise_rk4(rho0, params, t_end, dt):
+    """Reference: classic RK4 on the full 2x2 master equation, one step at a time."""
+    steps = max(1, math.ceil(t_end / dt - 1e-12))
+    h = t_end / steps
+    times = np.linspace(0.0, t_end, steps + 1)
+    states = [rho0.matrix.copy()]
+    for t in times[:-1]:
+        y = states[-1]
+        k1 = master_rhs(y, t, params)
+        k2 = master_rhs(y + 0.5 * h * k1, t + 0.5 * h, params)
+        k3 = master_rhs(y + 0.5 * h * k2, t + 0.5 * h, params)
+        k4 = master_rhs(y + h * k3, t + h, params)
+        states.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return times, np.array(states)
 
 # exact scalar evaluations of the closed-form solution at T1=1000, T2=20, t=20:
 # excited population exp(-0.02)/2, coherence exp(-0.01 - 1)/2
@@ -91,8 +113,7 @@ class TestIntegrate:
         ratio = np.max(np.abs(coarse - exact)) / np.max(np.abs(fine - exact))
         assert 10.0 <= ratio <= 22.0
 
-    @pytest.mark.parametrize("t1,t2", [(1000.0, 20.0), (1000.0, 400.0),
-                                       (math.inf, 50.0), (200.0, math.inf)])
+    @pytest.mark.parametrize("t1,t2", PAIRS)
     def test_matches_closed_form(self, t1, t2):
         params = DecoherenceParams.from_times(t1, t2)
         t_end = 5.0 * (t2 if math.isfinite(t2) else t1)
@@ -102,6 +123,38 @@ class TestIntegrate:
                                   - closed_form_rho_rotating(params, float(t)).matrix))
                     for i, t in enumerate(result.times))
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("rho0", [plus_state().density(), MIXED_RHO0], ids=["plus", "mixed"])
+    @pytest.mark.parametrize("t1,t2", PAIRS)
+    def test_matches_stepwise_rk4(self, t1, t2, rho0):
+        params = DecoherenceParams.from_times(t1, t2)
+        t_end = 5.0 * (t2 if math.isfinite(t2) else t1)
+        dt = min(t1, t2) / 200.0
+        times, expected = stepwise_rk4(rho0, params, t_end, dt)
+        result = integrate(rho0, params, t_end, dt)
+        assert np.array_equal(result.times, times)
+        assert np.max(np.abs(result.states - expected)) <= 1e-14
+
+    def test_bound_sized_run_is_fast_and_accurate(self):
+        # MAX_TABLE_ROWS steps took 15-30 s one step at a time
+        dt = 0.1
+        start = time.perf_counter()
+        result = integrate(plus_state().density(), FIG2, MAX_TABLE_ROWS * dt, dt)
+        elapsed = time.perf_counter() - start
+        assert len(result.times) == MAX_TABLE_ROWS + 1
+        assert elapsed < 1.0
+        for i in range(0, MAX_TABLE_ROWS + 1, 100):
+            exact = closed_form_rho_rotating(FIG2, float(result.times[i])).matrix
+            assert np.max(np.abs(result.states[i] - exact)) <= 1e-8
+
+    def test_positivity_loss_names_first_time(self, monkeypatch):
+        # coherence factors of 1.5 per step push |rho01| past 1/2 at the first step
+        def growing(params, t, h):
+            return np.tile([1.0, 1.5], (len(t), 1))
+
+        monkeypatch.setattr(lindblad, "_rk4_factors", growing)
+        with pytest.raises(PositivityLossError, match=r"t = 0\.1 \(step 1\): negative eigenvalue"):
+            integrate(plus_state().density(), FIG2, 1.0, 0.1)
 
     def test_states_stay_physical(self):
         result = integrate(plus_state().density(), FIG2, 100.0, 0.1)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
                            SystemHamiltonian, bloch_vector, corotating_projector,
-                           dynamical_fidelity, plus_state, rotation_y)
+                           dynamical_fidelities, dynamical_fidelity, first_unphysical,
+                           plus_state, rotation_y)
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
@@ -115,6 +116,24 @@ class TestDynamicalFidelity:
         assert f1 == pytest.approx(f0, abs=1e-12)
 
 
+    def test_stack_matches_one_state_at_a_time(self):
+        hs = SystemHamiltonian(1.1, 0.2)
+        psi = random_state(7)
+        times = np.linspace(-3.0, 9.0, 13)
+        states = np.array([random_state(seed).density().matrix for seed in range(13)])
+        stacked = dynamical_fidelities(states, psi, hs.propagators(times))
+        for i, t in enumerate(times):
+            single = dynamical_fidelity(DensityMatrix(states[i]), psi, hs, float(t))
+            assert abs(stacked[i] - single) <= 1e-15
+
+    def test_stack_rejects_imaginary_part(self):
+        # a non-Hermitian "state" gives the overlap an imaginary part of 0.05
+        states = np.array([np.eye(2) / 2, [[0.5, 0.1j], [0.0, 0.5]]], dtype=complex)
+        propagators = SystemHamiltonian(0.0).propagators([0.0, 0.0])
+        with pytest.raises(ValueError, match="imaginary part"):
+            dynamical_fidelities(states, plus_state(), propagators)
+
+
 class TestBlochVector:
     def test_plus(self):
         assert bloch_vector(plus_state().density()) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
@@ -145,6 +164,33 @@ class TestInvariantEnforcement:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.array([[0.2, 0.45], [0.45, 0.8]]))
 
+    def test_stack_names_first_bad_state(self):
+        good = random_state(3).density().matrix
+        negative = np.array([[0.2, 0.45], [0.45, 0.8]])
+        stack = np.array([good, good, negative, np.diag([0.6, 0.6]), negative])
+        index, reason = first_unphysical(stack)
+        assert index == 2 and reason.startswith("negative eigenvalue ")
+        # the closed-form smaller eigenvalue agrees with LAPACK's
+        assert float(reason.split()[2]) == pytest.approx(np.linalg.eigvalsh(negative)[0],
+                                                         abs=1e-15)
+        assert first_unphysical(stack[:2]) is None
+
+    @pytest.mark.parametrize("bad,reason", [
+        ([[0.6, 0.0], [0.0, 0.6]], "trace"),
+        ([[0.5, 0.3], [0.1, 0.5]], "Hermitian"),
+        ([[0.5, np.nan], [np.nan, 0.5]], "non-finite"),
+    ])
+    def test_stack_reasons(self, bad, reason):
+        stack = np.array([MIXED.matrix, bad], dtype=complex)
+        index, text = first_unphysical(stack)
+        assert index == 1 and reason in text
+
+    def test_stack_tolerances(self):
+        # eigenvalue -1e-9: outside the default 1e-10, inside a looser 1e-8
+        stack = np.array([[[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]], dtype=complex)
+        assert first_unphysical(stack)[0] == 0
+        assert first_unphysical(stack, positivity_tol=1e-8) is None
+
     def test_pure_state_rejects_unnormalised(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]))
@@ -171,6 +217,19 @@ class TestSystemHamiltonian:
         w, v = np.linalg.eigh(hs.matrix)
         expected = v @ np.diag(np.exp(-1j * w * 3.3)) @ v.conj().T
         assert np.allclose(hs.evolution(3.3).matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("eps,delta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0), (0.0, 0.0)])
+    def test_propagators_match_evolution(self, eps, delta):
+        hs = SystemHamiltonian(eps, delta)
+        times = np.linspace(0.0, 40.0, 17)
+        stack = hs.propagators(times)
+        assert stack.shape == (17, 2, 2)
+        for t, u in zip(times, stack):
+            assert np.max(np.abs(u - hs.evolution(float(t)).matrix)) <= 1e-15
+
+    def test_propagators_reject_non_finite_times(self):
+        with pytest.raises(ValueError, match="finite"):
+            SystemHamiltonian(1.0).propagators([0.0, math.inf])
 
     def test_sigma_y_in_evolution(self):
         # pure sigma_x Hamiltonian rotates the Bloch vector about +x, taking
