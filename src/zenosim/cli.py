@@ -20,21 +20,13 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .lindblad import DecoherenceParams, integrate
 from .noise import NoiseModel, ensemble_average
 from .qubit import SystemHamiltonian, dynamical_fidelities, first_unphysical, plus_state
-from .tables import Table, write_csv
+from .tables import Table, _cell, write_csv
 from .zeno import NoiseReset, figure2_sweep, figure3_surface
 
 
-def _params(settings) -> DecoherenceParams:
-    hs = SystemHamiltonian(settings["epsilon"], settings["delta"])
-    return DecoherenceParams.from_times(settings["t1"], settings["t2"], hs)
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _run_decay_curve(settings) -> tuple[Table, list[str]]:
-    params = _params(settings)
+    hs = SystemHamiltonian(settings["epsilon"], settings["delta"])
+    params = DecoherenceParams.from_times(settings["t1"], settings["t2"], hs)
     psi0 = plus_state()
     result = integrate(psi0.density(), params, settings["t_end"], settings["dt"])
     u = params.hs.propagators(result.times)
@@ -48,7 +40,7 @@ def _run_decay_curve(settings) -> tuple[Table, list[str]]:
                np.abs(coh), fid)
     rows = list(zip(*(c.tolist() for c in columns)))
     table = Table(("t", "p00", "p11", "re01", "im01", "abs01", "fidelity"), rows)
-    summary = [f"final fidelity at t={_fmt(settings['t_end'])} ns: {_fmt(rows[-1][6])}"]
+    summary = [f"final fidelity at t={_cell(settings['t_end'])} ns: {_cell(rows[-1][6])}"]
     return table, summary
 
 
@@ -93,10 +85,10 @@ def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     if long_start < 20.0 * tau_c:
         slope_window = long_window = f" for t >= t_end/2 = {long_start:.6g} ns"
     summary = [
-        f"long-time log-coherence slope{slope_window}: {_fmt(slope)} per ns "
-        f"(theory {_fmt(expected)}, relative error {_fmt(abs(slope / expected - 1.0))})",
-        f"local decay exponent for t <= tau_c/10: {_fmt(short_exp)} (quadratic regime -> 2)",
-        f"local decay exponent{long_window}: {_fmt(long_exp)} (exponential regime -> 1)",
+        f"long-time log-coherence slope{slope_window}: {_cell(slope)} per ns "
+        f"(theory {_cell(expected)}, relative error {_cell(abs(slope / expected - 1.0))})",
+        f"local decay exponent for t <= tau_c/10: {_cell(short_exp)} (quadratic regime -> 2)",
+        f"local decay exponent{long_window}: {_cell(long_exp)} (exponential regime -> 1)",
     ]
     return table, summary
 
@@ -108,11 +100,11 @@ def _deviations(table: Table) -> list[float]:
 
 def _max_deviation(table: Table) -> str:
     devs = _deviations(table)
-    return _fmt(max(devs)) if devs else "n/a (every MC stderr is 0)"
+    return _cell(max(devs)) if devs else "n/a (every MC stderr is 0)"
 
 
 def _run_figure2(settings) -> tuple[Table, list[str]]:
-    params = _params(settings)
+    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
     mc = settings["engine"] == "mc"
     table = figure2_sweep(
         params, settings["times"], settings["n_max"],
@@ -124,7 +116,7 @@ def _run_figure2(settings) -> tuple[Table, list[str]]:
     for r in table.rows:
         if r[1] == n_max:
             top.setdefault(r[0], r)
-    summary = [f"P(N={n_max}) at t={_fmt(float(t))} ns: {_fmt(top[t][2])}"
+    summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(top[t][2])}"
                for t in settings["times"]]
     if mc:
         status = ("consistency check" if settings["noise_reset"] == "resample"
@@ -135,7 +127,7 @@ def _run_figure2(settings) -> tuple[Table, list[str]]:
 
 
 def _run_figure3(settings) -> tuple[Table, list[str]]:
-    params = _params(settings)
+    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
     t_grid = np.linspace(settings["t_min"], settings["t_max"], settings["t_points"])
     n_grid = range(1, settings["n_max"] + 1)
     table = figure3_surface(params, t_grid, n_grid)
@@ -147,7 +139,7 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
     uplifts = {t: last[t][2] / r[2] for t, r in first.items() if r[2] > 0.0}
     if uplifts:
         best_t = max(uplifts, key=uplifts.get)
-        uplift = f"{_fmt(uplifts[best_t])} at t={_fmt(best_t)} ns"
+        uplift = f"{_cell(uplifts[best_t])} at t={_cell(best_t)} ns"
         if len(uplifts) < len(set(t_grid.tolist())):        # equal t values share a key
             uplift += f" (over the {len(uplifts)} t values where the N=1 coherence is nonzero)"
     else:
@@ -159,7 +151,7 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
 def _run_ratio_plot(settings) -> tuple[Table, list[str]]:
     t = settings["t"]
     table, _ = _run_figure3({**settings, "t_min": t, "t_max": t, "t_points": 1})
-    summary = [f"ratio at N={settings['n_max']}, t={_fmt(t)} ns: {_fmt(table.rows[-1][3])} "
+    summary = [f"ratio at N={settings['n_max']}, t={_cell(t)} ns: {_cell(table.rows[-1][3])} "
                f"(measurement-suppressed dephasing only; relaxation cancels)"]
     return table, summary
 

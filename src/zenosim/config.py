@@ -19,9 +19,9 @@ from typing import Any, Callable
 
 DEFAULT_BASE_SEED = 123456789
 
-# bounds that keep every accepted run short: a table row costs about 13 us
+# bounds that keep every accepted run short: a table row costs about 8 us
 # and 0.7 kB in decay_curve (its RK4 step, lab-frame state and CSV line) and
-# at most 10 us in analytic figure2/figure3, so about 1.3 s at the row bound;
+# at most 5 us in analytic figure2/figure3, so under 1 s at the row bound;
 # crossover_scan costs about 4 ms per grid point at 1e5 trajectories on 2 CPUs
 # (its memory does not grow with the grid), and an MC sweep about 3 s per
 # 8.4e7 trajectory-intervals (the figure2 engine=mc defaults) on 2 CPUs, so
@@ -94,8 +94,6 @@ _COMMON = {
 _RATE_BLOCK = {
     "t1": _float_field(default=1000.0, allow_inf=True, positive=True),
     "t2": _float_field(default=20.0, allow_inf=True, positive=True),
-    "epsilon": _float_field(default=1.0, allow_negative=True),
-    "delta": _float_field(default=0.0, allow_negative=True),
 }
 
 # figure2 and mc_validate sweep P(N) over the same grid
@@ -117,6 +115,9 @@ _SURFACE_BLOCK = {
 SCHEMAS: dict[str, dict[str, Field]] = {
     "decay_curve": {
         **_COMMON, **_RATE_BLOCK,
+        # the qubit Hamiltonian sets the lab frame of the decay_curve states
+        "epsilon": _float_field(default=1.0, allow_negative=True),
+        "delta": _float_field(default=0.0, allow_negative=True),
         "t_end": _float_field(default=100.0),
         # dt <= min(T1, T2)/200 when left unset
         "dt": _float_field(default=None, positive=True),
@@ -207,7 +208,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _check_exponents(settings: dict[str, Any]) -> None:
-    """Reject values that overflow a decay exponent or the crossover_scan fit.
+    """Reject values that overflow a decay exponent or the crossover_scan fit,
+    and a crossover_scan decay that the Monte Carlo cannot resolve.
 
     The exponents are t/T1, (t/T2)^2, 4 coupling^2 tau_c and 4 coupling^2
     tau_c t_end; the fit sums t^2 over the grid.
@@ -236,6 +238,23 @@ def _check_exponents(settings: dict[str, Any]) -> None:
             raise ConfigError(f"tau_c = {tau_c!r} with coupling = {coupling!r} and t_end = "
                               f"{t_end!r} overflows the decay exponent 4 coupling^2 tau_c t_end "
                               "or the fit's sum of t^2: lower tau_c, coupling or t_end")
+        # -ln of the normalised coherence is G(t) = 4 coupling^2 tau_c^2 (x - 1 + e^-x);
+        # the grid bound keeps x = t/tau_c >= 1/(10 MAX_SCAN_POINTS), where x + expm1(-x)
+        # loses at most 2 ulp / x of its value
+        scale, dt = 2.0 * coupling * tau_c, settings["dt"]
+        first, last = (scale * scale * (x + math.expm1(-x))
+                       for x in (dt / tau_c, t_end / tau_c))
+        if first < 1e-12:       # rounding next to 1 swamps the short-time fit
+            raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} and dt = {dt!r} "
+                              f"gives -ln(coherence) = {first:.3g} at t = dt, below the 1e-12 "
+                              "the short-time fit resolves: raise coupling, tau_c or dt")
+        floor = 2.0 / math.sqrt(settings["trajectories"])
+        if math.exp(-last) < floor:
+            raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} leaves a "
+                              f"coherence of {math.exp(-last):.3g} at t_end = {t_end!r}, under "
+                              f"the Monte Carlo noise floor 2/sqrt(trajectories) = {floor:.3g} "
+                              f"(trajectories = {settings['trajectories']}): lower coupling, "
+                              "tau_c or t_end, or raise trajectories")
 
 
 def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None:

@@ -1,12 +1,13 @@
 """Column-labelled result tables and their CSV serialisation.
 
-Floats are written with 17 significant digits so a CSV round-trips
-bit-exactly; line endings are LF, the decimal separator is '.', the header
-row is mandatory, and empty cells encode missing values (e.g. the Monte Carlo
-columns of an analytic-only sweep).
+Every cell is a number or missing.  ``_cell`` writes a number with 17
+significant digits, so a float round-trips bit-exactly, and a missing value
+(e.g. the Monte Carlo columns of an analytic-only sweep) as an empty cell;
+the run summaries format their numbers through it too.  Line endings are LF,
+the decimal separator is '.', the header row is mandatory, and no cell ever
+needs quoting.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 
@@ -25,41 +26,22 @@ class Table:
         return [row[idx] for row in self.rows]
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# private because it runs once per cell: bench/tracing.py wraps every public
+# function, which would put a traced span around each cell
+def _cell(value) -> str:
+    """The text of one number: empty for None, else 17 significant digits."""
+    return "" if value is None else format(value, ".17g")
 
 
 def write_csv(table: Table, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_format_cell(v) for v in row])
+        fh.write(",".join(table.columns) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in table.rows)
 
 
 def read_csv(path) -> Table:
-    """Parse a CSV written by ``write_csv``; numeric cells become floats."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        rows = []
-        for raw in reader:
-            row = []
-            for cell in raw:
-                if cell == "":
-                    row.append(None)
-                    continue
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(tuple(row))
-    return Table(header, rows)
+    """Parse a CSV written by ``write_csv``: numbers become floats, empty cells None."""
+    with open(path, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    rows = [tuple(None if c == "" else float(c) for c in line.split(",")) for line in lines]
+    return Table(tuple(header.split(",")), rows)

@@ -73,7 +73,8 @@ class TestParseConfig:
         assert parse_config("experiment=figure3\nt_min=50\nt_max=50\n")["t_min"] == 50.0
 
     def test_crossover_derived_defaults(self):
-        config = parse_config("experiment=crossover_scan\ntau_c=2.0\n")
+        # coupling = 0.05 keeps the coherence at t_end = 80 above the noise floor
+        config = parse_config("experiment=crossover_scan\ntau_c=2.0\ncoupling=0.05\n")
         assert config["t_end"] == 80.0
         assert config["dt"] == pytest.approx(0.02)
 
@@ -275,6 +276,46 @@ class TestMainEntry:
     def test_validate_accepts_defaults(self, tmp_path, experiment):
         path = tmp_path / "config.txt"
         path.write_text(f"experiment={experiment}\n")
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("experiment", ["figure2", "figure3", "ratio_plot", "mc_validate"])
+    @pytest.mark.parametrize("key", ["epsilon", "delta"])
+    def test_validate_takes_hamiltonian_keys_for_decay_curve_only(self, tmp_path, capsys,
+                                                                  experiment, key):
+        # no output of the protocol experiments depends on the qubit Hamiltonian
+        path = tmp_path / "config.txt"
+        path.write_text(f"experiment={experiment}\n{key}=0.01\n")
+        assert main(["validate", str(path)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        path.write_text(f"experiment=decay_curve\n{key}=0.01\n")
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("text,keys", [
+        ("coupling=1e-200\n", ("coupling", "tau_c", "dt")),
+        ("tau_c=1e-300\n", ("coupling", "tau_c", "dt")),
+        ("coupling=1e152\n", ("coupling", "tau_c", "t_end", "trajectories")),
+        ("tau_c=1e150\n", ("coupling", "tau_c", "t_end", "trajectories")),
+        ("t_end=200\n", ("coupling", "tau_c", "t_end", "trajectories")),
+        ("tau_c=2.0\n", ("coupling", "tau_c", "t_end", "trajectories")),
+    ], ids=["coupling_1e-200", "tau_c_1e-300", "coupling_1e152", "tau_c_1e150", "t_end_200",
+            "tau_c_2"])
+    def test_validate_rejects_unresolvable_crossover_decay(self, tmp_path, capsys, text, keys):
+        # -ln coherence under 1e-12 at t = dt drowns in rounding (coupling=1e-200 raised
+        # ZeroDivisionError, tau_c=1e-300 failed in the fit); a coherence under
+        # 2/sqrt(trajectories) at t_end drowns in Monte Carlo noise (slope off by 20%+)
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=crossover_scan\n" + text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        for key in keys:
+            assert key in err
+
+    @pytest.mark.parametrize("text", ["trajectories=5000\nt_end=80\n", "coupling=1e-4\n",
+                                      "tau_c=0.3\ntrajectories=100\n"],
+                             ids=["crossover_scan_long", "weak_coupling", "few_trajectories"])
+    def test_validate_accepts_resolvable_crossover_decay(self, tmp_path, text):
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=crossover_scan\n" + text)
         assert main(["validate", str(path)]) == 0
 
     def test_mc_sweep_bound_counts_trajectory_intervals(self, monkeypatch):

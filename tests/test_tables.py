@@ -1,8 +1,11 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
-from zenosim.tables import Table, read_csv, write_csv
+from zenosim import tables
+from zenosim.tables import Table, _cell, read_csv, write_csv
 
 
 def test_rejects_ragged_rows():
@@ -55,3 +58,30 @@ def test_integers_written_without_exponent(tmp_path):
     path = tmp_path / "ints.csv"
     write_csv(Table(("t", "N"), [(20.0, 17)]), path)
     assert path.read_text().splitlines()[1] == "20,17"
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.1, "0.10000000000000001"), (17, "17"), (True, "1"), (False, "0"), (None, ""),
+    (np.float64(1.0 / 3.0), "0.33333333333333331"), (np.int64(17), "17"), (-0.0, "-0"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (1e300, "1.0000000000000001e+300"),
+], ids=["float", "int", "true", "false", "none", "np_float64", "np_int64", "negative_zero",
+        "inf", "negative_inf", "nan", "exponent"])
+def test_cell_text(tmp_path, value, text):
+    # one rule for every cell and summary number: empty for None, else .17g
+    assert _cell(value) == text
+    path = tmp_path / "cell.csv"
+    write_csv(Table(("a", "b"), [(value, 1.0)]), path)
+    assert path.read_text() == f"a,b\n{text},1\n"
+
+
+def test_mixed_roundtrip_without_csv_module(tmp_path, monkeypatch):
+    assert "csv" not in vars(tables)
+    monkeypatch.setitem(sys.modules, "csv", None)      # any import of csv now fails
+    rows = [(0.0, 1, None, -0.0), (math.inf, 20, 0.25, math.nan), (2.5, True, -math.inf, 1e-300)]
+    path = tmp_path / "mixed.csv"
+    write_csv(Table(("t", "N", "P", "x"), rows), path)
+    parsed = read_csv(path)
+    assert parsed.columns == ("t", "N", "P", "x")
+    # .17g text is equal exactly when the floats are bit-equal (or both nan)
+    texts = [tuple(map(_cell, row)) for row in rows]
+    assert [tuple(map(_cell, row)) for row in parsed.rows] == texts
