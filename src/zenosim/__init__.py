@@ -21,8 +21,8 @@ from .tables import Table, read_csv, write_csv
 from .zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                    ProtocolResult, coherence_ratio, figure2_sweep,
                    figure3_surface, nonselective_coherence, nonselective_rho,
-                   nonselective_run_mc, pn_analytic, pn_approx, run_protocol,
-                   selective_run_mc, selective_step_probability)
+                   nonselective_run_mc, pn_analytic, pn_approx, selective_run_mc,
+                   selective_step_probability)
 
 __version__ = "0.1.0"
 
@@ -39,5 +39,5 @@ __all__ = [
     "EngineKind", "NoiseReset", "ProtocolConfig", "ProtocolKind", "ProtocolResult",
     "coherence_ratio", "figure2_sweep", "figure3_surface", "nonselective_coherence",
     "nonselective_rho", "nonselective_run_mc", "pn_analytic", "pn_approx",
-    "run_protocol", "selective_run_mc", "selective_step_probability",
+    "selective_run_mc", "selective_step_probability",
 ]

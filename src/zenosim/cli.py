@@ -10,13 +10,12 @@ artifacts; see the config module for the accepted keys.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, Plan, parse_config
 from .lindblad import DecoherenceParams, integrate
 from .noise import NoiseModel, ensemble_average
 from .qubit import SystemHamiltonian, dynamical_fidelities, first_unphysical, plus_state
@@ -24,7 +23,7 @@ from .tables import Table, _cell, write_csv
 from .zeno import NoiseReset, figure2_sweep, figure3_surface
 
 
-def _run_decay_curve(settings) -> tuple[Table, list[str]]:
+def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     hs = SystemHamiltonian(settings["epsilon"], settings["delta"])
     params = DecoherenceParams.from_times(settings["t1"], settings["t2"], hs)
     psi0 = plus_state()
@@ -52,18 +51,9 @@ def _local_exponent(times: np.ndarray, coherence: np.ndarray, mask: np.ndarray) 
     return float(np.polyfit(np.log(t[keep]), np.log(deficit[keep]), 1)[0])
 
 
-def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
-    coupling, tau_c = settings["coupling"], settings["tau_c"]
-    t_end, dt = settings["t_end"], settings["dt"]
-    coarse = tau_c / 10.0
-    fine_end = min(coarse, t_end)
-    # fine_end ends the dt-spaced span and t_end the tau_c/10-spaced one, also where
-    # the step does not divide the span; steps count to 1e-9 (398.99999999999994 -> 399)
-    fine = np.append(dt * np.arange(0, math.ceil(fine_end / dt - 1e-9)), fine_end)
-    steps = (t_end - fine_end) / coarse
-    whole = math.floor(steps + 1e-9)
-    tail = [t_end] if steps - whole > 1e-9 else []
-    grid = np.concatenate([fine, fine_end + coarse * np.arange(1, whole + 1), tail])
+def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
+    coupling, tau_c, t_end = settings["coupling"], settings["tau_c"], settings["t_end"]
+    grid = plan.t
     model = NoiseModel.ornstein_uhlenbeck(coupling, tau_c)
     ensemble = ensemble_average(plus_state(), model, grid, settings["trajectories"],
                                 settings["base_seed"])
@@ -73,12 +63,13 @@ def _run_crossover_scan(settings) -> tuple[Table, list[str]]:
     table = Table(("t", "abs01", "stderr"), rows)
 
     normalised = 2.0 * coherence
-    # exponential-regime window; falls back to the tail when the scan is short
-    long_start = min(20.0 * tau_c, 0.5 * t_end)
+    # exponential-regime window; falls back to the tail when the scan is short, and
+    # holds the last two grid points also where t_end/2 rounds above the second-last
+    long_start = min(20.0 * tau_c, 0.5 * t_end, float(grid[-2]))
     long_mask = grid >= long_start
     slope = float(np.polyfit(grid[long_mask], np.log(normalised[long_mask]), 1)[0])
     expected = -4.0 * coupling ** 2 * tau_c
-    short_exp = _local_exponent(grid, normalised, (grid > 0) & (grid <= coarse))
+    short_exp = _local_exponent(grid, normalised, (grid > 0) & (grid <= tau_c / 10.0))
     long_exp = _local_exponent(grid, normalised, long_mask)
     # a scan shorter than 40 tau_c names the tail window it fitted instead
     slope_window, long_window = "", " for t >= 20 tau_c"
@@ -103,11 +94,11 @@ def _max_deviation(table: Table) -> str:
     return _cell(max(devs)) if devs else "n/a (every MC stderr is 0)"
 
 
-def _run_figure2(settings) -> tuple[Table, list[str]]:
+def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
     params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
-    mc = settings["engine"] == "mc"
+    mc = plan.mc_work > 0
     table = figure2_sweep(
-        params, settings["times"], settings["n_max"],
+        params, plan.t, settings["n_max"],
         trajectories=settings["trajectories"] if mc else None,
         base_seed=settings["base_seed"] if mc else None,
         noise_reset=NoiseReset(settings["noise_reset"]))
@@ -117,7 +108,7 @@ def _run_figure2(settings) -> tuple[Table, list[str]]:
         if r[1] == n_max:
             top.setdefault(r[0], r)
     summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(top[t][2])}"
-               for t in settings["times"]]
+               for t in plan.t]
     if mc:
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "persistent noise: deviations are expected, reported only")
@@ -126,9 +117,9 @@ def _run_figure2(settings) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _run_figure3(settings) -> tuple[Table, list[str]]:
+def _run_figure3(settings, plan: Plan) -> tuple[Table, list[str]]:
     params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
-    t_grid = np.linspace(settings["t_min"], settings["t_max"], settings["t_points"])
+    t_grid = plan.t
     n_grid = range(1, settings["n_max"] + 1)
     table = figure3_surface(params, t_grid, n_grid)
     first, last = {}, {}             # rows run over N within each t, t in grid order
@@ -148,16 +139,16 @@ def _run_figure3(settings) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _run_ratio_plot(settings) -> tuple[Table, list[str]]:
+def _run_ratio_plot(settings, plan: Plan) -> tuple[Table, list[str]]:
     t = settings["t"]
-    table, _ = _run_figure3({**settings, "t_min": t, "t_max": t, "t_points": 1})
+    table, _ = _run_figure3(settings, plan)
     summary = [f"ratio at N={settings['n_max']}, t={_cell(t)} ns: {_cell(table.rows[-1][3])} "
                f"(measurement-suppressed dephasing only; relaxation cancels)"]
     return table, summary
 
 
-def _run_mc_validate(settings) -> tuple[Table, list[str]]:
-    table, _ = _run_figure2({**settings, "engine": "mc"})
+def _run_mc_validate(settings, plan: Plan) -> tuple[Table, list[str]]:
+    table, _ = _run_figure2(settings, plan)
     devs = _deviations(table)
     # with every stderr 0, within 3 stderr means equal to the analytic value
     within = max(devs) <= 3.0 if devs else all(r[3] == r[2] for r in table.rows)
@@ -190,7 +181,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     out = Path(out_dir if out_dir is not None else settings.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
 
-    table, summary_lines = _RUNNERS[config.experiment](settings)
+    table, summary_lines = _RUNNERS[config.experiment](settings, config.plan)
 
     csv_path = out / f"{config.experiment}.csv"
     write_csv(table, csv_path)

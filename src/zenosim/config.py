@@ -9,7 +9,8 @@ Every experiment fills unspecified keys from documented defaults; times are
 in ns, ``inf`` is accepted where a decay channel can be switched off.
 ``mc_validate`` and ``ratio_plot`` run on the ``figure2`` and ``figure3``
 runners, so each pair builds its schema from one shared block.  Parsing also
-bounds each run's work: table rows, scan points and MC trajectory-intervals.
+plans the run (``Plan``): its t values, CSV rows and Monte Carlo work, counted
+exactly before anything is built and bounded below.
 """
 
 import math
@@ -17,16 +18,18 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
+from .lindblad import dephasing_model_holds, rk4_steps
+
 DEFAULT_BASE_SEED = 123456789
 
-# bounds that keep every accepted run short: a table row costs about 8 us
-# and 0.7 kB in decay_curve (its RK4 step, lab-frame state and CSV line) and
-# at most 5 us in analytic figure2/figure3, so under 1 s at the row bound;
-# crossover_scan costs about 4 ms per grid point at 1e5 trajectories on 2 CPUs
-# (its memory does not grow with the grid), and an MC sweep about 3 s per
-# 8.4e7 trajectory-intervals (the figure2 engine=mc defaults) on 2 CPUs, so
-# about 20 s at the bound; crossover_scan's trajectories x grid points cost
-# about the same per value (1.5 s per 4.1e7 at its defaults) and share it
+# bounds on a plan's exact counts that keep every accepted run short: a table row
+# costs about 8 us and 0.7 kB in decay_curve (its RK4 step, lab-frame state and CSV
+# line) and at most 5 us in analytic figure2/figure3, so under 1 s at the bound; on
+# 2 CPUs a crossover_scan grid point costs about 4 ms at 1e5 trajectories, and MC work
+# about 20 s at the bound: 3 s per 8.4e7 trajectory-intervals of an MC sweep (figure2
+# engine=mc defaults), 1.5 s per 4.1e7 noise values of crossover_scan (its defaults)
 MAX_TABLE_ROWS = 100_000
 MAX_SCAN_POINTS = 2048
 MAX_MC_INTERVALS = 500_000_000
@@ -52,8 +55,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _float_field(default=None, allow_inf=False, positive=False,
-                 allow_negative=False) -> Field:
+def _float_field(default=None, allow_inf=False, positive=False, allow_negative=False) -> Field:
     def parse(text: str) -> float:
         value = float(text)
         if math.isnan(value):
@@ -82,12 +84,8 @@ def _choice_field(options: tuple[str, ...], default: str) -> Field:
                  check=lambda v: None if v in options else f"must be one of {', '.join(options)}")
 
 
-def _str_field(default=None) -> Field:
-    return Field(parse=lambda s: s.strip(), default=default)
-
-
 _COMMON = {
-    "out": _str_field(default="out"),
+    "out": Field(parse=str.strip, default="out"),
     "base_seed": _int_field(default=DEFAULT_BASE_SEED, minimum=0),
 }
 
@@ -119,8 +117,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "epsilon": _float_field(default=1.0, allow_negative=True),
         "delta": _float_field(default=0.0, allow_negative=True),
         "t_end": _float_field(default=100.0),
-        # dt <= min(T1, T2)/200 when left unset
-        "dt": _float_field(default=None, positive=True),
+        "dt": _float_field(default=None, positive=True),        # min(t1, t2)/200
     },
     "crossover_scan": {
         **_COMMON,
@@ -149,9 +146,17 @@ EXPERIMENTS = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)
+class Plan:
+    t: Any          # the t values the runner walks; None for decay_curve, laid by rk4_steps
+    rows: int       # CSV rows
+    mc_work: int    # MC trajectory-intervals or noise values; 0 for an analytic run
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     settings: dict[str, Any]
+    plan: Plan
 
     def __getitem__(self, key: str) -> Any:
         return self.settings[key]
@@ -171,8 +176,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
         if key in raw:
-            warnings.warn(f"duplicate key {key!r} on line {lineno}; last value wins",
-                          stacklevel=2)
+            warnings.warn(f"duplicate key {key!r} on line {lineno}; last value wins", stacklevel=2)
         raw[key] = (lineno, value)
 
     if "experiment" not in raw:
@@ -184,138 +188,133 @@ def parse_config(text: str) -> ExperimentConfig:
                           f"expected one of {', '.join(EXPERIMENTS)}")
 
     schema = SCHEMAS[experiment]
-    settings: dict[str, Any] = {}
+    settings = {key: field.default for key, field in schema.items()}
     for key, (lineno, value) in raw.items():
         if key not in schema:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} for experiment "
-                              f"{experiment!r}")
-        field = schema[key]
+            raise ConfigError(f"line {lineno}: unknown key {key!r} for experiment {experiment!r}")
         try:
-            parsed = field.parse(value)
+            settings[key] = parsed = schema[key].parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        problem = field.check(parsed)
+        problem = schema[key].check(parsed)
         if problem:
             raise ConfigError(f"line {lineno}: {key} {problem} (got {parsed!r})")
-        settings[key] = parsed
 
-    for key, field in schema.items():
-        settings.setdefault(key, field.default)
-
-    _resolve_derived_defaults(experiment, settings)
-    _check_exponents(settings)
-    return ExperimentConfig(experiment, settings)
+    plan = _PLANNERS[experiment](settings)
+    if "t1" in settings:
+        _check_exponents(settings)
+    return ExperimentConfig(experiment, settings, plan)
 
 
 def _check_exponents(settings: dict[str, Any]) -> None:
-    """Reject values that overflow a decay exponent or the crossover_scan fit,
-    and a crossover_scan decay that the Monte Carlo cannot resolve.
-
-    The exponents are t/T1, (t/T2)^2, 4 coupling^2 tau_c and 4 coupling^2
-    tau_c t_end; the fit sums t^2 over the grid.
-    """
-    if "t1" in settings:
-        t1, t2 = settings["t1"], settings["t2"]
-        gamma1 = 0.0 if math.isinf(t1) else 1.0 / t1
-        gamma2 = 0.0 if math.isinf(t2) else 1.0 / t2
-        for key in ("t", "t_end", "t_min", "t_max", "times"):
-            values = settings.get(key, ())
-            for t in values if isinstance(values, tuple) else (values,):
-                if not (math.isfinite(gamma1 * t)
-                        and math.isfinite((gamma2 * t) * (gamma2 * t))):
-                    raise ConfigError(
-                        f"{key} = {t!r} overflows the decay exponent t/t1 or (t/t2)^2 "
-                        f"(t1 = {t1!r}, t2 = {t2!r}): "
-                        f"lower {key} or raise t1 and t2")
-    if "coupling" in settings:
-        coupling, tau_c, t_end = settings["coupling"], settings["tau_c"], settings["t_end"]
-        rate = 4.0 * coupling * coupling * tau_c
-        if not math.isfinite(rate):
-            raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the "
-                              "decay rate 4 coupling^2 tau_c: lower coupling or tau_c")
-        # the slope fit sums t^2 over up to MAX_SCAN_POINTS grid points
-        if not (math.isfinite(rate * t_end) and math.isfinite(MAX_SCAN_POINTS * t_end * t_end)):
-            raise ConfigError(f"tau_c = {tau_c!r} with coupling = {coupling!r} and t_end = "
-                              f"{t_end!r} overflows the decay exponent 4 coupling^2 tau_c t_end "
-                              "or the fit's sum of t^2: lower tau_c, coupling or t_end")
-        # -ln of the normalised coherence is G(t) = 4 coupling^2 tau_c^2 (x - 1 + e^-x);
-        # the grid bound keeps x = t/tau_c >= 1/(10 MAX_SCAN_POINTS), where x + expm1(-x)
-        # loses at most 2 ulp / x of its value
-        scale, dt = 2.0 * coupling * tau_c, settings["dt"]
-        first, last = (scale * scale * (x + math.expm1(-x))
-                       for x in (dt / tau_c, t_end / tau_c))
-        if first < 1e-12:       # rounding next to 1 swamps the short-time fit
-            raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} and dt = {dt!r} "
-                              f"gives -ln(coherence) = {first:.3g} at t = dt, below the 1e-12 "
-                              "the short-time fit resolves: raise coupling, tau_c or dt")
-        floor = 2.0 / math.sqrt(settings["trajectories"])
-        if math.exp(-last) < floor:
-            raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} leaves a "
-                              f"coherence of {math.exp(-last):.3g} at t_end = {t_end!r}, under "
-                              f"the Monte Carlo noise floor 2/sqrt(trajectories) = {floor:.3g} "
-                              f"(trajectories = {settings['trajectories']}): lower coupling, "
-                              "tau_c or t_end, or raise trajectories")
+    """Reject a time that overflows the decay exponent t/T1 or (t/T2)^2."""
+    t1, t2 = settings["t1"], settings["t2"]
+    gamma1, gamma2 = (0.0 if math.isinf(x) else 1.0 / x for x in (t1, t2))
+    for key in ("t", "t_end", "t_min", "t_max", "times"):
+        values = settings.get(key, ())
+        for t in values if isinstance(values, tuple) else (values,):
+            if not math.isfinite(gamma1 * t + (gamma2 * t) * (gamma2 * t)):
+                raise ConfigError(f"{key} = {t!r} overflows the decay exponent t/t1 or (t/t2)^2 "
+                                  f"(t1 = {t1!r}, t2 = {t2!r}): lower {key} or raise t1 and t2")
 
 
-def _resolve_derived_defaults(experiment: str, settings: dict[str, Any]) -> None:
-    if experiment == "decay_curve":
-        derived = settings["dt"] is None
-        if derived:
-            scale = min(settings["t1"], settings["t2"])
-            if math.isinf(scale):
-                scale = max(settings["t_end"], 1.0)
-            settings["dt"] = scale / 200.0
-        # integrate takes ceil(t_end/dt - 1e-12) steps, one table row each plus
-        # the row at t = 0; ceil(x) + 1 > n exactly when x > n - 1
-        steps = settings["t_end"] / settings["dt"]
-        if steps - 1e-12 > MAX_TABLE_ROWS - 1:
-            source = f" (dt = min(t1, t2)/200 = {settings['dt']:.3g})" if derived else ""
-            raise ConfigError(f"t_end/dt{source} asks for {steps + 1:.6g} table rows (RK4 steps "
-                              f"+ 1), more than {MAX_TABLE_ROWS}: lower t_end or raise dt")
-    if "n_max" in settings:
-        # a row per (t, N): figure2 and mc_validate over times, figure3 over
-        # t_points, ratio_plot at its one t
-        if "times" in settings:
-            points, keys = len(settings["times"]), ("times", "n_max")
-        elif "t_points" in settings:
-            points, keys = settings["t_points"], ("t_points", "n_max")
-        else:
-            points, keys = 1, ("n_max",)
-        if points * settings["n_max"] > MAX_TABLE_ROWS:
-            raise ConfigError(f"{' x '.join(keys)} asks for {points * settings['n_max']} table "
-                              f"rows, more than {MAX_TABLE_ROWS}: lower {' or '.join(keys)}")
-    if "times" in settings and settings.get("engine", "mc") == "mc":
-        trajectories, n_max = settings["trajectories"], settings["n_max"]
-        points = len(settings["times"])
-        if trajectories * points * n_max * (n_max + 1) // 2 > MAX_MC_INTERVALS:
-            raise ConfigError(f"trajectories x len(times) x n_max(n_max+1)/2 = {trajectories} x "
-                              f"{points} x {n_max}({n_max}+1)/2 trajectory-intervals is more than "
-                              f"{MAX_MC_INTERVALS:.3g}: lower trajectories, n_max or times")
-    if experiment == "figure3" and settings["t_min"] > settings["t_max"]:
-        raise ConfigError(f"t_min ({settings['t_min']!r}) must not exceed "
-                          f"t_max ({settings['t_max']!r})")
-    if experiment == "crossover_scan":
-        if settings["t_end"] is None:
-            settings["t_end"] = 40.0 * settings["tau_c"]
-        if settings["dt"] is None:
-            settings["dt"] = settings["tau_c"] / 100.0
-        tau_c, dt, t_end = settings["tau_c"], settings["dt"], settings["t_end"]
-        if t_end < 2.0 * dt:     # the decay fits need the points dt and 2 dt
-            raise ConfigError(f"t_end ({t_end!r}) must be at least 2 dt ({dt!r})")
-        # the short-time fit needs two grid points in (0, tau_c/10], where the grid
-        # has ceil(min(tau_c/10, t_end)/dt - 1e-9) of them; ceil(x) < 2 exactly when x <= 1
-        if min(tau_c / 10.0, t_end) / dt - 1e-9 <= 1.0:
-            raise ConfigError(f"dt ({dt!r}) leaves the short-time fit over t <= tau_c/10 "
-                              f"({tau_c / 10.0!r}) fewer than two grid points: lower dt or "
-                              "raise tau_c")
-        # dt-spaced up to tau_c/10, then tau_c/10-spaced up to t_end
-        points = tau_c / 10.0 / dt + 10.0 * t_end / tau_c
-        if points > MAX_SCAN_POINTS:
-            raise ConfigError(f"t_end and dt ask for about {points:.3g} grid points, more than "
-                              f"{MAX_SCAN_POINTS}: lower t_end or raise dt")
-        # a noise value per trajectory and grid point costs about what an MC
-        # sweep's trajectory-interval does
-        if settings["trajectories"] * points > MAX_MC_INTERVALS:
-            raise ConfigError(f"trajectories x grid points = {settings['trajectories']} x "
-                              f"{points:.3g} is more than {MAX_MC_INTERVALS:.3g}: lower "
-                              "trajectories or t_end, or raise dt")
+def _bound(count, limit, asks: str, unit: str, fix: str):
+    if count > limit:       # an exact count of work past its bound
+        raise ConfigError(f"{asks} {count} {unit}, more than {limit:g}: {fix}")
+    return count
+
+
+def _decay_plan(settings: dict[str, Any]) -> Plan:
+    t1, t2, t_end, epsilon, delta = (settings[k] for k in ("t1", "t2", "t_end", "epsilon", "delta"))
+    if not dephasing_model_holds(epsilon, delta):
+        raise ConfigError(f"delta = {delta!r} with epsilon = {epsilon!r} breaks the sigma_z "
+                          "dephasing model, which needs |delta| <= |epsilon|/10: lower delta")
+    scale = min(t1, t2) if min(t1, t2) < math.inf else max(t_end, 1.0)   # t_end if no decay
+    dt = settings["dt"] = settings["dt"] or scale / 200.0
+    try:
+        steps = rk4_steps(t_end, dt, t1, t2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return Plan(None, _bound(steps + 1, MAX_TABLE_ROWS, f"t_end/dt = {t_end!r}/{dt!r} asks for",
+                             "table rows (RK4 steps + 1)",
+                             "lower t_end or raise dt (by default min(t1, t2)/200)"), 0)
+
+
+def _crossover_plan(settings: dict[str, Any]) -> Plan:
+    """Reject a decay the fits cannot resolve, then lay the grid: dt-spaced to min(tau_c/10,
+    t_end), then tau_c/10-spaced to t_end; steps count to 1e-9 (398.99999999999994 -> 399)."""
+    coupling, tau_c, trajectories = (settings[k] for k in ("coupling", "tau_c", "trajectories"))
+    t_end = settings["t_end"] = settings["t_end"] or 40.0 * tau_c
+    dt = settings["dt"] = settings["dt"] or tau_c / 100.0
+    if t_end < 2.0 * dt:     # the decay fits need the points dt and 2 dt
+        raise ConfigError(f"t_end ({t_end!r}) must be at least 2 dt ({dt!r})")
+    rate = 4.0 * coupling * coupling * tau_c
+    if not math.isfinite(rate):
+        raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the decay "
+                          "rate 4 coupling^2 tau_c: lower coupling or tau_c")
+    # -ln of the normalised coherence is G(t) = 4 coupling^2 tau_c^2 (x - 1 + e^-x); the grid
+    # bound keeps x = t/tau_c >= 1/(10 MAX_SCAN_POINTS), where x + expm1(-x) loses <= 2 ulp / x
+    scale = 2.0 * coupling * tau_c
+    first, last = (scale * scale * (x + math.expm1(-x)) for x in (dt / tau_c, t_end / tau_c))
+    if first < 1e-12:       # rounding next to 1 swamps the short-time fit
+        raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} and dt = {dt!r} gives "
+                          f"-ln(coherence) = {first:.3g} at t = dt, below the 1e-12 the "
+                          "short-time fit resolves: raise coupling, tau_c or dt")
+    coarse = tau_c / 10.0
+    fine_end = min(coarse, t_end)
+    fine_steps, coarse_steps = fine_end / dt - 1e-9, (t_end - fine_end) / coarse
+    if fine_steps <= 1.0:       # ceil(fine_steps) points lie in the short fit's (0, tau_c/10]
+        raise ConfigError(f"dt ({dt!r}) leaves the short-time fit over t <= tau_c/10 "
+                          f"({coarse!r}) fewer than two grid points: lower dt or raise tau_c")
+    fine, whole = ((math.ceil(fine_steps), math.floor(coarse_steps + 1e-9))
+                   if math.isfinite(fine_steps + coarse_steps) else (math.inf, math.inf))
+    tail = int(coarse_steps - whole > 1e-9)
+    points = _bound(fine + 1 + whole + tail, MAX_SCAN_POINTS, "t_end and dt ask for",
+                    "grid points", "lower t_end or raise dt")
+    work = _bound(trajectories * points, MAX_MC_INTERVALS, f"trajectories x grid points = "
+                  f"{trajectories} x {points} asks for", "noise values",
+                  "lower trajectories or t_end, or raise dt")
+    if not math.isfinite(rate * t_end + points * t_end * t_end):  # the slope fit sums t^2
+        raise ConfigError(f"tau_c = {tau_c!r} with coupling = {coupling!r} and t_end = {t_end!r} "
+                          "overflows the decay exponent 4 coupling^2 tau_c t_end or the fit's "
+                          "sum of t^2: lower tau_c, coupling or t_end")
+    floor = 2.0 / math.sqrt(trajectories)
+    if math.exp(-last) < floor:
+        raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} leaves a coherence "
+                          f"of {math.exp(-last):.3g} at t_end = {t_end!r}, under the Monte Carlo "
+                          f"noise floor 2/sqrt(trajectories) = {floor:.3g} (trajectories = "
+                          f"{trajectories}): lower coupling, tau_c or t_end, or raise trajectories")
+    grid = np.concatenate([dt * np.arange(fine), [fine_end],
+                           fine_end + coarse * np.arange(1, whole + 1), [t_end] * tail])
+    return Plan(grid, points, work)
+
+
+def _sweep_plan(settings: dict[str, Any], mc: bool) -> Plan:
+    times, n_max = settings["times"], settings["n_max"]
+    trajectories = settings["trajectories"] if mc else 0    # a row and an MC run per (t, N)
+    rows = _bound(len(times) * n_max, MAX_TABLE_ROWS, "times x n_max asks for", "table rows",
+                  "lower times or n_max")
+    work = _bound(trajectories * len(times) * n_max * (n_max + 1) // 2, MAX_MC_INTERVALS,
+                  f"trajectories x len(times) x n_max(n_max+1)/2 = {trajectories} x {len(times)} "
+                  f"x {n_max}({n_max}+1)/2 asks for", "trajectory-intervals",
+                  "lower trajectories, n_max or times")
+    return Plan(times, rows, work)
+
+
+def _surface_plan(settings: dict[str, Any], t_min, t_max, points: int, keys) -> Plan:
+    if t_min > t_max:
+        raise ConfigError(f"t_min ({t_min!r}) must not exceed t_max ({t_max!r})")
+    rows = _bound(points * settings["n_max"], MAX_TABLE_ROWS, f"{' x '.join(keys)} asks for",
+                  "table rows", f"lower {' or '.join(keys)}")
+    return Plan(np.linspace(t_min, t_max, points), rows, 0)
+
+
+_PLANNERS: dict[str, Callable[[dict[str, Any]], Plan]] = {
+    "decay_curve": _decay_plan,
+    "crossover_scan": _crossover_plan,
+    "figure2": lambda s: _sweep_plan(s, s["engine"] == "mc"),
+    "mc_validate": lambda s: _sweep_plan(s, True),
+    "figure3": lambda s: _surface_plan(s, s["t_min"], s["t_max"], s["t_points"],
+                                       ("t_points", "n_max")),
+    "ratio_plot": lambda s: _surface_plan(s, s["t"], s["t"], 1, ("n_max",)),
+}

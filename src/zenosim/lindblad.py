@@ -30,6 +30,34 @@ class PositivityLossError(RuntimeError):
     """The integrator produced a state with a significantly negative eigenvalue."""
 
 
+def dephasing_model_holds(epsilon: float, delta: float) -> bool:
+    """Whether sigma_z dephasing describes H = (epsilon/2) sigma_z + (delta/2) sigma_x.
+
+    The dephasing term assumes sigma_z noise commutes with the retained
+    Hamiltonian; a sigma_x part beyond 10% of the sigma_z part breaks that.
+    """
+    epsilon, delta = abs(epsilon), abs(delta)
+    return delta == 0.0 or (epsilon > 0.0 and delta / epsilon <= 0.1)
+
+
+def rk4_steps(t_end: float, dt: float, t1: float, t2: float) -> int:
+    """Number of RK4 steps ``integrate`` takes over [0, t_end] at steps of at most dt.
+
+    Raises ValueError when dt exceeds min(t1, t2)/100 or t_end/dt overflows.
+    Steps count to 1e-12, so a ratio that rounds just above a whole number
+    takes no extra step; the step then shrinks to land on t_end.
+    """
+    limit = min(t1, t2) / 100.0
+    if dt > limit:
+        raise ValueError(f"dt = {dt!r} too large; need dt <= min(t1, t2)/100 = {limit!r} "
+                         f"(t1 = {t1!r}, t2 = {t2!r})")
+    ratio = t_end / dt
+    if math.isinf(ratio):
+        raise ValueError(f"t_end/dt = {t_end!r}/{dt!r} overflows the RK4 step count: "
+                         "lower t_end or raise dt")
+    return max(1, math.ceil(ratio - 1e-12)) if t_end > 0.0 else 0
+
+
 @dataclass(frozen=True)
 class DecoherenceParams:
     """Relaxation rate gamma1, dephasing rate gamma2 (1/ns) and the qubit Hamiltonian.
@@ -48,10 +76,7 @@ class DecoherenceParams:
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        # the dephasing term assumes sigma_z noise commutes with the retained
-        # Hamiltonian; a sigma_x admixture breaks that beyond ~10%
-        eps, delta = abs(self.hs.epsilon), abs(self.hs.delta)
-        if delta > 0.0 and (eps == 0.0 or delta / eps > 0.1):
+        if not dephasing_model_holds(self.hs.epsilon, self.hs.delta):
             warnings.warn(
                 "sigma_x part of the Hamiltonian exceeds 10% of the sigma_z part; "
                 "the sigma_z-dephasing structure is only approximate here",
@@ -115,7 +140,7 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
               t_end: float, dt: float) -> IntegrationResult:
     """Classic fixed-step 4th-order Runge-Kutta solution on [0, t_end].
 
-    The step is shrunk slightly so the grid lands exactly on t_end.  The
+    ``rk4_steps`` counts the steps; the step shrinks so the grid lands on t_end.  The
     generator is diagonal: p11' = -gamma1 p11 and rho01' = a(t) rho01 with
     a(t) = -(gamma1/2 + 2 gamma2^2 t), while p00 follows from the trace and
     rho10 is conj(rho01).  An RK4 step therefore multiplies p11 and rho01 by
@@ -130,10 +155,7 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
         raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    limit = min(params.t1, params.t2) / 100.0
-    if dt > limit:
-        raise ValueError(f"dt = {dt!r} too large; need dt <= min(T1, T2)/100 = {limit!r}")
-    steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0.0 else 0
+    steps = rk4_steps(t_end, dt, params.t1, params.t2)
     h = t_end / steps if steps else 0.0
 
     times = np.linspace(0.0, t_end, steps + 1)

@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qubit import DensityMatrix, PureState, validate_density
+from .qubit import PureState
 
 TRAJECTORY_BLOCK = 2048
 
@@ -144,19 +144,12 @@ class EnsembleResult:
     stderr: np.ndarray         # (G, 2, 2) real
     trajectory_count: int
 
-    def rho(self, index: int) -> DensityMatrix:
-        return DensityMatrix(self.mean_rho[index])
-
     def coherence(self) -> np.ndarray:
         """|<0|rho|1>| per grid point."""
         return np.abs(self.mean_rho[:, 0, 1])
 
     def coherence_stderr(self) -> np.ndarray:
         return self.stderr[:, 0, 1].copy()
-
-    def validate(self, tol: float = 1e-9) -> None:
-        for point in self.mean_rho:
-            validate_density(point, trace_tol=tol, herm_tol=tol, positivity_tol=tol)
 
 
 def _block_row_counts(trajectories: int):

@@ -172,7 +172,8 @@ class SystemHamiltonian:
         return self._propagator(omega, np.cos(half), np.sin(half))
 
     def _propagator(self, omega: float, cos_half, sin_half) -> np.ndarray:
-        n_sigma = (self.epsilon * SIGMA_Z.matrix + self.delta * SIGMA_X.matrix) / omega
+        # the axis components first: 1/omega overflows for a subnormal omega
+        n_sigma = (self.epsilon / omega) * SIGMA_Z.matrix + (self.delta / omega) * SIGMA_X.matrix
         return cos_half * np.eye(2) - 1j * sin_half * n_sigma
 
 

@@ -83,7 +83,6 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class ProtocolResult:
     kind: ProtocolKind
-    engine: EngineKind
     success_probability: float | None = None
     success_stderr: float | None = None
     survivors_per_step: tuple[int, ...] | None = None
@@ -312,9 +311,8 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
         noise = _default_noise(params)
     m, n = config.trajectories, config.measurements
     if config.total_time == 0.0:
-        return ProtocolResult(config.kind, config.engine, success_probability=1.0,
-                              success_stderr=0.0, survivors_per_step=(m,) * n,
-                              trajectories=m)
+        return ProtocolResult(config.kind, success_probability=1.0, success_stderr=0.0,
+                              survivors_per_step=(m,) * n, trajectories=m)
     kept = _kept_outcomes(params, config, noise)
 
     def block_survivors(gen, rows):
@@ -325,7 +323,7 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
         survivors += block
     p = survivors[-1] / m
     stderr = math.sqrt(p * (1.0 - p) / m)
-    return ProtocolResult(config.kind, config.engine, success_probability=float(p),
+    return ProtocolResult(config.kind, success_probability=float(p),
                           success_stderr=stderr, survivors_per_step=tuple(int(v) for v in survivors),
                           trajectories=m)
 
@@ -361,27 +359,8 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     bracket = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
     u = params.hs.evolution(t).matrix
     rho = DensityMatrix(u @ bracket @ u.conj().T)
-    return ProtocolResult(config.kind, config.engine, final_rho=rho,
-                          coherence=abs(coherence), coherence_stderr=stderr,
-                          trajectories=m)
-
-
-def run_protocol(params: DecoherenceParams, config: ProtocolConfig,
-                 noise: NoiseModel | None = None,
-                 context: tuple[int, ...] = ()) -> ProtocolResult:
-    """Dispatch a protocol run to the configured engine."""
-    if config.engine is EngineKind.ANALYTIC:
-        if config.kind is ProtocolKind.SELECTIVE:
-            return ProtocolResult(config.kind, config.engine,
-                                  success_probability=pn_analytic(
-                                      params, config.total_time, config.measurements))
-        rho = nonselective_rho(params, config.total_time, config.measurements)
-        return ProtocolResult(config.kind, config.engine, final_rho=rho,
-                              coherence=nonselective_coherence(
-                                  params, config.total_time, config.measurements))
-    if config.kind is ProtocolKind.SELECTIVE:
-        return selective_run_mc(params, config, noise, context)
-    return nonselective_run_mc(params, config, noise, context)
+    return ProtocolResult(config.kind, final_rho=rho, coherence=abs(coherence),
+                          coherence_stderr=stderr, trajectories=m)
 
 
 # ---------------------------------------------------------------------------

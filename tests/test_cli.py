@@ -1,7 +1,12 @@
 import math
+import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenosim import cli, config as config_module
 from zenosim.cli import main, run_experiment
@@ -191,6 +196,16 @@ class TestRunExperiment:
         assert max(t) <= t_end * (1.0 + 1e-12)
         assert all(b > a for a, b in zip(t, t[1:]))
         assert max(b - a for a, b in zip(t, t[1:])) <= 0.1 * config["tau_c"] * (1.0 + 1e-12)
+
+    def test_crossover_long_fit_keeps_two_points(self, tmp_path):
+        # t_end/2 = 0.010000000000000002 rounds above the grid point 0.01, which left
+        # the t >= t_end/2 fit one point and polyfit a RankWarning
+        config = parse_config("experiment=crossover_scan\ntrajectories=100\n"
+                              "t_end=0.020000000000000004\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_experiment(config, out_dir=tmp_path)["summary"].read_text()
+        assert "long-time log-coherence slope for t >= t_end/2 = 0.01 ns: " in summary
 
 
 class TestSharedRunners:
@@ -431,8 +446,11 @@ class TestMainEntry:
          ("trajectories", "t_end", "dt")),
         ("experiment=figure2\nn_max=100000000\n", ("times", "n_max")),
         ("experiment=figure3\nt_points=100000000\n", ("t_points", "n_max")),
+        ("experiment=decay_curve\ndt=1.2\n", ("dt", "t1", "t2")),
+        ("experiment=crossover_scan\nt_end=1e308\n", ("t_end", "dt")),
     ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan", "figure2_mc",
-            "mc_validate", "crossover_scan_trajectories", "figure2", "figure3"])
+            "mc_validate", "crossover_scan_trajectories", "figure2", "figure3",
+            "decay_curve_dt_above_rk4_limit", "crossover_scan_uncountable_grid"])
     def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
         path = tmp_path / "config.txt"
         path.write_text(text)
@@ -473,3 +491,105 @@ class TestMainEntry:
         from pathlib import Path
         golden = Path(__file__).parent / "golden" / "figure3.csv"
         assert (tmp_path / "out" / "figure3.csv").read_bytes() == golden.read_bytes()
+
+
+class TestDecayCurveRules:
+    @pytest.mark.parametrize("text", ["delta=2\n", "epsilon=0\ndelta=0.01\n",
+                                      "epsilon=1\ndelta=-0.2\n"],
+                             ids=["delta_2", "epsilon_0", "negative_delta"])
+    def test_validate_rejects_sigma_x_beyond_the_dephasing_model(self, tmp_path, capsys, text):
+        # the run used to warn "sigma_x part of the Hamiltonian exceeds 10%" and go on
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=decay_curve\n" + text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "epsilon" in err and "delta" in err
+
+    def test_delta_at_a_tenth_of_epsilon_runs(self, tmp_path):
+        config = parse_config("experiment=decay_curve\nepsilon=2\ndelta=-0.2\nt_end=1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(config, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("dt,accepted", [(0.2, True), (0.2 * (1.0 + 1e-15), False)])
+    def test_dt_limit_is_the_integrators(self, dt, accepted):
+        # min(t1, t2)/100 = 0.2 at the defaults; validate and integrate share the rule
+        text = f"experiment=decay_curve\nt_end=1\ndt={dt!r}\n"
+        if accepted:
+            config = parse_config(text)
+            params = DecoherenceParams.from_times(config["t1"], config["t2"])
+            result = integrate(plus_state().density(), params, config["t_end"], config["dt"])
+            assert config.plan.rows == len(result.times) == 6
+        else:
+            with pytest.raises(ConfigError, match=r"dt = .* min\(t1, t2\)/100"):
+                parse_config(text)
+
+
+def _float_text(low, high):
+    return st.floats(low, high, allow_nan=False).map(repr)
+
+
+# small sizes keep every drawn run short: at most a few thousand decay_curve rows,
+# 500 crossover grid points of 300 trajectories, and 2 x 4 sweep points
+_VALUES = {
+    "base_seed": st.integers(0, 2 ** 32).map(str),
+    "t1": st.one_of(st.just("inf"), _float_text(0.5, 2000.0)),
+    "t2": st.one_of(st.just("inf"), _float_text(0.5, 800.0)),
+    "epsilon": st.one_of(st.just("0"), _float_text(-2.0, 2.0)),
+    "delta": st.one_of(st.just("0"), _float_text(-0.5, 0.5)),
+    "coupling": _float_text(0.01, 0.3),
+    "tau_c": _float_text(0.1, 2.0),
+    "trajectories": st.integers(1000, 1200).map(str),
+    "times": st.lists(_float_text(0.5, 50.0), min_size=1, max_size=2).map(",".join),
+    "n_max": st.integers(1, 4).map(str),
+    "noise_reset": st.sampled_from(["resample", "persistent"]),
+    "engine": st.sampled_from(["analytic", "mc"]),
+    "t_min": _float_text(1.0, 800.0),
+    "t_max": _float_text(1.0, 800.0),
+    "t_points": st.integers(1, 5).map(str),
+    "t": _float_text(1.0, 800.0),
+}
+_EXPERIMENT_VALUES = {
+    "decay_curve": {"t_end": _float_text(0.0, 20.0), "dt": _float_text(0.005, 2.0)},
+    "crossover_scan": {"t_end": _float_text(0.02, 4.0), "dt": _float_text(0.002, 0.05),
+                       "trajectories": st.integers(100, 300).map(str)},
+}
+
+
+# the keys that size a run are always drawn, so no run falls back to a full-size default
+_SIZE_KEYS = {"decay_curve": ["t_end"], "crossover_scan": ["trajectories"],
+              "figure2": ["times", "n_max", "trajectories"],
+              "mc_validate": ["times", "n_max", "trajectories"]}
+
+
+@st.composite
+def _settings(draw, experiment):
+    sized = _SIZE_KEYS.get(experiment, [])
+    keys = sorted(k for k in config_module.SCHEMAS[experiment] if k not in sized + ["out"])
+    strategies = {**_VALUES, **_EXPERIMENT_VALUES.get(experiment, {})}
+    chosen = sized + draw(st.lists(st.sampled_from(keys), unique=True))
+    return {k: draw(strategies[k]) for k in chosen}
+
+
+class TestConfigFuzz:
+    """Every config either is rejected by a key it sets, or runs as planned."""
+
+    @pytest.mark.parametrize("experiment", sorted(config_module.SCHEMAS))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_rejected_by_key_or_runs_as_planned(self, experiment, data):
+        values = data.draw(_settings(experiment))
+        text = f"experiment={experiment}\n" + "".join(f"{k}={v}\n" for k, v in values.items())
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+            warnings.simplefilter("error")
+            try:
+                config = parse_config(text)
+            except ConfigError as exc:
+                assert any(re.search(rf"\b{key}\b", str(exc)) for key in values), (text, exc)
+                return
+            table = read_csv(run_experiment(config, out_dir=out)["csv"])
+        assert all(c is None or math.isfinite(c) for row in table.rows for c in row), text
+        assert len(table.rows) == config.plan.rows, text
+        if experiment == "crossover_scan":
+            assert table.column("t") == config.plan.t.tolist(), text

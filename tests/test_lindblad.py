@@ -104,6 +104,30 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dt"):
             integrate(plus_state().density(), FIG2, 10.0, 0.5)  # dt > T2/100
 
+    @pytest.mark.parametrize("t_end,dt,steps", [
+        (0.0, 0.1, 0), (0.05, 0.1, 1), (1.0, 0.1, 10), (1.05, 0.1, 11),
+        (12.0, 0.03, 400),      # 12/0.03 = 400.00000000000006 rounds up by one ulp only
+    ])
+    def test_step_count_lays_the_grid(self, t_end, dt, steps):
+        assert lindblad.rk4_steps(t_end, dt, 1000.0, 20.0) == steps
+        result = integrate(plus_state().density(), FIG2, t_end, dt)
+        assert len(result.times) == steps + 1
+
+    @pytest.mark.parametrize("t_end,dt,match", [
+        (1.0, 0.2 * (1.0 + 1e-15), r"dt = .* min\(t1, t2\)/100 = 0\.2 \(t1 = 1000\.0, t2 = 20\.0\)"),
+        (1e10, 1e-300, "overflows"),
+    ])
+    def test_step_count_rejects(self, t_end, dt, match):
+        with pytest.raises(ValueError, match=match):
+            lindblad.rk4_steps(t_end, dt, 1000.0, 20.0)
+
+    @pytest.mark.parametrize("epsilon,delta,holds", [
+        (1.0, 0.0, True), (0.0, 0.0, True), (1.0, 0.1, True), (-2.0, 0.2, True),
+        (1.0, 0.1 * (1.0 + 1e-15), False), (0.0, 1e-300, False), (1.0, -0.5, False),
+    ])
+    def test_dephasing_model_holds_up_to_a_tenth(self, epsilon, delta, holds):
+        assert lindblad.dephasing_model_holds(epsilon, delta) is holds
+
     def test_fourth_order_convergence(self):
         # halving the step shrinks the closed-form error by roughly 2^4
         t_end = 20.0

@@ -16,8 +16,7 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           ProtocolResult, coherence_ratio, figure2_sweep,
                           figure3_surface, nonselective_coherence,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
-                          pn_approx, run_protocol, selective_run_mc,
-                          selective_step_probability)
+                          pn_approx, selective_run_mc, selective_step_probability)
 from zenosim.zeno import _ou_interval_coefficients, _stay_probability
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
@@ -61,13 +60,11 @@ class TestProtocolConfig:
 
     def test_result_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
-            ProtocolResult(ProtocolKind.SELECTIVE, EngineKind.ANALYTIC,
-                           success_probability=1.5)
+            ProtocolResult(ProtocolKind.SELECTIVE, success_probability=1.5)
 
     def test_result_rejects_bad_coherence(self):
         with pytest.raises(ValueError, match="coherence"):
-            ProtocolResult(ProtocolKind.NON_SELECTIVE, EngineKind.ANALYTIC,
-                           coherence=0.7)
+            ProtocolResult(ProtocolKind.NON_SELECTIVE, coherence=0.7)
 
 
 class TestSelectiveStepProbability:
@@ -138,6 +135,9 @@ class TestNonselective:
     @pytest.mark.parametrize("n,expected", [(1, ABS01_N1), (16, ABS01_N16)])
     def test_spot_values(self, n, expected):
         assert nonselective_coherence(FIG3, 400.0, n) == pytest.approx(expected, abs=1e-12)
+
+    def test_state_carries_the_coherence(self):
+        assert nonselective_rho(FIG3, 400.0, 16).coherence == pytest.approx(ABS01_N16, abs=1e-12)
 
     def test_many_measurements_leave_relaxation_floor(self):
         # only the quadratic (low-frequency) part is suppressed
@@ -372,22 +372,6 @@ class TestOrnsteinUhlenbeckProtocols:
         expected = 0.5 + 0.5 * math.exp(-2.0 * variance)
         assert abs(result.success_probability - expected) <= 4.0 * result.success_stderr
         assert elapsed < 1.0
-
-
-class TestRunProtocol:
-    def test_analytic_selective(self):
-        result = run_protocol(FIG2, ProtocolConfig(20.0, 4))
-        assert result.success_probability == pytest.approx(P4_AT_20, abs=1e-12)
-
-    def test_analytic_nonselective(self):
-        config = ProtocolConfig(400.0, 16, kind=ProtocolKind.NON_SELECTIVE)
-        result = run_protocol(FIG3, config)
-        assert result.coherence == pytest.approx(ABS01_N16, abs=1e-12)
-
-    def test_mc_dispatch(self):
-        result = run_protocol(FIG2, mc_config(20.0, 2, m=2000))
-        assert result.engine is EngineKind.MONTE_CARLO
-        assert result.success_probability is not None
 
 
 class TestFigure2Sweep:
