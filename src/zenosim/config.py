@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .lindblad import dephasing_model_holds, rk4_steps
+from .noise import ou_decay_exponent
 
 DEFAULT_BASE_SEED = 123456789
 
@@ -158,9 +159,6 @@ class ExperimentConfig:
     settings: dict[str, Any]
     plan: Plan
 
-    def __getitem__(self, key: str) -> Any:
-        return self.settings[key]
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text into a validated, defaults-filled ExperimentConfig."""
@@ -229,6 +227,11 @@ def _decay_plan(settings: dict[str, Any]) -> Plan:
     if not dephasing_model_holds(epsilon, delta):
         raise ConfigError(f"delta = {delta!r} with epsilon = {epsilon!r} breaks the sigma_z "
                           "dephasing model, which needs |delta| <= |epsilon|/10: lower delta")
+    phase = math.hypot(epsilon, delta) * t_end / 2.0      # the lab frame's last half-angle
+    if phase * 2.0 ** -52 > 1e-8:           # its rounding, against the integrator's 1e-8
+        raise ConfigError(f"epsilon = {epsilon!r} and delta = {delta!r} with t_end = {t_end!r} "
+                          f"turn the lab frame by {phase:.3g} rad, which float64 rounds by more "
+                          "than 1e-8 rad: lower epsilon, delta or t_end")
     scale = min(t1, t2) if min(t1, t2) < math.inf else max(t_end, 1.0)   # t_end if no decay
     dt = settings["dt"] = settings["dt"] or scale / 200.0
     try:
@@ -252,10 +255,8 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
     if not math.isfinite(rate):
         raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the decay "
                           "rate 4 coupling^2 tau_c: lower coupling or tau_c")
-    # -ln of the normalised coherence is G(t) = 4 coupling^2 tau_c^2 (x - 1 + e^-x); the grid
-    # bound keeps x = t/tau_c >= 1/(10 MAX_SCAN_POINTS), where x + expm1(-x) loses <= 2 ulp / x
-    scale = 2.0 * coupling * tau_c
-    first, last = (scale * scale * (x + math.expm1(-x)) for x in (dt / tau_c, t_end / tau_c))
+    # -ln of the normalised coherence; the grid bound keeps dt/tau_c >= 1/(10 MAX_SCAN_POINTS)
+    first, last = (ou_decay_exponent(coupling, tau_c, t) for t in (dt, t_end))
     if first < 1e-12:       # rounding next to 1 swamps the short-time fit
         raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} and dt = {dt!r} gives "
                           f"-ln(coherence) = {first:.3g} at t = dt, below the 1e-12 the "

@@ -15,7 +15,8 @@ phi(t) = coupling * integral_0^t f(s) ds between its sigma_z eigenstates, so a
 single trajectory multiplies the |0><1| element by exp(-2i phi) and leaves the
 populations untouched.  Ensemble averaging those pure states is what produces
 the quadratic-exponent (quasi-static) and exponential (short-correlation)
-coherence decay laws.
+coherence decay laws.  No engine samples f itself: Ornstein-Uhlenbeck phases
+come from one exact law of its integral over steps of any length.
 
 Reproducibility contract
 ------------------------
@@ -23,7 +24,8 @@ Trajectories are grouped into fixed blocks of ``TRAJECTORY_BLOCK``.  Block b
 of an ensemble draws from its own counter-based Philox stream keyed by
 (base_seed, *context, b), consumed in a fixed documented order: quasi-static
 noise is one normal per trajectory, Ornstein-Uhlenbeck noise one
-(grid points, rows) array of normals, grid point after grid point.
+(grid points, rows) array of normals, grid point after grid point, normal k
+driving the law's step from grid[k-1] to grid[k] (from t = 0 for k = 0).
 Trajectory i = b * TRAJECTORY_BLOCK + r reads entry r of every grid point.
 
 One engine runs the blocks of every Monte Carlo path (``ensemble_average``
@@ -52,9 +54,6 @@ TRAJECTORY_BLOCK = 2048
 # float64 values per grid chunk of a block in ensemble_average; a block in
 # flight holds a few arrays of this size, whatever the length of the grid
 CHUNK_VALUES = 1 << 18
-
-# maximum grid step, in units of tau_c, for Ornstein-Uhlenbeck sampling
-MAX_OU_STEP_FRACTION = 0.1
 
 
 class NoiseKind(str, Enum):
@@ -94,39 +93,96 @@ def stream_generator(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_ou_grid(grid: np.ndarray, tau_c: float) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("time grid must be a 1-d array with at least two points")
-    if grid[0] != 0.0:
-        raise ValueError("time grid must start at t = 0")
-    steps = np.diff(grid)
-    if not np.all(steps > 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    max_step = float(np.max(steps))
-    if max_step > tau_c * MAX_OU_STEP_FRACTION * (1.0 + 1e-12):
-        raise ValueError(
-            f"grid step {max_step!r} exceeds tau_c/10 = {tau_c * MAX_OU_STEP_FRACTION!r}; "
-            "the noise correlation would be misrepresented")
-    return grid
+def ou_decay_exponent(coupling: float, tau_c: float, t):
+    """G(t) = 4 coupling^2 tau_c^2 (x - 1 + e^-x), x = t/tau_c: |+> keeps coherence exp(-G)/2.
 
-
-def _ou_paths(normals: np.ndarray, steps: np.ndarray, tau_c: float,
-              start: float | np.ndarray) -> np.ndarray:
-    """Exact discrete Ornstein-Uhlenbeck paths, built in place in ``normals``.
-
-    Row k of ``normals`` (shape (points, rows)) is the innovation of a step of
-    length steps[k] from the path value before it, ``start`` before row 0; an
-    infinite step starts from the stationary distribution.
+    x + expm1(-x) loses about 2 ulp / x at small x.  As with Python floats, G
+    past the float range is inf (nan for inf times a zero bracket), unwarned.
     """
-    decay = np.exp(-steps / tau_c)
-    kick = np.sqrt(1.0 - decay * decay)
-    previous = start
-    for k, row in enumerate(normals):
-        row *= kick[k]
-        row += decay[k] * previous
-        previous = row
-    return normals
+    scale = 2.0 * coupling * tau_c
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.divide(t, tau_c)
+        return scale * scale * (x + np.expm1(-x))
+
+
+def _ou_interval_coefficients(tau: float, tau_c: float):
+    """Exact one-interval law of a stationary unit OU path f and its integral I.
+
+    With x = tau/tau_c and a = exp(-x), returns (spread, decay, kick, carry,
+    mix, fresh):
+
+    * I alone is Gaussian with standard deviation
+      spread = tau_c sqrt(2 (x - 1 + a));
+    * given the start f, the end is decay f + kick z1 with decay = a and
+      kick = sqrt(1 - a^2), and I = carry f + mix z1 + fresh z2 with
+      carry = tau_c (1 - a), mix = carry sqrt(tanh(x/2)) and
+      fresh = tau_c sqrt(2 (x - 2 tanh(x/2))), for independent standard
+      normals z1, z2 (D. T. Gillespie, Phys. Rev. E 54, 2084 (1996)).
+
+    Both differences cancel at small x (x - 2 tanh(x/2) ~ x^3/12), so they
+    come from their Taylor series there.
+    """
+    x = tau / tau_c
+    if x < 0.05:
+        # (x - 1 + a) / x^2 and (x - 2 tanh(x/2)) / x^3, scaled back below so
+        # that a tiny x does not underflow on the way
+        drift = 1/2 - x * (1/6 - x * (1/24 - x * (1/120 - x * (
+            1/720 - x * (1/5040 - x * (1/40320 - x / 362880))))))
+        lag = 1/12 - x * x * (1/120 - x * x * (17/20160 - x * x * 31/362880))
+        spread = tau_c * x * math.sqrt(2.0 * drift)
+        fresh = tau_c * x * math.sqrt(2.0 * x * lag)
+    else:
+        spread = tau_c * math.sqrt(2.0 * (x + math.expm1(-x)))
+        fresh = tau_c * math.sqrt(2.0 * (x - 2.0 * math.tanh(0.5 * x)))
+    carry = -tau_c * math.expm1(-x)
+    return (spread, math.exp(-x), math.sqrt(-math.expm1(-2.0 * x)), carry,
+            carry * math.sqrt(math.tanh(0.5 * x)), fresh)
+
+
+def _ou_phase_law(steps, tau_c: float) -> np.ndarray:
+    """Exact joint law of a unit OU path's integrals I_k over steps of lengths steps[k] >= 0.
+
+    Returns rows (sigma, carry, decay, gain), one column per step, for
+    I_k = carry_k m_{k-1} + sigma_k z_k and m_k = decay_k m_{k-1} + gain_k z_k,
+    m_0 = 0, one standard normal z_k per step.  This is the innovations form:
+    m_k is the mean of the path's value after step k given I_1..I_k, and its
+    variance P starts at 1 and follows S = carry^2 P + mix^2 + fresh^2,
+    sigma = sqrt(S), gain = (decay carry P + kick mix) / sigma and
+    P <- (P (mix^2 + decay^2 fresh^2) + kick^2 fresh^2) / S in the coefficients
+    of ``_ou_interval_coefficients``; no term cancels.  While P = 1, S is the
+    unconditional spread^2.  A zero step adds no phase and moves neither m nor P.
+    """
+    law = np.zeros((4, len(steps)))
+    law[2] = 1.0
+    p = 1.0
+    for k, step in enumerate(steps):
+        if step == 0.0:
+            continue
+        spread, decay, kick, carry, mix, fresh = _ou_interval_coefficients(step, tau_c)
+        s = spread * spread if p == 1.0 else carry * carry * p + mix * mix + fresh * fresh
+        sigma = math.sqrt(s)
+        law[:, k] = sigma, carry, decay, (decay * carry * p + kick * mix) / sigma
+        p = (p * (mix * mix + decay * decay * fresh * fresh) + kick * kick * fresh * fresh) / s
+    return law
+
+
+def _ou_phases(z: np.ndarray, law: np.ndarray, m=0.0):
+    """Phases I_k of ``law``'s steps (a slice of them) driven by the normals z[k].
+
+    ``z`` (steps, rows) is overwritten with m.  Returns the (steps, rows)
+    phases and m after the last step; ``m`` is the law's m before the first.
+    """
+    sigma, carry, decay, gain = law
+    phases = z * sigma[:, np.newaxis]
+    phases[0] += carry[0] * m
+    for k, row in enumerate(z):
+        row *= gain[k]
+        row += decay[k] * m
+        m = row
+    m = m.copy()
+    z[:-1] *= carry[1:, np.newaxis]
+    phases[1:] += z[:-1]
+    return phases, m
 
 
 @dataclass(frozen=True)
@@ -157,23 +213,6 @@ def _block_row_counts(trajectories: int):
         yield block, min(TRAJECTORY_BLOCK, trajectories - block * TRAJECTORY_BLOCK)
 
 
-def block_noise_values(model: NoiseModel, grid, base_seed: int, block: int,
-                       rows: int, context: tuple[int, ...] = ()) -> np.ndarray:
-    """Noise samples f(t) for one trajectory block, shape (rows, len(grid)).
-
-    Row r is the realisation seen by ensemble trajectory
-    block * TRAJECTORY_BLOCK + r; quasi-static realisations are broadcast
-    across the grid.  This is the exact draw layout ``ensemble_average`` uses.
-    """
-    grid = np.asarray(grid, dtype=float)
-    gen = stream_generator(base_seed, *context, block)
-    if model.kind is NoiseKind.QUASI_STATIC:
-        f0 = gen.standard_normal((rows, 1))
-        return np.broadcast_to(f0, (rows, grid.size)).copy()
-    steps = np.diff(grid, prepend=-np.inf)
-    return _ou_paths(gen.standard_normal((grid.size, rows)), steps, model.tau_c, 0.0).T
-
-
 def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int,
                      base_seed: int, context: tuple[int, ...] = ()) -> EnsembleResult:
     """Average M = ``trajectories`` dephasing realisations of ``psi0`` on ``grid``.
@@ -185,13 +224,8 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     if trajectories < 100:
         raise ValueError(f"need at least 100 trajectories, got {trajectories}")
     grid = np.asarray(grid, dtype=float)
-    if model.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-        grid = _check_ou_grid(grid, model.tau_c)
-    else:
-        if grid.ndim != 1 or grid.size == 0 or (grid.size > 1 and not np.all(np.diff(grid) > 0)):
-            raise ValueError("time grid must be 1-d and strictly increasing")
-        if grid[0] < 0.0:
-            raise ValueError("time grid must be non-negative")
+    if grid.ndim != 1 or grid.size == 0 or not (grid[0] >= 0.0 and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("time grid must be 1-d, non-negative and strictly increasing")
 
     rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
     g = grid.size
@@ -223,44 +257,38 @@ def _grid_chunks(size: int, rows: int) -> list[tuple[int, int]]:
 def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
     """Block kernel of ``ensemble_average``.
 
-    ``kernel(gen, rows)`` draws the block as ``block_noise_values`` does, one
-    grid chunk at a time in stream order, and returns its sum of exp(-2i phi)
-    over the rows at each grid point.  A chunk is a (points, rows) array, so
-    each grid point sums contiguous values and the chunk size changes no bit;
-    the OU path value and its running trapezoid integral carry over from one
-    chunk to the next.
+    ``kernel(gen, rows)`` draws the block one grid chunk at a time in stream
+    order and returns its sum of exp(-2i phi) over the rows at each grid
+    point.  A chunk is a (points, rows) array of the phases 2 phi, so each
+    grid point sums contiguous values and the chunk size changes no bit; the
+    OU law's m and the running phase carry over from one chunk to the next.
     """
     if model.kind is NoiseKind.QUASI_STATIC:
-        def chunk_integrals(gen, rows):
+        def chunk_phases(gen, rows):
             f0 = gen.standard_normal(rows)
             for c0, c1 in _grid_chunks(grid.size, rows):
-                yield c0, c1, np.multiply.outer(grid[c0:c1], f0)
+                yield c0, c1, np.multiply.outer(2.0 * model.coupling * grid[c0:c1], f0)
     else:
-        steps = np.diff(grid, prepend=-np.inf)
-        half_steps = 0.5 * np.diff(grid, prepend=0.0)[:, np.newaxis]
+        law = _ou_phase_law(np.diff(grid, prepend=0.0), model.tau_c)
+        law[:2] *= 2.0 * model.coupling          # sigma and carry, so phases are 2 phi
 
-        def chunk_integrals(gen, rows):
-            f = integral = 0.0           # path value and integral before the chunk
+        def chunk_phases(gen, rows):
+            m = phase = 0.0              # the law's m and the phase before the chunk
             for c0, c1 in _grid_chunks(grid.size, rows):
-                path = _ou_paths(gen.standard_normal((c1 - c0, rows)), steps[c0:c1],
-                                 model.tau_c, f)
-                integrals = np.empty_like(path)
-                integrals[0] = path[0] + f
-                np.add(path[1:], path[:-1], out=integrals[1:])
-                integrals *= half_steps[c0:c1]
-                integrals[0] += integral
-                np.cumsum(integrals, axis=0, out=integrals)
-                f, integral = path[-1].copy(), integrals[-1].copy()
-                del path
-                yield c0, c1, integrals
+                phases, m = _ou_phases(gen.standard_normal((c1 - c0, rows)), law[:, c0:c1], m)
+                for row in phases:              # the running sum: a cumsum over axis 0
+                    row += phase                # takes several times as long
+                    phase = row
+                phase = phase.copy()
+                yield c0, c1, phases
 
     def kernel(gen: np.random.Generator, rows: int):
         sums = np.empty(grid.size, dtype=complex)
-        for c0, c1, integrals in chunk_integrals(gen, rows):
-            factors = np.multiply(-2j * model.coupling, integrals)
-            np.exp(factors, out=factors)
-            sums[c0:c1] = factors.sum(axis=1)
-            del factors
+        for c0, c1, phases in chunk_phases(gen, rows):
+            sums.imag[c0:c1] = -np.sin(phases).sum(axis=1)
+            np.cos(phases, out=phases)
+            sums.real[c0:c1] = phases.sum(axis=1)
+            del phases
         return sums
 
     return kernel

@@ -31,7 +31,8 @@ from enum import Enum
 import numpy as np
 
 from .lindblad import DecoherenceParams
-from .noise import NoiseKind, NoiseModel, _reduce_blocks
+from .noise import (NoiseKind, NoiseModel, _ou_interval_coefficients, _ou_phase_law,
+                    _ou_phases, _reduce_blocks)
 from .qubit import DensityMatrix
 from .tables import Table
 
@@ -179,47 +180,13 @@ def coherence_ratio(params: DecoherenceParams, t: float, n: int) -> float:
 #        quasi-static, resample:   standard_normal((rows, N))
 #        quasi-static, persistent: standard_normal((rows, 1))
 #        OU, resample:             standard_normal((rows, N))
-#        OU, persistent:           standard_normal((rows, 2 N + 1))
-#      Ornstein-Uhlenbeck intervals are drawn from their exact law (D. T.
-#      Gillespie, Phys. Rev. E 54, 2084 (1996)): a resampled interval's phase
-#      is one Gaussian; a persistent path takes its stationary start from
-#      column 0 and interval k's two innovations from columns 2k+1 and 2k+2
+#        OU, persistent:           standard_normal((rows, N))
+#      Ornstein-Uhlenbeck intervals are drawn from their exact law
+#      (``zenosim.noise._ou_phase_law``): a resampled interval's phase is one
+#      Gaussian; a persistent path takes interval k's phase from column k
+#      through the law's innovations form, so at N = 1 both resets agree
 #   2. jump uniforms:        random((rows, N))
 #   3. measurement uniforms: random((rows, N))
-
-
-def _ou_interval_coefficients(tau: float, tau_c: float):
-    """Exact one-interval law of a stationary unit OU path f and its integral I.
-
-    With x = tau/tau_c and a = exp(-x), returns (spread, decay, kick, carry,
-    mix, fresh):
-
-    * I alone is Gaussian with standard deviation
-      spread = tau_c sqrt(2 (x - 1 + a));
-    * given the start f, the end is decay f + kick z1 with decay = a and
-      kick = sqrt(1 - a^2), and I = carry f + mix z1 + fresh z2 with
-      carry = tau_c (1 - a), mix = carry sqrt(tanh(x/2)) and
-      fresh = tau_c sqrt(2 (x - 2 tanh(x/2))), for independent standard
-      normals z1, z2.
-
-    Both differences cancel at small x (x - 2 tanh(x/2) ~ x^3/12), so they
-    come from their Taylor series there.
-    """
-    x = tau / tau_c
-    if x < 0.05:
-        # (x - 1 + a) / x^2 and (x - 2 tanh(x/2)) / x^3, scaled back below so
-        # that a tiny x does not underflow on the way
-        drift = 1/2 - x * (1/6 - x * (1/24 - x * (1/120 - x * (
-            1/720 - x * (1/5040 - x * (1/40320 - x / 362880))))))
-        lag = 1/12 - x * x * (1/120 - x * x * (17/20160 - x * x * 31/362880))
-        spread = tau_c * x * math.sqrt(2.0 * drift)
-        fresh = tau_c * x * math.sqrt(2.0 * x * lag)
-    else:
-        spread = tau_c * math.sqrt(2.0 * (x + math.expm1(-x)))
-        fresh = tau_c * math.sqrt(2.0 * (x - 2.0 * math.tanh(0.5 * x)))
-    carry = -tau_c * math.expm1(-x)
-    return (spread, math.exp(-x), math.sqrt(-math.expm1(-2.0 * x)), carry,
-            carry * math.sqrt(math.tanh(0.5 * x)), fresh)
 
 
 def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool,
@@ -231,19 +198,14 @@ def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool,
             return model.coupling * tau * np.broadcast_to(f0, (rows, n)).copy()
         return model.coupling * tau * gen.standard_normal((rows, n))
 
-    spread, decay, kick, carry, mix, fresh = _ou_interval_coefficients(tau, model.tau_c)
+    z = gen.standard_normal((rows, n))
     if not persistent:
-        return model.coupling * spread * gen.standard_normal((rows, n))
+        return model.coupling * _ou_interval_coefficients(tau, model.tau_c)[0] * z
     # one stationary path across the whole run; the phase accumulator resets
     # at each projection, the path does not
-    z = gen.standard_normal((rows, 2 * n + 1))
-    f = z[:, 0]
-    phases = np.empty((rows, n))
-    for k in range(n):
-        z1, z2 = z[:, 2 * k + 1], z[:, 2 * k + 2]
-        phases[:, k] = carry * f + mix * z1 + fresh * z2
-        f = decay * f + kick * z1
-    return model.coupling * phases
+    law = _ou_phase_law(np.full(n, tau), model.tau_c)
+    law[:2] *= model.coupling                    # sigma and carry
+    return _ou_phases(z.T, law)[0].T
 
 
 def _default_noise(params: DecoherenceParams) -> NoiseModel:

@@ -20,12 +20,12 @@ class TestParseConfig:
     def test_figure2_defaults(self):
         config = parse_config("experiment=figure2\n")
         assert config.experiment == "figure2"
-        assert config["t1"] == 1000.0
-        assert config["t2"] == 20.0
-        assert config["times"] == (20.0, 25.0, 30.0, 35.0)
-        assert config["n_max"] == 20
-        assert config["engine"] == "analytic"
-        assert config["base_seed"] == DEFAULT_BASE_SEED
+        assert config.settings["t1"] == 1000.0
+        assert config.settings["t2"] == 20.0
+        assert config.settings["times"] == (20.0, 25.0, 30.0, 35.0)
+        assert config.settings["n_max"] == 20
+        assert config.settings["engine"] == "analytic"
+        assert config.settings["base_seed"] == DEFAULT_BASE_SEED
 
     def test_negative_time_names_key(self):
         with pytest.raises(ConfigError, match="t_end"):
@@ -58,7 +58,7 @@ class TestParseConfig:
     def test_duplicate_key_last_wins_with_warning(self):
         with pytest.warns(UserWarning, match="duplicate"):
             config = parse_config("experiment=figure2\nn_max=5\nn_max=7\n")
-        assert config["n_max"] == 7
+        assert config.settings["n_max"] == 7
 
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config("# full line\n\nexperiment=figure2  # trailing\n")
@@ -66,22 +66,22 @@ class TestParseConfig:
 
     def test_infinite_times_accepted(self):
         config = parse_config("experiment=decay_curve\nt1=inf\nt2=inf\n")
-        assert math.isinf(config["t1"]) and math.isinf(config["t2"])
+        assert math.isinf(config.settings["t1"]) and math.isinf(config.settings["t2"])
 
     def test_times_list_parsed(self):
         config = parse_config("experiment=figure2\ntimes=10,15\n")
-        assert config["times"] == (10.0, 15.0)
+        assert config.settings["times"] == (10.0, 15.0)
 
     def test_figure3_reversed_time_range_names_both_keys(self):
         with pytest.raises(ConfigError, match="t_min.*t_max"):
             parse_config("experiment=figure3\nt_min=800\nt_max=50\n")
-        assert parse_config("experiment=figure3\nt_min=50\nt_max=50\n")["t_min"] == 50.0
+        assert parse_config("experiment=figure3\nt_min=50\nt_max=50\n").settings["t_min"] == 50.0
 
     def test_crossover_derived_defaults(self):
         # coupling = 0.05 keeps the coherence at t_end = 80 above the noise floor
         config = parse_config("experiment=crossover_scan\ntau_c=2.0\ncoupling=0.05\n")
-        assert config["t_end"] == 80.0
-        assert config["dt"] == pytest.approx(0.02)
+        assert config.settings["t_end"] == 80.0
+        assert config.settings["dt"] == pytest.approx(0.02)
 
 
 class TestRunExperiment:
@@ -107,7 +107,8 @@ class TestRunExperiment:
         table = read_csv(run_experiment(config, out_dir=tmp_path)["csv"])
         hs = SystemHamiltonian(1.0, 0.05)
         params = DecoherenceParams.from_times(1000.0, 20.0, hs)
-        result = integrate(plus_state().density(), params, config["t_end"], config["dt"])
+        result = integrate(plus_state().density(), params, config.settings["t_end"],
+                           config.settings["dt"])
         assert len(table.rows) == len(result.times)
         for row, t, state in zip(table.rows, result.times, result.states):
             u = hs.evolution(float(t)).matrix
@@ -195,7 +196,8 @@ class TestRunExperiment:
         assert t[-1] == pytest.approx(t_end, rel=1e-12)
         assert max(t) <= t_end * (1.0 + 1e-12)
         assert all(b > a for a, b in zip(t, t[1:]))
-        assert max(b - a for a, b in zip(t, t[1:])) <= 0.1 * config["tau_c"] * (1.0 + 1e-12)
+        tau_c = config.settings["tau_c"]
+        assert max(b - a for a, b in zip(t, t[1:])) <= 0.1 * tau_c * (1.0 + 1e-12)
 
     def test_crossover_long_fit_keeps_two_points(self, tmp_path):
         # t_end/2 = 0.010000000000000002 rounds above the grid point 0.01, which left
@@ -448,9 +450,12 @@ class TestMainEntry:
         ("experiment=figure3\nt_points=100000000\n", ("t_points", "n_max")),
         ("experiment=decay_curve\ndt=1.2\n", ("dt", "t1", "t2")),
         ("experiment=crossover_scan\nt_end=1e308\n", ("t_end", "dt")),
+        # the lab frame turns by 5e301 rad, which float64 rounds by ~1e286 rad
+        ("experiment=decay_curve\nepsilon=1e300\n", ("epsilon", "delta", "t_end")),
     ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan", "figure2_mc",
             "mc_validate", "crossover_scan_trajectories", "figure2", "figure3",
-            "decay_curve_dt_above_rk4_limit", "crossover_scan_uncountable_grid"])
+            "decay_curve_dt_above_rk4_limit", "crossover_scan_uncountable_grid",
+            "decay_curve_lab_phase"])
     def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
         path = tmp_path / "config.txt"
         path.write_text(text)
@@ -517,8 +522,9 @@ class TestDecayCurveRules:
         text = f"experiment=decay_curve\nt_end=1\ndt={dt!r}\n"
         if accepted:
             config = parse_config(text)
-            params = DecoherenceParams.from_times(config["t1"], config["t2"])
-            result = integrate(plus_state().density(), params, config["t_end"], config["dt"])
+            params = DecoherenceParams.from_times(config.settings["t1"], config.settings["t2"])
+            result = integrate(plus_state().density(), params, config.settings["t_end"],
+                               config.settings["dt"])
             assert config.plan.rows == len(result.times) == 6
         else:
             with pytest.raises(ConfigError, match=r"dt = .* min\(t1, t2\)/100"):

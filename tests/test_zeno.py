@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from zenosim.lindblad import DecoherenceParams, closed_form_rho_rotating
-from zenosim.noise import NoiseModel
+from zenosim.noise import NoiseModel, _ou_interval_coefficients
 from zenosim.qubit import SystemHamiltonian
 from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           ProtocolResult, coherence_ratio, figure2_sweep,
                           figure3_surface, nonselective_coherence,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
                           pn_approx, selective_run_mc, selective_step_probability)
-from zenosim.zeno import _ou_interval_coefficients, _stay_probability
+from zenosim.zeno import _interval_phases, _stay_probability
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
@@ -358,6 +358,24 @@ class TestOrnsteinUhlenbeckProtocols:
             result = nonselective_run_mc(params, config, noise)
             value, stderr = result.coherence, result.coherence_stderr
         assert abs(value - expected) <= 4.0 * stderr
+
+    def test_persistent_equals_resample_for_single_interval(self):
+        # one interval has no path to persist: both resets draw the same normal
+        # per trajectory and give the same bits, also at tau = tau_c/4, where
+        # carry^2 + mix^2 + fresh^2 and spread^2 differ in the last bit
+        noise = NoiseModel.ornstein_uhlenbeck(0.6, 1.0)
+        resample, persistent = (_interval_phases(noise, 0.25, 1, reset is NoiseReset.PERSISTENT,
+                                                 np.random.Generator(np.random.Philox(5)), 1000)
+                                for reset in NoiseReset)
+        assert np.array_equal(resample, persistent)
+        params = DecoherenceParams.from_times(20.0, math.inf)
+        for kind, run in ((ProtocolKind.SELECTIVE, selective_run_mc),
+                          (ProtocolKind.NON_SELECTIVE, nonselective_run_mc)):
+            resample, persistent = (
+                run(params, mc_config(4.0, 1, m=5000, seed=23, kind=kind, reset=reset), noise)
+                for reset in NoiseReset)
+            assert persistent.success_probability == resample.success_probability
+            assert persistent.coherence == resample.coherence
 
     def test_interval_far_longer_than_correlation_time(self):
         # tau/tau_c = 1e6: one draw per interval whatever the ratio
