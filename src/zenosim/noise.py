@@ -37,7 +37,10 @@ would combine them.  Results are therefore bit-identical for a given
 (model, grid, M, base_seed) whatever the worker count and whatever order the
 blocks finish in.  Each block in flight draws and works through its grid in
 chunks of about ``CHUNK_VALUES`` float64, so its scratch memory does not grow
-with the grid, and the chunk size changes no bit of the result.
+with the grid, and the chunk size changes no bit of the result.  A chunk is a
+tile of 2^15 values (256 KiB): a block allocates two tiles once, draws every
+chunk's normals into one and writes its phases into the other, so both stay
+in one core's L2 cache.
 """
 
 import math
@@ -52,8 +55,9 @@ from .qubit import PureState
 TRAJECTORY_BLOCK = 2048
 
 # float64 values per grid chunk of a block in ensemble_average; a block in
-# flight holds a few arrays of this size, whatever the length of the grid
-CHUNK_VALUES = 1 << 18
+# flight holds two tiles of this size, whatever the length of the grid.  At
+# 256 KiB each they fit in one core's L2 cache, which a 2 MiB tile fills alone
+CHUNK_VALUES = 1 << 15
 
 
 class NoiseKind(str, Enum):
@@ -166,14 +170,15 @@ def _ou_phase_law(steps, tau_c: float) -> np.ndarray:
     return law
 
 
-def _ou_phases(z: np.ndarray, law: np.ndarray, m=0.0):
+def _ou_phases(z: np.ndarray, law: np.ndarray, m=0.0, out=None):
     """Phases I_k of ``law``'s steps (a slice of them) driven by the normals z[k].
 
     ``z`` (steps, rows) is overwritten with m.  Returns the (steps, rows)
-    phases and m after the last step; ``m`` is the law's m before the first.
+    phases, written into ``out`` if given, and m after the last step; ``m``
+    is the law's m before the first.
     """
     sigma, carry, decay, gain = law
-    phases = z * sigma[:, np.newaxis]
+    phases = np.multiply(z, sigma[:, np.newaxis], out=out)
     phases[0] += carry[0] * m
     for k, row in enumerate(z):
         row *= gain[k]
@@ -259,36 +264,43 @@ def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
 
     ``kernel(gen, rows)`` draws the block one grid chunk at a time in stream
     order and returns its sum of exp(-2i phi) over the rows at each grid
-    point.  A chunk is a (points, rows) array of the phases 2 phi, so each
+    point.  A chunk is a (points, rows) tile of the phases 2 phi, so each
     grid point sums contiguous values and the chunk size changes no bit; the
     OU law's m and the running phase carry over from one chunk to the next.
+    The block allocates its two tiles once: ``chunk_phases`` writes each
+    chunk's phases into ``tile`` (drawing OU normals into ``spare`` first),
+    and the sines go into ``spare``.
     """
     if model.kind is NoiseKind.QUASI_STATIC:
-        def chunk_phases(gen, rows):
-            f0 = gen.standard_normal(rows)
-            for c0, c1 in _grid_chunks(grid.size, rows):
-                yield c0, c1, np.multiply.outer(2.0 * model.coupling * grid[c0:c1], f0)
+        scale = 2.0 * model.coupling * grid
+
+        def chunk_phases(gen, chunks, tile, spare):
+            f0 = gen.standard_normal(tile.shape[1])
+            for c0, c1 in chunks:
+                yield np.multiply.outer(scale[c0:c1], f0, out=tile[:c1 - c0])
     else:
         law = _ou_phase_law(np.diff(grid, prepend=0.0), model.tau_c)
         law[:2] *= 2.0 * model.coupling          # sigma and carry, so phases are 2 phi
 
-        def chunk_phases(gen, rows):
+        def chunk_phases(gen, chunks, tile, spare):
             m = phase = 0.0              # the law's m and the phase before the chunk
-            for c0, c1 in _grid_chunks(grid.size, rows):
-                phases, m = _ou_phases(gen.standard_normal((c1 - c0, rows)), law[:, c0:c1], m)
+            for c0, c1 in chunks:
+                z = gen.standard_normal(out=spare[:c1 - c0])
+                phases, m = _ou_phases(z, law[:, c0:c1], m, out=tile[:c1 - c0])
                 for row in phases:              # the running sum: a cumsum over axis 0
                     row += phase                # takes several times as long
                     phase = row
                 phase = phase.copy()
-                yield c0, c1, phases
+                yield phases
 
     def kernel(gen: np.random.Generator, rows: int):
+        chunks = _grid_chunks(grid.size, rows)
+        tile, spare = np.empty((2, chunks[0][1], rows))      # the first chunk is the widest
         sums = np.empty(grid.size, dtype=complex)
-        for c0, c1, phases in chunk_phases(gen, rows):
-            sums.imag[c0:c1] = -np.sin(phases).sum(axis=1)
+        for (c0, c1), phases in zip(chunks, chunk_phases(gen, chunks, tile, spare)):
+            sums.imag[c0:c1] = -np.sin(phases, out=spare[:c1 - c0]).sum(axis=1)
             np.cos(phases, out=phases)
             sums.real[c0:c1] = phases.sum(axis=1)
-            del phases
         return sums
 
     return kernel

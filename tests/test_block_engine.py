@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from zenosim import noise, zeno
+from zenosim.config import parse_config
 from zenosim.lindblad import DecoherenceParams
 from zenosim.noise import TRAJECTORY_BLOCK, NoiseModel, ensemble_average
 from zenosim.qubit import plus_state
@@ -125,6 +126,22 @@ def test_block_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 6 * noise.CHUNK_VALUES * 8
+
+
+def test_crossover_blocks_in_flight_hold_little_scratch(monkeypatch):
+    # two blocks at once on the default crossover_scan grid: each holds two
+    # cache-sized tiles, where 2 MiB tiles drawn fresh per chunk peaked at 12.8 MiB
+    cfg = parse_config("experiment=crossover_scan\n")
+    model = NoiseModel.ornstein_uhlenbeck(cfg.settings["coupling"], cfg.settings["tau_c"])
+    monkeypatch.setattr(noise, "_available_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        ensemble_average(plus_state(), model, cfg.plan.t, 2 * TRAJECTORY_BLOCK, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.plan.t.size == 410
+    assert peak < 4 * 2 ** 20
 
 
 def test_engine_yields_in_block_order():

@@ -25,7 +25,7 @@ from zenosim.lindblad import DecoherenceParams
 from zenosim.noise import NoiseModel, ensemble_average
 from zenosim.qubit import plus_state
 from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
-                          nonselective_run_mc, selective_run_mc)
+                          nonselective_run_mc, pn_persistent, selective_run_mc)
 
 GOLDEN = Path(__file__).parent / "golden" / "mc"
 
@@ -107,6 +107,16 @@ def test_cli_output_matches_golden(name, tmp_path):
     paths = run_cli_case(name, tmp_path)
     assert paths["csv"].read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     assert paths["summary"].read_bytes() == (GOLDEN / f"{name}.summary.txt").read_bytes()
+
+
+def test_persistent_golden_agrees_with_its_reference():
+    # the P_analytic column is the resample closed form; persistent noise
+    # has E[q(f0)^N] as its reference
+    params = DecoherenceParams.from_times(1000.0, 20.0)     # the figure2 defaults
+    lines = (GOLDEN / "figure2_mc_persistent.csv").read_text(encoding="utf-8").splitlines()
+    z = [abs(float(p_mc) - pn_persistent(params, float(t), int(n))) / float(stderr)
+         for t, n, _, p_mc, stderr in (line.split(",") for line in lines[1:])]
+    assert len(z) == 80 and max(z) <= 3.0
 
 
 def test_ou_protocol_digests_match_golden():

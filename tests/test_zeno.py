@@ -16,7 +16,8 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           ProtocolResult, coherence_ratio, figure2_sweep,
                           figure3_surface, nonselective_coherence,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
-                          pn_approx, selective_run_mc, selective_step_probability)
+                          pn_approx, pn_persistent, selective_run_mc,
+                          selective_step_probability)
 from zenosim.zeno import _interval_phases, _stay_probability
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
@@ -112,6 +113,49 @@ class TestPnAnalytic:
         params = DecoherenceParams.from_times(t2 * t1_factor, t2)
         t = t2 * t_factor
         assert pn_analytic(params, t, n + 1) >= pn_analytic(params, t, n) - 1e-15
+
+
+def hermite_persistent(params, t, n, rule):
+    """E[q(f0)^N] by an independent route: the Gauss-Hermite ``rule`` (nodes, weights)."""
+    x, w = rule
+    tau = t / n
+    q = 0.5 + 0.5 * math.exp(-0.5 * params.gamma1 * tau) * np.cos(
+        math.sqrt(2.0) * params.gamma2 * tau * x)
+    return float(w @ q ** n / w.sum())
+
+
+def binomial_persistent(params, t, n):
+    """E[q(f0)^N] expanded in powers of cos: a double sum of positive terms, exact at any t."""
+    tau = t / n
+    eps, g = math.exp(-0.5 * params.gamma1 * tau), (params.gamma2 * tau) ** 2
+    return sum(math.comb(n, k) * 0.5 ** (n - k) * (0.25 * eps) ** k
+               * sum(math.comb(k, j) * math.exp(-(k - 2 * j) ** 2 * g) for j in range(k + 1))
+               for k in range(n + 1))
+
+
+class TestPnPersistent:
+    def test_single_interval_is_the_resample_product(self):
+        for t in np.linspace(0.5, 400.0, 41):
+            assert abs(pn_persistent(FIG2, t, 1) - pn_analytic(FIG2, t, 1)) <= 1e-15
+
+    def test_matches_gauss_hermite_quadrature(self):
+        # sqrt(2) t / T2 <= 13, where 120- and 240-node rules agree
+        coarse, fine = (np.polynomial.hermite_e.hermegauss(nodes) for nodes in (120, 240))
+        for t in (1.0, 20.0, 25.0, 30.0, 35.0, 100.0, 180.0):
+            for n in range(1, 41):
+                reference = hermite_persistent(FIG2, t, n, fine)
+                assert abs(hermite_persistent(FIG2, t, n, coarse) - reference) <= 1e-14
+                assert abs(pn_persistent(FIG2, t, n) - reference) <= 1e-14
+
+    def test_matches_binomial_sum_beyond_the_quadrature(self):
+        for t in (20.0, 300.0, 1000.0, 5000.0):
+            for n in range(1, 31):
+                assert abs(pn_persistent(FIG2, t, n) - binomial_persistent(FIG2, t, n)) <= 1e-14
+
+    def test_zero_time_and_jensen_bound(self):
+        assert pn_persistent(FIG2, 0.0, 5) == 1.0
+        for n in range(1, 21):
+            assert pn_persistent(FIG2, 30.0, n) >= pn_analytic(FIG2, 30.0, n) - 1e-15
 
 
 class TestPnApprox:
@@ -364,8 +408,8 @@ class TestOrnsteinUhlenbeckProtocols:
         # per trajectory and give the same bits, also at tau = tau_c/4, where
         # carry^2 + mix^2 + fresh^2 and spread^2 differ in the last bit
         noise = NoiseModel.ornstein_uhlenbeck(0.6, 1.0)
-        resample, persistent = (_interval_phases(noise, 0.25, 1, reset is NoiseReset.PERSISTENT,
-                                                 np.random.Generator(np.random.Philox(5)), 1000)
+        resample, persistent = (_interval_phases(noise, 0.25, 1, reset is NoiseReset.PERSISTENT)(
+                                    np.random.Generator(np.random.Philox(5)), 1000)
                                 for reset in NoiseReset)
         assert np.array_equal(resample, persistent)
         params = DecoherenceParams.from_times(20.0, math.inf)
