@@ -35,7 +35,12 @@ available to the process (there is no setting), and hands their partial
 results back in block order, where they are combined exactly as a serial loop
 would combine them.  Results are therefore bit-identical for a given
 (model, grid, M, base_seed) whatever the worker count and whatever order the
-blocks finish in.  Each block in flight draws and works through its grid in
+blocks finish in.  The thread pool is built by the first run of more than one
+block and reused by every later run in the process; a forked child drops the
+pool it inherits and builds its own.  ``numpy.random`` and
+``concurrent.futures`` are imported only when they are first needed (the
+first stream derived, the first pool built), so a process that samples
+nothing loads neither.  Each block in flight draws and works through its grid in
 chunks of about ``CHUNK_VALUES`` float64, so its scratch memory does not grow
 with the grid, and the chunk size changes no bit of the result.  A chunk is a
 tile of 2^15 values (256 KiB): a block allocates two tiles once, draws every
@@ -91,7 +96,7 @@ class NoiseModel:
         return cls(NoiseKind.ORNSTEIN_UHLENBECK, coupling, tau_c)
 
 
-def stream_generator(base_seed: int, *key: int) -> np.random.Generator:
+def stream_generator(base_seed: int, *key: int) -> "np.random.Generator":
     """Counter-based Philox stream for (base_seed, key...); O(1) to derive."""
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
@@ -293,7 +298,7 @@ def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
                 phase = phase.copy()
                 yield phases
 
-    def kernel(gen: np.random.Generator, rows: int):
+    def kernel(gen: "np.random.Generator", rows: int):
         chunks = _grid_chunks(grid.size, rows)
         tile, spare = np.empty((2, chunks[0][1], rows))      # the first chunk is the widest
         sums = np.empty(grid.size, dtype=complex)
@@ -313,6 +318,13 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# worker count -> block pool, kept for the process; a forked child inherits
+# the pools but none of their threads, so it drops them
+_pools = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
 def _reduce_blocks(kernel, trajectories: int, base_seed: int,
                    context: tuple[int, ...] = (), workers: int | None = None):
     """Yield ``kernel(gen, rows)`` for every trajectory block, in block order.
@@ -321,9 +333,12 @@ def _reduce_blocks(kernel, trajectories: int, base_seed: int,
     order, all of them before the first kernel starts, so whatever wraps
     ``stream_generator`` runs on the caller's thread only.  The kernels run
     on ``workers`` threads (default: every CPU this process may use, at most
-    one per block; one block runs inline).  A kernel must draw only from the
-    ``gen`` it is given, so its result does not depend on which thread runs
-    it or when.
+    one per block; one block runs inline).  The pool of that many threads is
+    built by the first run of more than one block that needs it and reused by
+    every later run in the process; a forked child drops it and builds its
+    own.  ``numpy.random`` loads with the first stream derived.  A kernel
+    must draw only from the ``gen`` it is given, so its result does not
+    depend on which thread runs it or when.
     """
     blocks = list(_block_row_counts(trajectories))
     workers = min(workers or _available_cpus(), len(blocks))
@@ -331,9 +346,12 @@ def _reduce_blocks(kernel, trajectories: int, base_seed: int,
         for block, rows in blocks:
             yield kernel(stream_generator(base_seed, *context, block), rows)
         return
-    # imported here: it costs a run that needs no threads about 15 ms
-    from concurrent.futures import ThreadPoolExecutor
-
     gens = [stream_generator(base_seed, *context, block) for block, _ in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(kernel, gens, [rows for _, rows in blocks])
+    pool = _pools.get(workers)
+    if pool is None:
+        # imported here, so a run that needs no threads skips its ~4 ms import
+        from concurrent.futures import ThreadPoolExecutor
+
+        # of two threads that race here, both use the pool stored first
+        pool = _pools.setdefault(workers, ThreadPoolExecutor(workers, "zenosim-block"))
+    yield from pool.map(kernel, gens, [rows for _, rows in blocks])

@@ -249,7 +249,7 @@ def _kept_outcomes(params: DecoherenceParams, config: ProtocolConfig, noise: Noi
     p_jump = 0.5 * (1.0 - eps_sq)                    # from a fresh |+->-type state
     interval_phases = _interval_phases(noise, tau, n, persistent)
 
-    def kept(gen: np.random.Generator, rows: int) -> np.ndarray:
+    def kept(gen: "np.random.Generator", rows: int) -> np.ndarray:
         phases = interval_phases(gen, rows)
         jumped = gen.random((rows, n)) < p_jump
         stay = _stay_probability(params, tau, phases, jumped)

@@ -2,18 +2,27 @@
 
 Every Monte Carlo path must give the same bits whatever the number of worker
 threads, whatever order the blocks finish in and whatever the chunk budget,
-and a block's scratch memory must not grow with its grid.
+and a block's scratch memory must not grow with its grid.  The thread pool
+is built once per process and must neither hang a forked child nor hold up
+interpreter exit, and a run that samples nothing must not load the sampling
+machinery.
 """
 
-import concurrent.futures
+import os
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenosim
 from zenosim import noise, zeno
 from zenosim.config import parse_config
 from zenosim.lindblad import DecoherenceParams
@@ -157,18 +166,35 @@ def test_engine_yields_in_block_order():
 
 
 def test_pool_has_one_worker_per_cpu_capped_at_block_count(monkeypatch):
-    sizes = []
+    lock = threading.Lock()
+    running = most = 0
+    workers = set()
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    def kernel(gen, rows):
+        nonlocal running, most
+        with lock:
+            running += 1
+            most = max(most, running)
+            workers.add(threading.current_thread())
+        time.sleep(0.1)                 # long enough for every idle worker to take a block
+        with lock:
+            running -= 1
+        return rows
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    def call():
+        nonlocal most
+        most = 0
+        workers.clear()
+        list(noise._reduce_blocks(kernel, TRAJECTORIES, 1))
+        return most, set(workers)
+
     for cpus in (2, 8):
         monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
-        list(noise._reduce_blocks(lambda gen, rows: rows, TRAJECTORIES, 1))
-    assert sizes == [2, 3]
+        at_once, threads = call()
+        alive = set(threading.enumerate())
+        assert at_once == min(cpus, 3)                   # three blocks
+        assert call() == (at_once, threads)              # the same workers again
+        assert set(threading.enumerate()) == alive       # and no new thread
 
 
 def test_single_block_runs_inline(monkeypatch):
@@ -181,6 +207,68 @@ def test_single_block_runs_inline(monkeypatch):
 
     assert list(noise._reduce_blocks(kernel, TRAJECTORY_BLOCK, 1)) == [TRAJECTORY_BLOCK]
     assert threads == [threading.main_thread()]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    monkeypatch.setattr(noise, "_available_cpus", lambda: 2)
+
+    def call():
+        result = ensemble_average(plus_state(), OU, GRID, TRAJECTORIES, 11, context=(2,))
+        return result.mean_rho.tobytes() + result.stderr.tobytes()
+
+    parent = call()                     # the pool and its threads now exist
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns about forking a process that runs threads
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(20)            # a child waiting on the parent's pool dies of SIGALRM
+            code = 0 if call() == parent else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _python(*args, cwd, timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter, warnings as errors, that imports this zenosim."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zenosim.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+MC_CONFIG = "experiment=figure2\nengine=mc\ntrajectories=5000\ntimes=20\nn_max=3\n"
+
+
+def test_runs_that_sample_nothing_load_no_sampling_machinery(tmp_path):
+    for name, text in (("decay_curve", "experiment=decay_curve\n"),
+                       ("figure2", "experiment=figure2\n"), ("mc", MC_CONFIG)):
+        (tmp_path / f"{name}.txt").write_text(text)
+    proc = _python("-c", textwrap.dedent("""
+        import sys
+        from zenosim import cli, noise
+
+        lazy = {"numpy.random", "concurrent.futures"}
+        for name in ("decay_curve", "figure2"):
+            assert cli.main(["run", name + ".txt", "--out", name]) == 0
+        assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()
+        assert cli.main(["run", "mc.txt", "--out", "mc"]) == 0
+        assert "numpy.random" in sys.modules
+        # only a run of two or more blocks on two or more CPUs builds the pool
+        assert ("concurrent.futures" in sys.modules) == (noise._available_cpus() > 1)
+        """), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_idle_pool_does_not_hold_up_exit(tmp_path):
+    (tmp_path / "mc.txt").write_text(MC_CONFIG)
+    proc = _python("-m", "zenosim.cli", "run", "mc.txt", "--out", "out",
+                   cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1948, TRAJECTORY_BLOCK])
