@@ -17,7 +17,7 @@ from .qubit import (IDENTITY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
                     DensityMatrix, PureState, QubitOperator, SystemHamiltonian,
                     bloch_vector, corotating_projector, dynamical_fidelity,
                     plus_state, rotation_y)
-from .tables import Table, read_csv, write_csv
+from .tables import Table, write_csv
 from .zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                    ProtocolResult, coherence_ratio, figure2_sweep,
                    figure3_surface, nonselective_coherence, nonselective_rho,
@@ -35,7 +35,7 @@ __all__ = [
     "DensityMatrix", "PureState", "QubitOperator", "SystemHamiltonian",
     "bloch_vector", "corotating_projector", "dynamical_fidelity", "plus_state",
     "rotation_y",
-    "Table", "read_csv", "write_csv",
+    "Table", "write_csv",
     "EngineKind", "NoiseReset", "ProtocolConfig", "ProtocolKind", "ProtocolResult",
     "coherence_ratio", "figure2_sweep", "figure3_surface", "nonselective_coherence",
     "nonselective_rho", "nonselective_run_mc", "pn_analytic", "pn_approx",

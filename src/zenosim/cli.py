@@ -35,12 +35,24 @@ def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
         raise ValueError(f"lab-frame state at t = {float(result.times[bad[0]])!r}: {bad[1]}")
     fid = dynamical_fidelities(lab, psi0, u)
     coh = lab[:, 0, 1]
-    columns = (result.times, lab[:, 0, 0].real, lab[:, 1, 1].real, coh.real, coh.imag,
-               np.abs(coh), fid)
-    rows = list(zip(*(c.tolist() for c in columns)))
-    table = Table(("t", "p00", "p11", "re01", "im01", "abs01", "fidelity"), rows)
-    summary = [f"final fidelity at t={_cell(settings['t_end'])} ns: {_cell(rows[-1][6])}"]
+    table = Table({"t": result.times, "p00": lab[:, 0, 0].real, "p11": lab[:, 1, 1].real,
+                   "re01": coh.real, "im01": coh.imag, "abs01": np.abs(coh), "fidelity": fid})
+    summary = [f"final fidelity at t={_cell(settings['t_end'])} ns: {_cell(fid[-1])}"]
     return table, summary
+
+
+def _max_z(estimate, reference, stderr) -> tuple[str, bool]:
+    """Max |estimate - reference| / stderr over the points with stderr > 0.
+
+    Returns its summary text and whether every point is within 3 stderr;
+    with every stderr 0, within 3 stderr means equal to the reference.
+    """
+    estimate, reference, stderr = map(np.asarray, (estimate, reference, stderr))
+    keep = stderr > 0.0
+    if not keep.any():
+        return "n/a (every MC stderr is 0)", bool(np.all(estimate == reference))
+    z = float((np.abs(estimate[keep] - reference[keep]) / stderr[keep]).max())
+    return _cell(z), z <= 3.0
 
 
 def _local_exponent(times: np.ndarray, coherence: np.ndarray, mask: np.ndarray) -> float:
@@ -59,8 +71,7 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
                                 settings["base_seed"])
     coherence = ensemble.coherence()
     stderr = ensemble.coherence_stderr()
-    rows = [(float(t), float(c), float(s)) for t, c, s in zip(grid, coherence, stderr)]
-    table = Table(("t", "abs01", "stderr"), rows)
+    table = Table({"t": grid, "abs01": coherence, "stderr": stderr})
 
     normalised = 2.0 * coherence
     # exponential-regime window; falls back to the tail when the scan is short, and
@@ -76,10 +87,9 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
     if long_start < 20.0 * tau_c:
         slope_window = long_window = f" for t >= t_end/2 = {long_start:.6g} ns"
     # the MC against its closed form exp(-G(t))/2, point by point
-    keep = (grid > 0.0) & (stderr > 0.0)
-    closed = 0.5 * np.exp(-ou_decay_exponent(coupling, tau_c, grid[keep]))
-    z = np.abs(coherence[keep] - closed) / stderr[keep]
-    z_max = _cell(float(z.max())) if z.size else "n/a (every MC stderr is 0)"
+    later = grid > 0.0
+    closed = 0.5 * np.exp(-ou_decay_exponent(coupling, tau_c, grid[later]))
+    z_max, _ = _max_z(coherence[later], closed, stderr[later])
     summary = [
         f"max |MC - exp(-G(t))/2| over t > 0 in stderr units: {z_max} "
         "(G(t) = 4 coupling^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c)))",
@@ -91,26 +101,18 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _mc_references(settings, table: Table) -> list[float]:
-    """The analytic P_N each MC row is checked against.
+def _mc_z(settings, table: Table) -> tuple[str, bool]:
+    """``_max_z`` of P_mc against the analytic P_N of each MC row.
 
     Resampled noise: the row's P_analytic.  Persistent noise: E[q(f0)^N] of
     ``zeno.pn_persistent``, which the CSV does not carry.
     """
     if settings["noise_reset"] == "resample":
-        return [r[2] for r in table.rows]
-    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
-    return [pn_persistent(params, r[0], r[1]) for r in table.rows]
-
-
-def _deviations(table: Table, references: list[float]) -> list[float]:
-    """|P_mc - reference| / stderr at every MC point with a nonzero stderr."""
-    return [abs(r[3] - ref) / r[4] for r, ref in zip(table.rows, references)
-            if r[4] and r[4] > 0.0]
-
-
-def _max_deviation(devs: list[float]) -> str:
-    return _cell(max(devs)) if devs else "n/a (every MC stderr is 0)"
+        references = table["P_analytic"]
+    else:
+        params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
+        references = [pn_persistent(params, t, n) for t, n in zip(table["t"], table["N"])]
+    return _max_z(table["P_mc"], references, table["P_mc_stderr"])
 
 
 def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
@@ -122,19 +124,15 @@ def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
         base_seed=settings["base_seed"] if mc else None,
         noise_reset=NoiseReset(settings["noise_reset"]))
     n_max = settings["n_max"]
-    top = {}
-    for r in table.rows:
-        if r[1] == n_max:
-            top.setdefault(r[0], r)
-    summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(top[t][2])}"
-               for t in plan.t]
+    # rows run over N = 1..n_max within each t, t in grid order
+    summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(p)}"
+               for t, p in zip(plan.t, table["P_analytic"][n_max - 1::n_max])]
     if mc:
-        devs = _deviations(table, _mc_references(settings, table))
+        z_max, _ = _mc_z(settings, table)
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "consistency check against E[q(f0)^N] for persistent noise; "
                   "P_analytic is the resample closed form")
-        summary.append(f"max |MC - analytic| in stderr units: {_max_deviation(devs)} "
-                       f"({status})")
+        summary.append(f"max |MC - analytic| in stderr units: {z_max} ({status})")
     return table, summary
 
 
@@ -143,12 +141,11 @@ def _run_figure3(settings, plan: Plan) -> tuple[Table, list[str]]:
     t_grid = plan.t
     n_grid = range(1, settings["n_max"] + 1)
     table = figure3_surface(params, t_grid, n_grid)
-    first, last = {}, {}             # rows run over N within each t, t in grid order
-    for r in table.rows:
-        first.setdefault(r[0], r)
-        last[r[0]] = r
-    # an N=1 coherence that underflowed has no uplift
-    uplifts = {t: last[t][2] / r[2] for t, r in first.items() if r[2] > 0.0}
+    # rows run over N within each t, t in grid order; an N=1 coherence that
+    # underflowed has no uplift
+    abs01, n = table["abs01"], len(n_grid)
+    uplifts = {t: last / first for t, first, last
+               in zip(t_grid.tolist(), abs01[::n], abs01[n - 1::n]) if first > 0.0}
     if uplifts:
         best_t = max(uplifts, key=uplifts.get)
         uplift = f"{_cell(uplifts[best_t])} at t={_cell(best_t)} ns"
@@ -163,22 +160,17 @@ def _run_figure3(settings, plan: Plan) -> tuple[Table, list[str]]:
 def _run_ratio_plot(settings, plan: Plan) -> tuple[Table, list[str]]:
     t = settings["t"]
     table, _ = _run_figure3(settings, plan)
-    summary = [f"ratio at N={settings['n_max']}, t={_cell(t)} ns: {_cell(table.rows[-1][3])} "
+    summary = [f"ratio at N={settings['n_max']}, t={_cell(t)} ns: {_cell(table['ratio'][-1])} "
                f"(measurement-suppressed dephasing only; relaxation cancels)"]
     return table, summary
 
 
 def _run_mc_validate(settings, plan: Plan) -> tuple[Table, list[str]]:
     table, _ = _run_figure2(settings, plan)
-    references = _mc_references(settings, table)
-    devs = _deviations(table, references)
-    # with every stderr 0, within 3 stderr means equal to the analytic value
-    within = (max(devs) <= 3.0 if devs
-              else all(r[3] == ref for r, ref in zip(table.rows, references)))
+    z_max, within = _mc_z(settings, table)
     summary = [
-        f"grid points checked: {len(table.rows)} with "
-        f"{settings['trajectories']} trajectories each",
-        f"max |MC - analytic| in stderr units: {_max_deviation(devs)}",
+        f"grid points checked: {len(table)} with {settings['trajectories']} trajectories each",
+        f"max |MC - analytic| in stderr units: {z_max}",
         f"all within 3 stderr: {'yes' if within else 'NO'}",
     ]
     if settings["noise_reset"] == "persistent":

@@ -26,8 +26,8 @@ from .noise import ou_decay_exponent
 DEFAULT_BASE_SEED = 123456789
 
 # bounds on a plan's exact counts that keep every accepted run short: a table row
-# costs about 8 us and 0.7 kB in decay_curve (its RK4 step, lab-frame state and CSV
-# line) and at most 5 us in analytic figure2/figure3, so under 1 s at the bound; on
+# costs about 10 us and 0.4 kB in decay_curve (its RK4 step, lab-frame state and CSV
+# line) and at most 5 us in analytic figure2/figure3, so about 1 s at the bound; on
 # 2 CPUs a crossover_scan grid point costs about 4 ms at 1e5 trajectories, and MC work
 # about 20 s at the bound: 3 s per 8.4e7 trajectory-intervals of an MC sweep (figure2
 # engine=mc defaults), 1.5 s per 4.1e7 noise values of crossover_scan (its defaults)

@@ -368,30 +368,22 @@ def figure2_sweep(params: DecoherenceParams, times=(20.0, 25.0, 30.0, 35.0),
     Each (t, N) Monte Carlo point runs on its own stream context, so the
     estimates are statistically independent.
     """
-    columns = ("t", "N", "P_analytic", "P_mc", "P_mc_stderr")
-    rows = []
-    point = 0
-    for t in times:
-        for n in range(1, n_max + 1):
-            analytic = pn_analytic(params, t, n)
-            p_mc = stderr = None
-            if trajectories is not None:
-                config = ProtocolConfig(t, n, ProtocolKind.SELECTIVE,
-                                        EngineKind.MONTE_CARLO, trajectories,
-                                        base_seed, noise_reset)
-                result = selective_run_mc(params, config, context=(point,))
-                p_mc, stderr = result.success_probability, result.success_stderr
-            rows.append((float(t), n, analytic, p_mc, stderr))
-            point += 1
-    return Table(columns, rows)
+    grid = [(t, n) for t in times for n in range(1, n_max + 1)]
+    analytic = [pn_analytic(params, t, n) for t, n in grid]
+    p_mc, stderr = [None] * len(grid), [None] * len(grid)
+    if trajectories is not None:
+        for point, (t, n) in enumerate(grid):
+            config = ProtocolConfig(t, n, ProtocolKind.SELECTIVE, EngineKind.MONTE_CARLO,
+                                    trajectories, base_seed, noise_reset)
+            result = selective_run_mc(params, config, context=(point,))
+            p_mc[point], stderr[point] = result.success_probability, result.success_stderr
+    return Table({"t": [float(t) for t, _ in grid], "N": [n for _, n in grid],
+                  "P_analytic": analytic, "P_mc": p_mc, "P_mc_stderr": stderr})
 
 
 def figure3_surface(params: DecoherenceParams, t_values, n_values) -> Table:
     """Measured coherence and its relaxation-normalised ratio over (t, N)."""
-    rows = []
-    for t in t_values:
-        for n in n_values:
-            rows.append((float(t), int(n),
-                         nonselective_coherence(params, t, n),
-                         coherence_ratio(params, t, n)))
-    return Table(("t", "N", "abs01", "ratio"), rows)
+    grid = [(t, n) for t in t_values for n in n_values]
+    return Table({"t": [float(t) for t, _ in grid], "N": [int(n) for _, n in grid],
+                  "abs01": [nonselective_coherence(params, t, n) for t, n in grid],
+                  "ratio": [coherence_ratio(params, t, n) for t, n in grid]})

@@ -1,19 +1,26 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zenosim
 from zenosim import cli, config as config_module
 from zenosim.cli import main, run_experiment
 from zenosim.config import DEFAULT_BASE_SEED, ConfigError, parse_config
 from zenosim.lindblad import DecoherenceParams, IntegrationResult, integrate
 from zenosim.qubit import DensityMatrix, SystemHamiltonian, dynamical_fidelity, plus_state
-from zenosim.tables import read_csv
+
+from csv_reader import read_csv
 
 
 class TestParseConfig:
@@ -89,15 +96,15 @@ class TestRunExperiment:
         config = parse_config("experiment=decay_curve\nt1=inf\nt2=inf\nt_end=50\n")
         paths = run_experiment(config, out_dir=tmp_path)
         table = read_csv(paths["csv"])
-        assert table.columns == ("t", "p00", "p11", "re01", "im01", "abs01", "fidelity")
-        fidelity = np.array(table.column("fidelity"))
+        assert tuple(table.columns) == ("t", "p00", "p11", "re01", "im01", "abs01", "fidelity")
+        fidelity = np.array(table["fidelity"])
         assert np.max(np.abs(fidelity - 1.0)) <= 1e-12
 
     def test_decay_curve_matches_closed_form(self, tmp_path):
         config = parse_config("experiment=decay_curve\nt1=1000\nt2=20\nt_end=40\nepsilon=0\n")
         table = read_csv(run_experiment(config, out_dir=tmp_path)["csv"])
-        ts = np.array(table.column("t"))
-        abs01 = np.array(table.column("abs01"))
+        ts = np.array(table["t"])
+        abs01 = np.array(table["abs01"])
         expected = 0.5 * np.exp(-0.5 * ts / 1000.0 - (ts / 20.0) ** 2)
         assert np.max(np.abs(abs01 - expected)) <= 1e-8
 
@@ -109,7 +116,7 @@ class TestRunExperiment:
         params = DecoherenceParams.from_times(1000.0, 20.0, hs)
         result = integrate(plus_state().density(), params, config.settings["t_end"],
                            config.settings["dt"])
-        assert len(table.rows) == len(result.times)
+        assert len(table) == len(result.times)
         for row, t, state in zip(table.rows, result.times, result.states):
             u = hs.evolution(float(t)).matrix
             lab = DensityMatrix(u @ state @ u.conj().T)
@@ -155,7 +162,7 @@ class TestRunExperiment:
         for t1 in ("200", "1000", "inf"):
             config = parse_config(f"experiment=ratio_plot\nt1={t1}\nt2=400\nt=400\nn_max=8\n")
             table = read_csv(run_experiment(config, out_dir=tmp_path / t1)["csv"])
-            ratios[t1] = table.column("ratio")
+            ratios[t1] = table["ratio"]
         for a, b in zip(ratios["200"], ratios["inf"]):
             assert abs(a - b) <= 1e-12
 
@@ -165,7 +172,7 @@ class TestRunExperiment:
                                         seed=1)["csv"])
         second = read_csv(run_experiment(parse_config(text), out_dir=tmp_path / "b",
                                          seed=2)["csv"])
-        assert first.column("P_mc") != second.column("P_mc")
+        assert first["P_mc"] != second["P_mc"]
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         text = ("experiment=mc_validate\ntimes=25\nn_max=3\n"
@@ -181,7 +188,7 @@ class TestRunExperiment:
         summary = paths["summary"].read_text()
         assert "long-time log-coherence slope" in summary
         table = read_csv(paths["csv"])
-        assert table.columns == ("t", "abs01", "stderr")
+        assert tuple(table.columns) == ("t", "abs01", "stderr")
 
     @pytest.mark.parametrize("text,t_end", [
         ("tau_c=0.3\n", 12.0),     # (12 - 0.03)/0.03 = 399.00000000000006 took a 400th step
@@ -192,7 +199,7 @@ class TestRunExperiment:
     ], ids=["tau_c_0.3", "tau_c_0.7", "t_end_0.05", "dt_0.06", "t_end_0.15_dt_0.06"])
     def test_crossover_grid_stops_at_t_end(self, tmp_path, text, t_end):
         config = parse_config("experiment=crossover_scan\ntrajectories=100\n" + text)
-        t = read_csv(run_experiment(config, out_dir=tmp_path)["csv"]).column("t")
+        t = read_csv(run_experiment(config, out_dir=tmp_path)["csv"])["t"]
         assert t[-1] == pytest.approx(t_end, rel=1e-12)
         assert max(t) <= t_end * (1.0 + 1e-12)
         assert all(b > a for a, b in zip(t, t[1:]))
@@ -530,6 +537,42 @@ class TestDecayCurveRules:
             with pytest.raises(ConfigError, match=r"dt = .* min\(t1, t2\)/100"):
                 parse_config(text)
 
+    def test_row_bound_run_peaks_near_the_default_run(self, tmp_path):
+        """A decay_curve at the row bound stays within 50 MiB of the default run's peak RSS.
+
+        The 99,991-row run once peaked 69 MiB above the default run: its seven
+        columns became 7e5 Python floats in 1e5 row tuples before the CSV was
+        written.  The CSV is now written from the columns a block at a time.
+        What is left of the gap, about 38 MiB, is the (G, 2, 2) complex stacks
+        of ``lindblad.integrate``, ``propagators`` and ``dynamical_fidelities``.
+
+        Linux carries a process's peak RSS over fork and exec into the child's
+        ``ru_maxrss``, so a child of this test process would read at least the
+        test process's own peak.  A small launcher starts both runs instead.
+        """
+        pytest.importorskip("resource")
+        (tmp_path / "default.txt").write_text("experiment=decay_curve\n")
+        (tmp_path / "bound.txt").write_text("experiment=decay_curve\nt_end=99.99\ndt=0.001\n")
+        (tmp_path / "run.py").write_text(textwrap.dedent("""
+            import resource, sys
+            from zenosim import cli
+            assert cli.main(["run", sys.argv[1] + ".txt", "--out", sys.argv[1]]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """))
+        launcher = ("import subprocess, sys\n"
+                    "for name in ('default', 'bound'):\n"
+                    "    subprocess.run([sys.executable, 'run.py', name], check=True)\n")
+        proc = subprocess.run([sys.executable, "-c", launcher], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ,
+                                       PYTHONPATH=str(Path(zenosim.__file__).parents[1])))
+        assert proc.returncode == 0, proc.stderr
+        peaks = dict(zip(("default", "bound"),
+                         (int(line) for line in proc.stdout.splitlines() if line.isdigit())))
+        # ru_maxrss counts bytes on macOS and KiB elsewhere
+        mib = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+        assert (peaks["bound"] - peaks["default"]) / mib <= 50.0, peaks
+
 
 def _float_text(low, high):
     return st.floats(low, high, allow_nan=False).map(repr)
@@ -596,6 +639,6 @@ class TestConfigFuzz:
                 return
             table = read_csv(run_experiment(config, out_dir=out)["csv"])
         assert all(c is None or math.isfinite(c) for row in table.rows for c in row), text
-        assert len(table.rows) == config.plan.rows, text
+        assert len(table) == config.plan.rows, text
         if experiment == "crossover_scan":
-            assert table.column("t") == config.plan.t.tolist(), text
+            assert table["t"] == config.plan.t.tolist(), text

@@ -439,9 +439,9 @@ class TestOrnsteinUhlenbeckProtocols:
 class TestFigure2Sweep:
     def test_analytic_columns(self):
         table = figure2_sweep(FIG2)
-        assert table.columns == ("t", "N", "P_analytic", "P_mc", "P_mc_stderr")
-        assert len(table.rows) == 4 * 20
-        assert all(row[3] is None and row[4] is None for row in table.rows)
+        assert tuple(table.columns) == ("t", "N", "P_analytic", "P_mc", "P_mc_stderr")
+        assert len(table) == 4 * 20
+        assert table["P_mc"] == table["P_mc_stderr"] == [None] * 80
 
     def test_curves_ordered_by_total_time(self):
         table = figure2_sweep(FIG2)
@@ -464,8 +464,7 @@ class TestFigure2Sweep:
 
     def test_mc_columns_filled(self):
         table = figure2_sweep(FIG2, times=(20.0,), n_max=2, trajectories=2000, base_seed=3)
-        for row in table.rows:
-            assert row[3] is not None and row[4] is not None
+        assert None not in table["P_mc"] + table["P_mc_stderr"]
 
 
 class TestFigure3Surface:
@@ -483,5 +482,4 @@ class TestFigure3Surface:
 
     def test_spot_values(self):
         table = figure3_surface(FIG3, [400.0], [1, 16])
-        assert table.rows[0][2] == pytest.approx(ABS01_N1, abs=1e-12)
-        assert table.rows[1][2] == pytest.approx(ABS01_N16, abs=1e-12)
+        assert table["abs01"] == pytest.approx([ABS01_N1, ABS01_N16], abs=1e-12)
