@@ -28,14 +28,17 @@ def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     params = DecoherenceParams.from_times(settings["t1"], settings["t2"], hs)
     psi0 = plus_state()
     result = integrate(psi0.density(), params, settings["t_end"], settings["dt"])
-    u = params.hs.propagators(result.times)
+    times = result.times
+    u = params.hs.propagators(times)
     lab = u @ result.states @ u.conj().swapaxes(1, 2)
+    del result      # each (G, 2, 2) stack is 6.4 MB at the row bound: free them early
     bad = first_unphysical(lab)
     if bad is not None:
-        raise ValueError(f"lab-frame state at t = {float(result.times[bad[0]])!r}: {bad[1]}")
+        raise ValueError(f"lab-frame state at t = {float(times[bad[0]])!r}: {bad[1]}")
     fid = dynamical_fidelities(lab, psi0, u)
+    del u
     coh = lab[:, 0, 1]
-    table = Table({"t": result.times, "p00": lab[:, 0, 0].real, "p11": lab[:, 1, 1].real,
+    table = Table({"t": times, "p00": lab[:, 0, 0].real, "p11": lab[:, 1, 1].real,
                    "re01": coh.real, "im01": coh.imag, "abs01": np.abs(coh), "fidelity": fid})
     summary = [f"final fidelity at t={_cell(settings['t_end'])} ns: {_cell(fid[-1])}"]
     return table, summary

@@ -4,16 +4,20 @@ A ``Table`` maps each column name to its cells: a 1-D numpy array, or a list
 whose missing cells (e.g. the Monte Carlo columns of an analytic-only sweep)
 are None.  ``write_csv`` writes the rows a fixed block at a time, slicing
 every column and turning array slices into Python numbers, so no full set of
-row tuples is ever built.  ``_cell`` writes a number with 17 significant
-digits, so a float round-trips bit-exactly, and a missing value as an empty
-cell; the run summaries format their numbers through it too.  Line endings are
-LF, the decimal separator is '.', the header row is mandatory, and no cell
-ever needs quoting.
+row tuples is ever built; each block is formatted by one ``%`` operation from
+a per-block row template and written by one ``write``.  A number fills a
+17-significant-digit ``_NUMBER`` slot, so a float round-trips bit-exactly; a
+column slice that holds None goes through ``_cell`` (empty for None) into a
+``%s`` slot.  The run summaries format their numbers through ``_cell`` too.
+Line endings are LF, the decimal separator is '.', the header row is
+mandatory, and no cell ever needs quoting.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 _BLOCK_ROWS = 4096      # a block of a 7-column table is about 1 MB of Python numbers
+_NUMBER = "%.17g"       # the text of a number: '%.17g' % v == format(v, '.17g')
 
 
 def _values(cells) -> list:
@@ -50,7 +54,7 @@ class Table:
 # function, which would put a traced span around each cell
 def _cell(value) -> str:
     """The text of one number: empty for None, else 17 significant digits."""
-    return "" if value is None else format(value, ".17g")
+    return "" if value is None else _NUMBER % value
 
 
 def write_csv(table: Table, path) -> None:
@@ -59,4 +63,7 @@ def write_csv(table: Table, path) -> None:
         for start in range(0, len(table), _BLOCK_ROWS):
             block = [_values(cells[start:start + _BLOCK_ROWS])
                      for cells in table.columns.values()]
-            fh.writelines(",".join(map(_cell, row)) + "\n" for row in zip(*block))
+            missing = [None in cells for cells in block]
+            template = ",".join("%s" if m else _NUMBER for m in missing) + "\n"
+            block = [list(map(_cell, c)) if m else c for c, m in zip(block, missing)]
+            fh.write((template * len(block[0])) % tuple(chain.from_iterable(zip(*block))))

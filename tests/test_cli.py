@@ -543,8 +543,8 @@ class TestDecayCurveRules:
         The 99,991-row run once peaked 69 MiB above the default run: its seven
         columns became 7e5 Python floats in 1e5 row tuples before the CSV was
         written.  The CSV is now written from the columns a block at a time.
-        What is left of the gap, about 38 MiB, is the (G, 2, 2) complex stacks
-        of ``lindblad.integrate``, ``propagators`` and ``dynamical_fidelities``.
+        What is left of the gap, about 34 MiB, is the (G, 2, 2) complex stacks
+        of ``propagators``, the lab-frame states and ``first_unphysical``.
 
         Linux carries a process's peak RSS over fork and exec into the child's
         ``ru_maxrss``, so a child of this test process would read at least the

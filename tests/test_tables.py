@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenosim import tables
 from zenosim.tables import Table, _cell, write_csv
@@ -108,3 +110,95 @@ def test_block_boundaries_write_the_row_by_row_bytes(tmp_path):
         ",".join(_cell(cells[i]) for cells in columns.values()) + "\n" for i in range(n))
     assert path.read_bytes() == expected.encode()
     assert len(path.read_text().splitlines()) == n + 1
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]
+_FLOATS = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+_NUMPY_SCALARS = (_FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                  | st.floats(width=32).map(np.float32) | st.booleans().map(np.bool_))
+
+
+@st.composite
+def _column(draw, rows: int):
+    kind = draw(st.sampled_from(["float64", "int64", "bool", "scalars", "missing"]))
+    if kind == "float64":
+        return np.array(draw(st.lists(_FLOATS, min_size=rows, max_size=rows)), dtype=np.float64)
+    if kind == "int64":
+        cells = st.integers(-2 ** 63, 2 ** 63 - 1)
+        return np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=np.int64)
+    if kind == "bool":
+        return draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    if kind == "scalars":
+        return draw(st.lists(_NUMPY_SCALARS, min_size=rows, max_size=rows))
+    # a list whose None cells land in some blocks and not in others
+    cells = draw(st.lists(_FLOATS | st.integers(), min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        cells[i] = None
+    return cells
+
+
+# the fixtures are safe to share across examples: every example patches the same
+# _BLOCK_ROWS and overwrites the same file
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_written_bytes_are_the_cell_join_of_each_row(tmp_path, monkeypatch, data):
+    # blocks of 3 rows: a table of up to 20 rows crosses up to 6 block edges
+    monkeypatch.setattr(tables, "_BLOCK_ROWS", 3)
+    rows = data.draw(st.integers(0, 20), label="rows")
+    n_columns = data.draw(st.integers(1, 5), label="columns")
+    table = Table({f"c{j}": data.draw(_column(rows), label=f"c{j}") for j in range(n_columns)})
+    path = tmp_path / "property.csv"
+    write_csv(table, path)
+    expected = ",".join(table.columns) + "\n" + "".join(
+        ",".join(map(_cell, row)) + "\n" for row in table.rows)
+    assert path.read_bytes() == expected.encode()
+    # the %-spelling of the rule is format(v, ".17g")
+    for row in table.rows:
+        for value in row:
+            if value is not None:
+                assert _cell(value) == format(value, ".17g")
+
+
+class _CountingFile:
+    """A text file that counts the writes made to it; ``writelines`` counts each line."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.writes += 1
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_one_write_per_block_plus_the_header(tmp_path, monkeypatch):
+    # a per-row or per-cell write path would make 23 or more writes here, not 6
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(_CountingFile(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(tables, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(tables, "open", counting_open, raising=False)
+    n = 23
+    columns = {"t": np.linspace(0.0, 1.0, n), "N": list(range(n)),
+               "P": [None if i % 7 == 0 else i / 3.0 for i in range(n)]}
+    path = tmp_path / "writes.csv"
+    write_csv(Table(columns), path)
+    assert len(opened) == 1 and opened[0].fh.closed
+    assert opened[0].writes <= math.ceil(n / 5) + 1
+    expected = "t,N,P\n" + "".join(
+        ",".join(_cell(cells[i]) for cells in columns.values()) + "\n" for i in range(n))
+    assert path.read_bytes() == expected.encode()
