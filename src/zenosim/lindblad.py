@@ -128,13 +128,6 @@ class IntegrationResult:
     times: np.ndarray
     states: np.ndarray   # (len(times), 2, 2) complex
 
-    def rho(self, index: int) -> DensityMatrix:
-        return DensityMatrix(self.states[index])
-
-    @property
-    def final(self) -> DensityMatrix:
-        return DensityMatrix(self.states[-1])
-
 
 def integrate(rho0: DensityMatrix, params: DecoherenceParams,
               t_end: float, dt: float) -> IntegrationResult:
@@ -146,8 +139,9 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     rho10 is conj(rho01).  An RK4 step therefore multiplies p11 and rho01 by
     scalar factors that depend only on the step; they are taken for every step
     at once and applied with one cumulative product.  Every grid state is
-    validated: trace within 1e-10, Hermitian, eigenvalues above -1e-8
-    (violations raise ``PositivityLossError`` with the first offending time).
+    validated at the ``qubit`` tolerances: trace within 1e-12, Hermitian within
+    1e-12, eigenvalues above -1e-10 (violations raise ``PositivityLossError``
+    with the first offending time).
     A fixed step keeps results reproducible; the equation is small and smooth
     enough that adaptivity buys nothing.
     """
@@ -168,7 +162,7 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     states[:, 0, 0] = (m[0, 0] + m[1, 1]) - states[:, 1, 1]
     states[:, 0, 1] = m[0, 1] * factors[:, 1]
     states[:, 1, 0] = states[:, 0, 1].conj()
-    bad = first_unphysical(states, trace_tol=1e-10, herm_tol=1e-10, positivity_tol=1e-8)
+    bad = first_unphysical(states)
     if bad is not None:
         step, reason = bad
         raise PositivityLossError(

@@ -1,8 +1,9 @@
 """Exact 2x2 algebra for a single qubit.
 
-States, Pauli operators, the system Hamiltonian with its propagator, y rotations,
-co-rotating projectors, Bloch vectors and the dynamical fidelity.  Conventions
-are fixed here once and for all:
+States, Pauli operators, the system Hamiltonian with its propagator and the
+Bloch-vector turn it makes, y rotations, co-rotating projectors, Bloch vectors
+and the dynamical fidelity.  Every physicality check of a state uses the one
+set of tolerances below.  Conventions are fixed here once and for all:
 
 * basis: ``|0>`` is the ground state, ``|1>`` the excited state,
 * ``sigma_z |0> = +|0>``, ``sigma_plus |0> = |1>``,
@@ -90,24 +91,19 @@ class DensityMatrix:
         return float(abs(self.matrix[0, 1]))
 
 
-def validate_density(arr: np.ndarray,
-                     trace_tol: float = TRACE_TOL,
-                     herm_tol: float = HERMITICITY_TOL,
-                     positivity_tol: float = POSITIVITY_TOL) -> None:
-    """Raise ValueError unless ``arr`` is a physical 2x2 state within tolerances."""
-    bad = first_unphysical(np.asarray(arr)[None], trace_tol, herm_tol, positivity_tol)
+def validate_density(arr: np.ndarray) -> None:
+    """Raise ValueError unless ``arr`` is a physical 2x2 state within the module tolerances."""
+    bad = first_unphysical(np.asarray(arr)[None])
     if bad is not None:
         raise ValueError(bad[1])
 
 
-def first_unphysical(stack: np.ndarray,
-                     trace_tol: float = TRACE_TOL,
-                     herm_tol: float = HERMITICITY_TOL,
-                     positivity_tol: float = POSITIVITY_TOL) -> tuple[int, str] | None:
+def first_unphysical(stack: np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first non-physical state in a (G, 2, 2) stack, else None.
 
-    The checks are those of ``validate_density``, one vectorised pass each;
-    the smaller eigenvalue of a Hermitian 2x2 matrix is taken in closed form.
+    The checks are those of ``validate_density``, one vectorised pass each, at
+    ``TRACE_TOL``, ``HERMITICITY_TOL`` and ``POSITIVITY_TOL``; the smaller
+    eigenvalue of a Hermitian 2x2 matrix is taken in closed form.
     """
     stack = np.asarray(stack, dtype=complex)
     finite = np.all(np.isfinite(stack.view(float)), axis=(1, 2))
@@ -115,18 +111,18 @@ def first_unphysical(stack: np.ndarray,
     asymmetry = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
     p00, p11 = stack[:, 0, 0].real, stack[:, 1, 1].real
     lowest = 0.5 * (p00 + p11) - np.hypot(0.5 * (p00 - p11), np.abs(stack[:, 1, 0]))
-    bad = (~finite | (np.abs(trace - 1.0) > trace_tol) | (asymmetry > herm_tol)
-           | (lowest < -positivity_tol))
+    bad = (~finite | (np.abs(trace - 1.0) > TRACE_TOL) | (asymmetry > HERMITICITY_TOL)
+           | (lowest < -POSITIVITY_TOL))
     if not bad.any():
         return None
     i = int(np.argmax(bad))
     if not finite[i]:
         return i, "matrix contains non-finite entries"
-    if abs(trace[i] - 1.0) > trace_tol:
-        return i, f"trace {complex(trace[i])!r} deviates from 1 beyond {trace_tol}"
-    if asymmetry[i] > herm_tol:
+    if abs(trace[i] - 1.0) > TRACE_TOL:
+        return i, f"trace {complex(trace[i])!r} deviates from 1 beyond {TRACE_TOL}"
+    if asymmetry[i] > HERMITICITY_TOL:
         return i, "matrix is not Hermitian within tolerance"
-    return i, f"negative eigenvalue {float(lowest[i])!r} below -{positivity_tol}"
+    return i, f"negative eigenvalue {float(lowest[i])!r} below -{POSITIVITY_TOL}"
 
 
 @dataclass(frozen=True)
@@ -158,23 +154,29 @@ class SystemHamiltonian:
         if omega == 0.0:
             return IDENTITY
         half = 0.5 * omega * time
-        return QubitOperator(self._propagator(omega, math.cos(half), math.sin(half)))
+        # the axis components first: 1/omega overflows for a subnormal omega
+        n_sigma = (self.epsilon / omega) * SIGMA_Z.matrix + (self.delta / omega) * SIGMA_X.matrix
+        return QubitOperator(math.cos(half) * np.eye(2) - 1j * math.sin(half) * n_sigma)
 
-    def propagators(self, times) -> np.ndarray:
-        """``evolution`` at every time of a 1-D array, as a (G, 2, 2) stack."""
+    def rotate_bloch(self, times, vectors) -> np.ndarray:
+        """Bloch vectors (G, 3) of states conjugated by ``evolution`` at each of G times.
+
+        exp(-i H t) rho exp(i H t) turns the Bloch vector of rho by the angle
+        omega t about n = (delta, 0, epsilon)/omega; Rodrigues' formula makes the
+        turn row by row.
+        """
         times = np.asarray(times, dtype=float)
+        vectors = np.asarray(vectors, dtype=float)
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
         omega = math.hypot(self.epsilon, self.delta)
         if omega == 0.0:
-            return np.broadcast_to(IDENTITY.matrix, (times.size, 2, 2)).copy()
-        half = (0.5 * omega * times)[:, None, None]
-        return self._propagator(omega, np.cos(half), np.sin(half))
-
-    def _propagator(self, omega: float, cos_half, sin_half) -> np.ndarray:
-        # the axis components first: 1/omega overflows for a subnormal omega
-        n_sigma = (self.epsilon / omega) * SIGMA_Z.matrix + (self.delta / omega) * SIGMA_X.matrix
-        return cos_half * np.eye(2) - 1j * sin_half * n_sigma
+            return vectors.copy()
+        n = np.array([self.delta / omega, 0.0, self.epsilon / omega])
+        angle = omega * times
+        cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+        return (cos * vectors + sin * np.cross(n, vectors)
+                + (1.0 - cos) * (vectors @ n)[:, None] * n)
 
 
 def plus_state() -> PureState:
@@ -209,17 +211,8 @@ def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
     Measures how close ``rho`` is to the purely unitary evolution of ``psi``;
     equals 1 when the state tracked the free evolution perfectly.
     """
-    return float(dynamical_fidelities(rho.matrix[None], psi,
-                                      hs.evolution(time).matrix[None])[0])
-
-
-def dynamical_fidelities(states: np.ndarray, psi: PureState,
-                         propagators: np.ndarray) -> np.ndarray:
-    """``dynamical_fidelity`` over (G, 2, 2) stacks of states and of their exp(-iHt)."""
-    rotated = propagators.conj().swapaxes(1, 2) @ states @ propagators
-    values = (psi.amplitudes.conj() @ rotated) @ psi.amplitudes
-    leak = np.abs(values.imag) >= 1e-10
-    if leak.any():
-        raise ValueError("fidelity has non-negligible imaginary part "
-                         f"{float(values.imag[np.argmax(leak)])!r}")
-    return values.real
+    u = hs.evolution(time).matrix
+    value = psi.amplitudes.conj() @ (u.conj().T @ rho.matrix @ u) @ psi.amplitudes
+    if abs(value.imag) >= 1e-10:
+        raise ValueError(f"fidelity has non-negligible imaginary part {float(value.imag)!r}")
+    return float(value.real)

@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zenosim
-from zenosim import cli, config as config_module
+from zenosim import cli, config as config_module, lindblad
 from zenosim.cli import main, run_experiment
 from zenosim.config import DEFAULT_BASE_SEED, ConfigError, parse_config
-from zenosim.lindblad import DecoherenceParams, IntegrationResult, integrate
+from zenosim.lindblad import (DecoherenceParams, PositivityLossError, closed_form_rho,
+                              integrate)
 from zenosim.qubit import DensityMatrix, SystemHamiltonian, dynamical_fidelity, plus_state
 
 from csv_reader import read_csv
@@ -125,14 +126,36 @@ class TestRunExperiment:
                         abs(m[0, 1]), dynamical_fidelity(lab, plus_state(), hs, float(t)))
             assert max(abs(a - b) for a, b in zip(row, expected)) <= 1e-14
 
-    def test_decay_curve_rejects_unphysical_lab_state(self, tmp_path, monkeypatch):
-        def broken(rho0, params, t_end, dt):
-            states = np.array([rho0.matrix, [[0.5, 0.75], [0.75, 0.5]]], dtype=complex)
-            return IntegrationResult(np.array([0.0, 0.5]), states)
+    def test_decay_curve_lab_columns_match_closed_form(self, tmp_path):
+        # the lab-frame closed form rotates the |+> bracket with exp(-iHt) matrices,
+        # a route independent of the runner's Bloch-vector turn
+        config = parse_config("experiment=decay_curve\nepsilon=1\ndelta=0.05\n")
+        table = read_csv(run_experiment(config, out_dir=tmp_path)["csv"])
+        hs = SystemHamiltonian(1.0, 0.05)
+        params = DecoherenceParams.from_times(1000.0, 20.0, hs)
+        assert len(table) == 1001
+        for row in table.rows:
+            t = row[0]
+            rho = closed_form_rho(params, t)
+            m = rho.matrix
+            expected = (m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag, abs(m[0, 1]),
+                        dynamical_fidelity(rho, plus_state(), hs, t))
+            assert max(abs(a - b) for a, b in zip(row[1:], expected)) <= 1e-8
 
-        monkeypatch.setattr(cli, "integrate", broken)
-        with pytest.raises(ValueError, match=r"lab-frame state at t = 0\.5: negative eigenvalue"):
+    def test_decay_curve_rejects_unphysical_lab_state(self, tmp_path, monkeypatch):
+        # |rho01| grows by 1e-9 over the first step, to an eigenvalue of -1e-9:
+        # inside 1e-8, outside the POSITIVITY_TOL = 1e-10 every state check uses
+        def leaky(params, t, h):
+            factors = np.ones((len(t), 2))
+            factors[0, 1] = 1.0 + 2e-9
+            return factors
+
+        monkeypatch.setattr(lindblad, "_rk4_factors", leaky)
+        with pytest.raises(PositivityLossError,
+                           match=r"t = 0\.1 \(step 1\): negative eigenvalue ") as info:
             run_experiment(parse_config("experiment=decay_curve\n"), out_dir=tmp_path)
+        eigenvalue = float(re.search(r"eigenvalue (\S+) ", str(info.value)).group(1))
+        assert eigenvalue == pytest.approx(-1e-9, rel=1e-6)
 
     def test_figure2_curves_monotone(self, tmp_path):
         config = parse_config("experiment=figure2\n")
@@ -538,13 +561,15 @@ class TestDecayCurveRules:
                 parse_config(text)
 
     def test_row_bound_run_peaks_near_the_default_run(self, tmp_path):
-        """A decay_curve at the row bound stays within 50 MiB of the default run's peak RSS.
+        """A decay_curve at the row bound stays within 30 MiB of the default run's peak RSS.
 
         The 99,991-row run once peaked 69 MiB above the default run: its seven
         columns became 7e5 Python floats in 1e5 row tuples before the CSV was
-        written.  The CSV is now written from the columns a block at a time.
-        What is left of the gap, about 34 MiB, is the (G, 2, 2) complex stacks
-        of ``propagators``, the lab-frame states and ``first_unphysical``.
+        written, and three (G, 2, 2) complex stacks carried the states into the
+        lab frame.  The CSV is now written from the columns a block at a time,
+        and the lab frame is a turn of (G, 3) Bloch vectors.  What is left of
+        the gap, about 22 MiB, is ``integrate``'s state stack with the
+        temporaries of its one physicality check, and the output columns.
 
         Linux carries a process's peak RSS over fork and exec into the child's
         ``ru_maxrss``, so a child of this test process would read at least the
@@ -571,7 +596,7 @@ class TestDecayCurveRules:
                          (int(line) for line in proc.stdout.splitlines() if line.isdigit())))
         # ru_maxrss counts bytes on macOS and KiB elsewhere
         mib = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
-        assert (peaks["bound"] - peaks["default"]) / mib <= 50.0, peaks
+        assert (peaks["bound"] - peaks["default"]) / mib <= 30.0, peaks
 
 
 def _float_text(low, high):

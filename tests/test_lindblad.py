@@ -131,8 +131,8 @@ class TestIntegrate:
     def test_fourth_order_convergence(self):
         # halving the step shrinks the closed-form error by roughly 2^4
         t_end = 20.0
-        coarse = integrate(plus_state().density(), FIG2, t_end, 0.2).final.matrix
-        fine = integrate(plus_state().density(), FIG2, t_end, 0.1).final.matrix
+        coarse = integrate(plus_state().density(), FIG2, t_end, 0.2).states[-1]
+        fine = integrate(plus_state().density(), FIG2, t_end, 0.1).states[-1]
         exact = closed_form_rho_rotating(FIG2, t_end).matrix
         ratio = np.max(np.abs(coarse - exact)) / np.max(np.abs(fine - exact))
         assert 10.0 <= ratio <= 22.0
@@ -183,7 +183,7 @@ class TestIntegrate:
     def test_states_stay_physical(self):
         result = integrate(plus_state().density(), FIG2, 100.0, 0.1)
         for i in range(0, len(result.times), 100):
-            rho = result.rho(i)
+            rho = DensityMatrix(result.states[i])
             assert abs(sum(rho.populations) - 1.0) <= 1e-10
 
     def test_grid_lands_on_t_end(self):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenosim import qubit
 from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
                            SystemHamiltonian, bloch_vector, corotating_projector,
-                           dynamical_fidelities, dynamical_fidelity, first_unphysical,
-                           plus_state, rotation_y)
+                           dynamical_fidelity, first_unphysical, plus_state, rotation_y)
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
@@ -117,21 +117,24 @@ class TestDynamicalFidelity:
 
 
     def test_stack_matches_one_state_at_a_time(self):
+        # over a stack of states and times, each fidelity is tr(rho P) for the
+        # co-rotating projector P onto exp(-iHt)|psi>
         hs = SystemHamiltonian(1.1, 0.2)
         psi = random_state(7)
         times = np.linspace(-3.0, 9.0, 13)
-        states = np.array([random_state(seed).density().matrix for seed in range(13)])
-        stacked = dynamical_fidelities(states, psi, hs.propagators(times))
-        for i, t in enumerate(times):
-            single = dynamical_fidelity(DensityMatrix(states[i]), psi, hs, float(t))
-            assert abs(stacked[i] - single) <= 1e-15
+        for seed, t in enumerate(times):
+            rho = random_state(seed).density()
+            projector = corotating_projector(psi, hs, float(t)).matrix
+            expected = np.trace(rho.matrix @ projector).real
+            assert abs(dynamical_fidelity(rho, psi, hs, float(t)) - expected) <= 1e-15
 
-    def test_stack_rejects_imaginary_part(self):
-        # a non-Hermitian "state" gives the overlap an imaginary part of 0.05
-        states = np.array([np.eye(2) / 2, [[0.5, 0.1j], [0.0, 0.5]]], dtype=complex)
-        propagators = SystemHamiltonian(0.0).propagators([0.0, 0.0])
-        with pytest.raises(ValueError, match="imaginary part"):
-            dynamical_fidelities(states, plus_state(), propagators)
+    def test_stack_rejects_imaginary_part(self, monkeypatch):
+        # a non-Hermitian "state", let past the density check, gives the overlap
+        # an imaginary part of 0.05
+        monkeypatch.setattr(qubit, "validate_density", lambda arr: None)
+        rho = DensityMatrix([[0.5, 0.1j], [0.0, 0.5]])
+        with pytest.raises(ValueError, match=r"imaginary part 0\.0499"):
+            dynamical_fidelity(rho, plus_state(), SystemHamiltonian(0.0), 0.0)
 
 
 class TestBlochVector:
@@ -186,10 +189,9 @@ class TestInvariantEnforcement:
         assert index == 1 and reason in text
 
     def test_stack_tolerances(self):
-        # eigenvalue -1e-9: outside the default 1e-10, inside a looser 1e-8
+        # eigenvalue -1e-9: outside POSITIVITY_TOL = 1e-10
         stack = np.array([[[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]], dtype=complex)
         assert first_unphysical(stack)[0] == 0
-        assert first_unphysical(stack, positivity_tol=1e-8) is None
 
     def test_pure_state_rejects_unnormalised(self):
         with pytest.raises(ValueError, match="norm"):
@@ -218,18 +220,26 @@ class TestSystemHamiltonian:
         expected = v @ np.diag(np.exp(-1j * w * 3.3)) @ v.conj().T
         assert np.allclose(hs.evolution(3.3).matrix, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("eps,delta", [(1.0, 0.0), (0.7, 0.3), (0.0, 1.0), (0.0, 0.0)])
-    def test_propagators_match_evolution(self, eps, delta):
+    @pytest.mark.parametrize("eps,delta,t_end", [
+        (1.0, 0.0, 40.0), (0.7, 0.3, 40.0), (0.0, 1.0, 40.0), (0.0, 0.0, 40.0),
+        (4e5, -4e4, 100.0),         # 4e7 rad of turn at t_end
+    ], ids=["1.0-0.0", "0.7-0.3", "0.0-1.0", "0.0-0.0", "4e5--4e4"])
+    def test_rotate_bloch_matches_evolution(self, eps, delta, t_end):
+        # each turned vector is the Bloch vector of exp(-iHt) rho exp(iHt)
         hs = SystemHamiltonian(eps, delta)
-        times = np.linspace(0.0, 40.0, 17)
-        stack = hs.propagators(times)
-        assert stack.shape == (17, 2, 2)
-        for t, u in zip(times, stack):
-            assert np.max(np.abs(u - hs.evolution(float(t)).matrix)) <= 1e-15
+        times = np.linspace(0.0, t_end, 17)
+        states = [random_state(seed).density() for seed in range(16)] + [MIXED]
+        vectors = np.array([bloch_vector(rho) for rho in states])
+        turned = hs.rotate_bloch(times, vectors)
+        assert turned.shape == (17, 3)
+        for t, rho, r in zip(times, states, turned):
+            u = hs.evolution(float(t)).matrix
+            lab = DensityMatrix(u @ rho.matrix @ u.conj().T)
+            assert np.max(np.abs(r - bloch_vector(lab))) <= 1e-14
 
-    def test_propagators_reject_non_finite_times(self):
+    def test_rotate_bloch_rejects_non_finite_times(self):
         with pytest.raises(ValueError, match="finite"):
-            SystemHamiltonian(1.0).propagators([0.0, math.inf])
+            SystemHamiltonian(1.0).rotate_bloch([0.0, math.inf], np.zeros((2, 3)))
 
     def test_sigma_y_in_evolution(self):
         # pure sigma_x Hamiltonian rotates the Bloch vector about +x, taking
