@@ -27,14 +27,12 @@ def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     hs = SystemHamiltonian(settings["epsilon"], settings["delta"])
     params = DecoherenceParams.from_times(settings["t1"], settings["t2"], hs)
     result = integrate(plus_state().density(), params, settings["t_end"], settings["dt"])
-    times, states = result.times, result.states
+    times, p00, p11, coh = result.times, result.p00, result.p11, result.rho01
     # interaction-picture trace, Bloch vector and |+> fidelity; exp(-iHt) turns the
     # Bloch vector into the lab frame, and the fidelity undoes that turn
-    p00, p11, coh = states[:, 0, 0].real, states[:, 1, 1].real, states[:, 0, 1]
     trace = p00 + p11
     bloch = np.stack([2.0 * coh.real, -2.0 * coh.imag, p00 - p11], axis=1)
     fid = 0.5 * trace + coh.real
-    del result, states, p00, p11, coh   # the state stack is 6.4 MB at the row bound
     x, y, z = hs.rotate_bloch(times, bloch).T
     table = Table({"t": times, "p00": 0.5 * (trace + z), "p11": 0.5 * (trace - z),
                    "re01": 0.5 * x, "im01": -0.5 * y, "abs01": 0.5 * np.hypot(x, y),
@@ -71,8 +69,7 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
     model = NoiseModel.ornstein_uhlenbeck(coupling, tau_c)
     ensemble = ensemble_average(plus_state(), model, grid, settings["trajectories"],
                                 settings["base_seed"])
-    coherence = ensemble.coherence()
-    stderr = ensemble.coherence_stderr()
+    coherence, stderr = np.abs(ensemble.rho01), ensemble.stderr
     table = Table({"t": grid, "abs01": coherence, "stderr": stderr})
 
     normalised = 2.0 * coherence

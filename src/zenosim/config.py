@@ -26,7 +26,7 @@ from .noise import ou_decay_exponent
 DEFAULT_BASE_SEED = 123456789
 
 # bounds on a plan's exact counts that keep every accepted run short: a table row
-# costs 7-8 us and 0.23 kB in decay_curve (its RK4 step, Bloch-vector turn and CSV
+# costs 7-8 us and 0.16 kB in decay_curve (its RK4 step, Bloch-vector turn and CSV
 # line) and at most 5 us in analytic figure2/figure3, so about 1 s at the bound; on
 # 2 CPUs a crossover_scan grid point costs about 4 ms at 1e5 trajectories, and MC work
 # about 20 s at the bound: 3 s per 8.4e7 trajectory-intervals of an MC sweep (figure2

@@ -123,10 +123,16 @@ def master_rhs(rho, t: float, params: DecoherenceParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Interaction-picture states on a uniform grid."""
+    """Interaction-picture states on a uniform grid, as (len(times),) entry columns.
+
+    ``p00`` and ``p11`` are the real populations and ``rho01`` the complex
+    off-diagonal element; rho10 is conj(rho01) by construction.
+    """
 
     times: np.ndarray
-    states: np.ndarray   # (len(times), 2, 2) complex
+    p00: np.ndarray
+    p11: np.ndarray
+    rho01: np.ndarray
 
 
 def integrate(rho0: DensityMatrix, params: DecoherenceParams,
@@ -138,10 +144,11 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     a(t) = -(gamma1/2 + 2 gamma2^2 t), while p00 follows from the trace and
     rho10 is conj(rho01).  An RK4 step therefore multiplies p11 and rho01 by
     scalar factors that depend only on the step; they are taken for every step
-    at once and applied with one cumulative product.  Every grid state is
-    validated at the ``qubit`` tolerances: trace within 1e-12, Hermitian within
-    1e-12, eigenvalues above -1e-10 (violations raise ``PositivityLossError``
-    with the first offending time).
+    at once and applied with one cumulative product to give the result's
+    columns p00, p11 and rho01.  ``qubit.first_unphysical`` checks every grid
+    state on those columns: trace within 1e-12, Hermitian within 1e-12,
+    eigenvalues above -1e-10 (violations raise ``PositivityLossError`` with
+    the first offending time).
     A fixed step keeps results reproducible; the equation is small and smooth
     enough that adaptivity buys nothing.
     """
@@ -157,17 +164,15 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     factors[1:] = _rk4_factors(params, times[:-1], h)
     np.cumprod(factors, axis=0, out=factors)
     m = rho0.matrix
-    states = np.empty((steps + 1, 2, 2), dtype=complex)
-    states[:, 1, 1] = m[1, 1] * factors[:, 0]
-    states[:, 0, 0] = (m[0, 0] + m[1, 1]) - states[:, 1, 1]
-    states[:, 0, 1] = m[0, 1] * factors[:, 1]
-    states[:, 1, 0] = states[:, 0, 1].conj()
-    bad = first_unphysical(states)
+    p11 = m[1, 1].real * factors[:, 0]
+    p00 = (m[0, 0].real + m[1, 1].real) - p11
+    rho01 = m[0, 1] * factors[:, 1]
+    bad = first_unphysical(p00, p11, rho01, rho01.conj())
     if bad is not None:
         step, reason = bad
         raise PositivityLossError(
             f"non-physical state at t = {float(times[step])!r} (step {step}): {reason}")
-    return IntegrationResult(times, states)
+    return IntegrationResult(times, p00, p11, rho01)
 
 
 def _rk4_factors(params: DecoherenceParams, t: np.ndarray, h: float) -> np.ndarray:

@@ -197,25 +197,20 @@ def _ou_phases(z: np.ndarray, law: np.ndarray, m=0.0, out=None):
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Ensemble-mean state on a time grid with statistical errors.
+    """Ensemble-mean coherence on a time grid with its statistical error.
 
-    ``mean_rho`` holds the averaged density matrix per grid point, ``stderr``
-    the per-element standard error sqrt((Var[Re] + Var[Im]) / M) of that mean,
-    with unbiased variances.  Each trajectory's factor exp(-2i phi) has
-    modulus 1, so Var[Re] + Var[Im] = (1 - |mean factor|^2) M / (M - 1).
+    The populations of the initial state never change, so the mean state at
+    each grid point is fixed by its mean off-diagonal element ``rho01``
+    (rho10 is its conjugate).  ``stderr`` is the standard error
+    sqrt((Var[Re] + Var[Im]) / M) of that mean, with unbiased variances.  Each
+    trajectory's factor exp(-2i phi) has modulus 1, so
+    Var[Re] + Var[Im] = (1 - |mean factor|^2) M / (M - 1).
     """
 
     time_grid: np.ndarray
-    mean_rho: np.ndarray       # (G, 2, 2) complex
-    stderr: np.ndarray         # (G, 2, 2) real
+    rho01: np.ndarray          # (G,) complex
+    stderr: np.ndarray         # (G,) real
     trajectory_count: int
-
-    def coherence(self) -> np.ndarray:
-        """|<0|rho|1>| per grid point."""
-        return np.abs(self.mean_rho[:, 0, 1])
-
-    def coherence_stderr(self) -> np.ndarray:
-        return self.stderr[:, 0, 1].copy()
 
 
 def _block_row_counts(trajectories: int):
@@ -237,9 +232,8 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     if grid.ndim != 1 or grid.size == 0 or not (grid[0] >= 0.0 and np.all(np.diff(grid) > 0.0)):
         raise ValueError("time grid must be 1-d, non-negative and strictly increasing")
 
-    rho0 = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
-    g = grid.size
-    sum_phase = np.zeros(g, dtype=complex)        # sum of exp(-2i phi)
+    rho01 = psi0.amplitudes[0] * psi0.amplitudes[1].conj()
+    sum_phase = np.zeros(grid.size, dtype=complex)        # sum of exp(-2i phi)
     for block_sum in _reduce_blocks(_ensemble_kernel(model, grid), trajectories,
                                     base_seed, context):
         sum_phase += block_sum
@@ -247,15 +241,7 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     m = float(trajectories)
     mean_factor = sum_phase / m
     factor_stderr = np.sqrt(np.maximum(1.0 - np.abs(mean_factor) ** 2, 0.0) / (m - 1.0))
-
-    mean = np.empty((g, 2, 2), dtype=complex)
-    mean[:] = rho0
-    mean[:, 0, 1] = rho0[0, 1] * mean_factor
-    mean[:, 1, 0] = np.conj(mean[:, 0, 1])
-    stderr = np.zeros((g, 2, 2), dtype=float)
-    stderr[:, 0, 1] = abs(rho0[0, 1]) * factor_stderr
-    stderr[:, 1, 0] = stderr[:, 0, 1]
-    return EnsembleResult(grid, mean, stderr, trajectories)
+    return EnsembleResult(grid, rho01 * mean_factor, abs(rho01) * factor_stderr, trajectories)
 
 
 def _grid_chunks(size: int, rows: int) -> list[tuple[int, int]]:

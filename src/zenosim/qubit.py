@@ -2,8 +2,9 @@
 
 States, Pauli operators, the system Hamiltonian with its propagator and the
 Bloch-vector turn it makes, y rotations, co-rotating projectors, Bloch vectors
-and the dynamical fidelity.  Every physicality check of a state uses the one
-set of tolerances below.  Conventions are fixed here once and for all:
+and the dynamical fidelity.  One check, ``first_unphysical``, reads the entries
+of one state or the entry columns of many, at the one set of tolerances below.
+Conventions are fixed here once and for all:
 
 * basis: ``|0>`` is the ground state, ``|1>`` the excited state,
 * ``sigma_z |0> = +|0>``, ``sigma_plus |0> = |1>``,
@@ -93,24 +94,27 @@ class DensityMatrix:
 
 def validate_density(arr: np.ndarray) -> None:
     """Raise ValueError unless ``arr`` is a physical 2x2 state within the module tolerances."""
-    bad = first_unphysical(np.asarray(arr)[None])
+    arr = np.asarray(arr)
+    bad = first_unphysical(arr[0, 0], arr[1, 1], arr[0, 1], arr[1, 0])
     if bad is not None:
         raise ValueError(bad[1])
 
 
-def first_unphysical(stack: np.ndarray) -> tuple[int, str] | None:
-    """Index and reason of the first non-physical state in a (G, 2, 2) stack, else None.
+def first_unphysical(p00, p11, rho01, rho10) -> tuple[int, str] | None:
+    """Index and reason of the first non-physical state, else None.
 
-    The checks are those of ``validate_density``, one vectorised pass each, at
-    ``TRACE_TOL``, ``HERMITICITY_TOL`` and ``POSITIVITY_TOL``; the smaller
-    eigenvalue of a Hermitian 2x2 matrix is taken in closed form.
+    State k has the entries p00[k], p11[k], rho01[k] and rho10[k]; scalars are
+    one state.  Its entries must be finite, its trace 1 within ``TRACE_TOL``,
+    rho - rho^dagger, whose largest entry is max(2|Im p00|, 2|Im p11|,
+    |rho01 - conj rho10|), 0 within ``HERMITICITY_TOL``, and its smaller
+    eigenvalue, taken in closed form, above -``POSITIVITY_TOL``.
     """
-    stack = np.asarray(stack, dtype=complex)
-    finite = np.all(np.isfinite(stack.view(float)), axis=(1, 2))
-    trace = stack[:, 0, 0] + stack[:, 1, 1]
-    asymmetry = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-    p00, p11 = stack[:, 0, 0].real, stack[:, 1, 1].real
-    lowest = 0.5 * (p00 + p11) - np.hypot(0.5 * (p00 - p11), np.abs(stack[:, 1, 0]))
+    p00, p11, rho01, rho10 = np.atleast_1d(p00, p11, rho01, rho10)
+    finite = np.isfinite(p00) & np.isfinite(p11) & np.isfinite(rho01) & np.isfinite(rho10)
+    trace = p00 + p11
+    asymmetry = np.maximum(2.0 * np.maximum(np.abs(p00.imag), np.abs(p11.imag)),
+                           np.abs(rho01 - rho10.conj()))
+    lowest = 0.5 * (p00.real + p11.real) - np.hypot(0.5 * (p00.real - p11.real), np.abs(rho10))
     bad = (~finite | (np.abs(trace - 1.0) > TRACE_TOL) | (asymmetry > HERMITICITY_TOL)
            | (lowest < -POSITIVITY_TOL))
     if not bad.any():
@@ -175,8 +179,11 @@ class SystemHamiltonian:
         n = np.array([self.delta / omega, 0.0, self.epsilon / omega])
         angle = omega * times
         cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
-        return (cos * vectors + sin * np.cross(n, vectors)
-                + (1.0 - cos) * (vectors @ n)[:, None] * n)
+        turned = np.cross(n, vectors)           # summed in place: one (G, 3) temporary
+        turned *= sin
+        turned += cos * vectors
+        turned += (1.0 - cos) * (vectors @ n)[:, None] * n
+        return turned
 
 
 def plus_state() -> PureState:

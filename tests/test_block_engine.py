@@ -42,7 +42,7 @@ def mc_outputs() -> list[bytes]:
     out = []
     for model in (NoiseModel.quasi_static(0.05), OU):
         result = ensemble_average(plus_state(), model, GRID, TRAJECTORIES, 11, context=(2,))
-        out.append(result.mean_rho.tobytes() + result.stderr.tobytes())
+        out.append(result.rho01.tobytes() + result.stderr.tobytes())
     for kind, run in ((ProtocolKind.SELECTIVE, selective_run_mc),
                       (ProtocolKind.NON_SELECTIVE, nonselective_run_mc)):
         for reset in NoiseReset:
@@ -215,7 +215,7 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
 
     def call():
         result = ensemble_average(plus_state(), OU, GRID, TRAJECTORIES, 11, context=(2,))
-        return result.mean_rho.tobytes() + result.stderr.tobytes()
+        return result.rho01.tobytes() + result.stderr.tobytes()
 
     parent = call()                     # the pool and its threads now exist
     with warnings.catch_warnings():

@@ -37,6 +37,17 @@ def stepwise_rk4(rho0, params, t_end, dt):
         states.append(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return times, np.array(states)
 
+
+def entries(result):
+    """(G, 4) entries p00, p11, rho01, rho10 of an integration result's states."""
+    return np.stack([result.p00, result.p11, result.rho01, result.rho01.conj()], axis=1)
+
+
+def matrix_entries(matrices):
+    """The same four entries of a 2x2 matrix, or of each in a stack of them."""
+    return np.asarray(matrices)[..., [0, 1, 0, 1], [0, 1, 1, 0]]
+
+
 # exact scalar evaluations of the closed-form solution at T1=1000, T2=20, t=20:
 # excited population exp(-0.02)/2, coherence exp(-0.01 - 1)/2
 EXCITED_AT_20 = 0.4900993366533776
@@ -98,7 +109,8 @@ class TestIntegrate:
     def test_no_decay_is_identity(self):
         free = DecoherenceParams(0.0, 0.0)
         result = integrate(plus_state().density(), free, 50.0, 0.5)
-        assert np.max(np.abs(result.states - plus_state().density().matrix)) <= 1e-12
+        assert np.max(np.abs(entries(result)
+                             - matrix_entries(plus_state().density().matrix))) <= 1e-12
 
     def test_rejects_large_step(self):
         with pytest.raises(ValueError, match="dt"):
@@ -131,9 +143,9 @@ class TestIntegrate:
     def test_fourth_order_convergence(self):
         # halving the step shrinks the closed-form error by roughly 2^4
         t_end = 20.0
-        coarse = integrate(plus_state().density(), FIG2, t_end, 0.2).states[-1]
-        fine = integrate(plus_state().density(), FIG2, t_end, 0.1).states[-1]
-        exact = closed_form_rho_rotating(FIG2, t_end).matrix
+        coarse = entries(integrate(plus_state().density(), FIG2, t_end, 0.2))[-1]
+        fine = entries(integrate(plus_state().density(), FIG2, t_end, 0.1))[-1]
+        exact = matrix_entries(closed_form_rho_rotating(FIG2, t_end).matrix)
         ratio = np.max(np.abs(coarse - exact)) / np.max(np.abs(fine - exact))
         assert 10.0 <= ratio <= 22.0
 
@@ -143,9 +155,8 @@ class TestIntegrate:
         t_end = 5.0 * (t2 if math.isfinite(t2) else t1)
         dt = min(t1, t2) / 200.0
         result = integrate(plus_state().density(), params, t_end, dt)
-        worst = max(np.max(np.abs(result.states[i]
-                                  - closed_form_rho_rotating(params, float(t)).matrix))
-                    for i, t in enumerate(result.times))
+        exact = [closed_form_rho_rotating(params, float(t)).matrix for t in result.times]
+        worst = np.max(np.abs(entries(result) - matrix_entries(exact)))
         assert worst <= 1e-8
 
     @pytest.mark.parametrize("rho0", [plus_state().density(), MIXED_RHO0], ids=["plus", "mixed"])
@@ -157,7 +168,7 @@ class TestIntegrate:
         times, expected = stepwise_rk4(rho0, params, t_end, dt)
         result = integrate(rho0, params, t_end, dt)
         assert np.array_equal(result.times, times)
-        assert np.max(np.abs(result.states - expected)) <= 1e-14
+        assert np.max(np.abs(entries(result) - matrix_entries(expected))) <= 1e-14
 
     def test_bound_sized_run_is_fast_and_accurate(self):
         # MAX_TABLE_ROWS steps took 15-30 s one step at a time
@@ -167,9 +178,10 @@ class TestIntegrate:
         elapsed = time.perf_counter() - start
         assert len(result.times) == MAX_TABLE_ROWS + 1
         assert elapsed < 1.0
+        states = entries(result)
         for i in range(0, MAX_TABLE_ROWS + 1, 100):
             exact = closed_form_rho_rotating(FIG2, float(result.times[i])).matrix
-            assert np.max(np.abs(result.states[i] - exact)) <= 1e-8
+            assert np.max(np.abs(states[i] - matrix_entries(exact))) <= 1e-8
 
     def test_positivity_loss_names_first_time(self, monkeypatch):
         # coherence factors of 1.5 per step push |rho01| past 1/2 at the first step
@@ -182,8 +194,9 @@ class TestIntegrate:
 
     def test_states_stay_physical(self):
         result = integrate(plus_state().density(), FIG2, 100.0, 0.1)
+        states = entries(result)[:, [[0, 2], [3, 1]]]       # [[p00, rho01], [rho10, p11]]
         for i in range(0, len(result.times), 100):
-            rho = DensityMatrix(result.states[i])
+            rho = DensityMatrix(states[i])
             assert abs(sum(rho.populations) - 1.0) <= 1e-10
 
     def test_grid_lands_on_t_end(self):
@@ -240,8 +253,8 @@ class TestPureDephasingCoherence:
         model = NoiseModel.quasi_static(gamma2 / math.sqrt(2.0))
         grid = np.linspace(0.0, 40.0, 9)
         result = ensemble_average(plus_state(), model, grid, 100_000, 31)
-        envelope = 2.0 * result.coherence()
-        stderr = 2.0 * result.coherence_stderr()
+        envelope = 2.0 * np.abs(result.rho01)
+        stderr = 2.0 * result.stderr
         for i in range(1, grid.size):
             expected = pure_dephasing_coherence(gamma2, float(grid[i]))
             assert abs(envelope[i] - expected) <= 3.0 * stderr[i]

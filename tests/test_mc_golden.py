@@ -76,7 +76,15 @@ def ensemble_digest_lines() -> list[str]:
     for name, (model, grid) in ENSEMBLE_CASES.items():
         result = ensemble_average(plus_state(), model, grid, ENSEMBLE_TRAJECTORIES,
                                   ENSEMBLE_SEED, context=(3,))
-        digest = hashlib.sha256(result.mean_rho.tobytes() + result.stderr.tobytes())
+        # the golden digests a (G, 2, 2) mean state and its per-entry stderr,
+        # rebuilt here from the populations of plus_state() and the two columns
+        rho0 = np.outer(plus_state().amplitudes, plus_state().amplitudes.conj())
+        mean = np.empty((grid.size, 2, 2), dtype=complex)
+        mean[:] = rho0
+        mean[:, 0, 1], mean[:, 1, 0] = result.rho01, result.rho01.conj()
+        stderr = np.zeros((grid.size, 2, 2))
+        stderr[:, 0, 1] = stderr[:, 1, 0] = result.stderr
+        digest = hashlib.sha256(mean.tobytes() + stderr.tobytes())
         lines.append(f"ensemble_average-{name} {digest.hexdigest()}\n")
     return lines
 

@@ -162,20 +162,28 @@ class TestEnsembleAverage:
         model = NoiseModel.quasi_static(0.0)
         initial = plus_state().density().coherence
         result = ensemble_average(plus_state(), model, np.linspace(0, 50, 6), 200, 1)
-        assert np.all(result.coherence() == initial)
+        assert np.all(np.abs(result.rho01) == initial)
 
     def test_zero_phase_returns_input(self):
         result = ensemble_average(plus_state(), OU, np.linspace(0.0, 1.0, 11), 200, 4)
-        assert np.array_equal(result.mean_rho[0], plus_state().density().matrix)
+        assert result.rho01[0] == plus_state().density().matrix[0, 1]
+        assert result.stderr[0] == 0.0
 
     def test_populations_untouched(self):
+        # dephasing leaves the populations of any pure state as they are, so its
+        # mean state is those populations and the mean rho01, which is the
+        # state's rho01 times the plus state's mean factor 2 rho01
         rng = np.random.default_rng(3)
         amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi = PureState(amps / np.linalg.norm(amps))
-        result = ensemble_average(psi, OU, np.linspace(0.0, 2.0, 21), 500, 9)
-        expected = np.abs(psi.amplitudes) ** 2
-        populations = np.stack([result.mean_rho[:, 0, 0].real, result.mean_rho[:, 1, 1].real], 1)
-        assert np.allclose(populations, expected, rtol=0.0, atol=1e-12)
+        grid = np.linspace(0.0, 2.0, 21)
+        result = ensemble_average(psi, OU, grid, 500, 9)
+        plus = ensemble_average(plus_state(), OU, grid, 500, 9)
+        rho = psi.density()
+        rho01 = rho.matrix[0, 1]
+        assert np.allclose(result.rho01, rho01 * 2.0 * plus.rho01, rtol=0.0, atol=1e-15)
+        assert np.allclose(result.stderr, abs(rho01) * 2.0 * plus.stderr, rtol=1e-12, atol=0.0)
+        assert first_unphysical(*rho.populations, result.rho01, result.rho01.conj()) is None
 
     def test_quasi_static_gaussian_decay(self):
         # ensemble coherence matches the Gaussian-integral value
@@ -185,8 +193,8 @@ class TestEnsembleAverage:
         grid = np.array([0.0, 1.0 / lam])
         result = ensemble_average(plus_state(), model, grid, 100_000, 21)
         expected = 0.5 * math.exp(-2.0)
-        dev = abs(result.coherence()[1] - expected)
-        assert dev <= 3.0 * result.coherence_stderr()[1]
+        dev = abs(abs(result.rho01[1]) - expected)
+        assert dev <= 3.0 * result.stderr[1]
 
     def test_matches_explicit_trajectory_average(self):
         # the vectorised ensemble equals a plain mean of per-trajectory states:
@@ -197,19 +205,14 @@ class TestEnsembleAverage:
         phases = all_block_phases(OU, grid, 17, m)
         rho0 = plus_state().density().matrix
         for t_index in (0, 4, 10):
-            states = []
-            for row in range(m):
-                rho = rho0.copy()
-                rho[0, 1] *= np.exp(-1j * phases[row, t_index])
-                rho[1, 0] = np.conj(rho[0, 1])
-                states.append(rho)
-            assert np.allclose(np.mean(states, axis=0), result.mean_rho[t_index], atol=1e-12)
+            rho01 = [rho0[0, 1] * np.exp(-1j * phases[row, t_index]) for row in range(m)]
+            assert np.allclose(np.mean(rho01), result.rho01[t_index], rtol=0.0, atol=1e-12)
 
     def test_bit_reproducible_and_block_order_free(self):
         grid = np.linspace(0.0, 1.0, 11)
         a = ensemble_average(plus_state(), OU, grid, 5000, 3)
         b = ensemble_average(plus_state(), OU, grid, 5000, 3)
-        assert np.array_equal(a.mean_rho, b.mean_rho) and np.array_equal(a.stderr, b.stderr)
+        assert np.array_equal(a.rho01, b.rho01) and np.array_equal(a.stderr, b.stderr)
         # processing blocks in any order and reducing in index order gives the
         # same bits as the serial run; each grid point sums its block's
         # trajectories as one contiguous row of cos 2 phi and of sin 2 phi
@@ -223,7 +226,7 @@ class TestEnsembleAverage:
         for b_idx in sorted(partials):
             factor_sum += partials[b_idx]
         rho01 = plus_state().density().matrix[0, 1]
-        assert np.array_equal(rho01 * (factor_sum / 5000), a.mean_rho[:, 0, 1])
+        assert np.array_equal(rho01 * (factor_sum / 5000), a.rho01)
 
     @pytest.mark.parametrize("model", [QS, OU], ids=["quasi-static", "ornstein-uhlenbeck"])
     def test_stderr_is_the_spread_of_the_trajectory_factors(self, model):
@@ -235,7 +238,7 @@ class TestEnsembleAverage:
         factors = np.exp(-1j * all_block_phases(model, grid, 12, m))
         variance = factors.real.var(axis=0, ddof=1) + factors.imag.var(axis=0, ddof=1)
         expected = 0.5 * np.sqrt(variance / m)
-        assert np.allclose(result.coherence_stderr(), expected, rtol=1e-9, atol=0.0)
+        assert np.allclose(result.stderr, expected, rtol=1e-9, atol=0.0)
 
     def test_coarse_grid_matches_closed_form(self):
         # grid steps of tau_c: the exact law has no step limit, and the
@@ -244,18 +247,19 @@ class TestEnsembleAverage:
         grid = np.arange(11.0)
         result = ensemble_average(plus_state(), model, grid, 20_000, 31)
         closed = 0.5 * np.exp(-ou_decay_exponent(model.coupling, model.tau_c, grid[1:]))
-        z = np.abs(result.coherence()[1:] - closed) / result.coherence_stderr()[1:]
+        z = np.abs(np.abs(result.rho01[1:]) - closed) / result.stderr[1:]
         assert np.max(z) <= 4.0
 
     def test_mean_states_are_physical(self):
         grid = np.linspace(0.0, 2.0, 21)
         result = ensemble_average(plus_state(), OU, grid, 2000, 8)
-        assert first_unphysical(result.mean_rho) is None
-        assert np.abs(result.mean_rho[10, 0, 1]) <= 0.5
+        p00, p11 = plus_state().density().populations
+        assert first_unphysical(p00, p11, result.rho01, result.rho01.conj()) is None
+        assert np.abs(result.rho01[10]) <= 0.5
 
     def test_stderr_scales_with_ensemble_size(self):
         grid = np.array([0.0, 10.0])
         small = ensemble_average(plus_state(), QS, grid, 1000, 5)
         large = ensemble_average(plus_state(), QS, grid, 16_000, 5)
-        ratio = small.coherence_stderr()[1] / large.coherence_stderr()[1]
+        ratio = small.stderr[1] / large.stderr[1]
         assert ratio == pytest.approx(4.0, rel=0.2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim import qubit
+from zenosim.lindblad import DecoherenceParams, integrate
 from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
                            SystemHamiltonian, bloch_vector, corotating_projector,
                            dynamical_fidelity, first_unphysical, plus_state, rotation_y)
@@ -13,6 +14,12 @@ from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
 MIXED = DensityMatrix(0.5 * np.eye(2))
+
+
+def entry_columns(states):
+    """(p00, p11, rho01, rho10) columns of a list of 2x2 matrices."""
+    stack = np.asarray(states, dtype=complex)
+    return stack[:, 0, 0], stack[:, 1, 1], stack[:, 0, 1], stack[:, 1, 0]
 
 
 def random_state(seed):
@@ -170,28 +177,43 @@ class TestInvariantEnforcement:
     def test_stack_names_first_bad_state(self):
         good = random_state(3).density().matrix
         negative = np.array([[0.2, 0.45], [0.45, 0.8]])
-        stack = np.array([good, good, negative, np.diag([0.6, 0.6]), negative])
-        index, reason = first_unphysical(stack)
+        columns = entry_columns([good, good, negative, np.diag([0.6, 0.6]), negative])
+        index, reason = first_unphysical(*columns)
         assert index == 2 and reason.startswith("negative eigenvalue ")
         # the closed-form smaller eigenvalue agrees with LAPACK's
         assert float(reason.split()[2]) == pytest.approx(np.linalg.eigvalsh(negative)[0],
                                                          abs=1e-15)
-        assert first_unphysical(stack[:2]) is None
+        assert first_unphysical(*(column[:2] for column in columns)) is None
 
+    # rho - rho^dagger has entries 2i Im p00, 2i Im p11 and rho01 - conj(rho10),
+    # so Hermiticity fails through either; Im p00 = -Im p11 keeps the trace at 1
     @pytest.mark.parametrize("bad,reason", [
         ([[0.6, 0.0], [0.0, 0.6]], "trace"),
         ([[0.5, 0.3], [0.1, 0.5]], "Hermitian"),
         ([[0.5, np.nan], [np.nan, 0.5]], "non-finite"),
+        pytest.param([[0.5, 0.5 + 2e-12j], [0.5 + 2e-12j, 0.5]], "Hermitian",
+                     id="rho10-not-conj-rho01"),
+        pytest.param([[0.5 + 6e-13j, 0.0], [0.0, 0.5 - 6e-13j]], "Hermitian",
+                     id="imaginary-p00-p11"),
+        pytest.param([[0.5, 0.0], [0.0, 0.5 + 6e-13j]], "Hermitian", id="imaginary-p11"),
     ])
     def test_stack_reasons(self, bad, reason):
-        stack = np.array([MIXED.matrix, bad], dtype=complex)
-        index, text = first_unphysical(stack)
+        index, text = first_unphysical(*entry_columns([MIXED.matrix, bad]))
         assert index == 1 and reason in text
+
+    def test_single_row_columns(self):
+        # a decay_curve at t_end = 0 checks one grid state: columns of length 1
+        result = integrate(plus_state().density(), DecoherenceParams(1e-3, 0.05), 0.0, 0.1)
+        columns = (result.p00, result.p11, result.rho01, result.rho01.conj())
+        assert [len(column) for column in columns] == [1, 1, 1, 1]
+        assert first_unphysical(*columns) is None
 
     def test_stack_tolerances(self):
         # eigenvalue -1e-9: outside POSITIVITY_TOL = 1e-10
-        stack = np.array([[[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]], dtype=complex)
-        assert first_unphysical(stack)[0] == 0
+        columns = entry_columns([[[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]]])
+        assert first_unphysical(*columns)[0] == 0
+        # |2i Im p00| = 8e-13: inside HERMITICITY_TOL = 1e-12
+        assert first_unphysical(*entry_columns([[[0.5 + 4e-13j, 0.0], [0.0, 0.5 - 4e-13j]]])) is None
 
     def test_pure_state_rejects_unnormalised(self):
         with pytest.raises(ValueError, match="norm"):
