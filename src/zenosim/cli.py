@@ -31,9 +31,8 @@ def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     # interaction-picture trace, Bloch vector and |+> fidelity; exp(-iHt) turns the
     # Bloch vector into the lab frame, and the fidelity undoes that turn
     trace = p00 + p11
-    bloch = np.stack([2.0 * coh.real, -2.0 * coh.imag, p00 - p11], axis=1)
     fid = 0.5 * trace + coh.real
-    x, y, z = hs.rotate_bloch(times, bloch).T
+    x, y, z = hs.rotate_bloch(times, 2.0 * coh.real, -2.0 * coh.imag, p00 - p11)
     table = Table({"t": times, "p00": 0.5 * (trace + z), "p11": 0.5 * (trace - z),
                    "re01": 0.5 * x, "im01": -0.5 * y, "abs01": 0.5 * np.hypot(x, y),
                    "fidelity": fid})
@@ -114,19 +113,22 @@ def _mc_z(settings, table: Table) -> tuple[str, bool]:
     return _max_z(table["P_mc"], references, table["P_mc_stderr"])
 
 
-def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
-    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
+def _figure2_table(settings, plan: Plan) -> Table:
     mc = plan.mc_work > 0
-    table = figure2_sweep(
-        params, plan.t, settings["n_max"],
+    return figure2_sweep(
+        DecoherenceParams.from_times(settings["t1"], settings["t2"]), plan.t, settings["n_max"],
         trajectories=settings["trajectories"] if mc else None,
         base_seed=settings["base_seed"] if mc else None,
         noise_reset=NoiseReset(settings["noise_reset"]))
+
+
+def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
+    table = _figure2_table(settings, plan)
     n_max = settings["n_max"]
     # rows run over N = 1..n_max within each t, t in grid order
     summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(p)}"
                for t, p in zip(plan.t, table["P_analytic"][n_max - 1::n_max])]
-    if mc:
+    if plan.mc_work > 0:
         z_max, _ = _mc_z(settings, table)
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "consistency check against E[q(f0)^N] for persistent noise; "
@@ -165,7 +167,7 @@ def _run_ratio_plot(settings, plan: Plan) -> tuple[Table, list[str]]:
 
 
 def _run_mc_validate(settings, plan: Plan) -> tuple[Table, list[str]]:
-    table, _ = _run_figure2(settings, plan)
+    table = _figure2_table(settings, plan)
     z_max, within = _mc_z(settings, table)
     summary = [
         f"grid points checked: {len(table)} with {settings['trajectories']} trajectories each",

@@ -143,10 +143,10 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     generator is diagonal: p11' = -gamma1 p11 and rho01' = a(t) rho01 with
     a(t) = -(gamma1/2 + 2 gamma2^2 t), while p00 follows from the trace and
     rho10 is conj(rho01).  An RK4 step therefore multiplies p11 and rho01 by
-    scalar factors that depend only on the step; they are taken for every step
-    at once and applied with one cumulative product to give the result's
-    columns p00, p11 and rho01.  ``qubit.first_unphysical`` checks every grid
-    state on those columns: trace within 1e-12, Hermitian within 1e-12,
+    factors that depend only on the step: ``_rk4_factor`` takes p11's as one
+    float and rho01's as one column, and their running products are the result's
+    columns p11 and rho01.  ``qubit.first_unphysical`` checks every grid state
+    on the columns p00, p11 and rho01: trace within 1e-12, Hermitian within 1e-12,
     eigenvalues above -1e-10 (violations raise ``PositivityLossError`` with
     the first offending time).
     A fixed step keeps results reproducible; the equation is small and smooth
@@ -160,13 +160,13 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     h = t_end / steps if steps else 0.0
 
     times = np.linspace(0.0, t_end, steps + 1)
-    factors = np.ones((steps + 1, 2))
-    factors[1:] = _rk4_factors(params, times[:-1], h)
-    np.cumprod(factors, axis=0, out=factors)
+    t = times[:-1]
+    g1, c = params.gamma1, 2.0 * params.gamma2 * params.gamma2
     m = rho0.matrix
-    p11 = m[1, 1].real * factors[:, 0]
+    p11 = m[1, 1].real * np.cumprod(np.r_[1.0, np.full(steps, _rk4_factor(-g1, -g1, -g1, h))])
     p00 = (m[0, 0].real + m[1, 1].real) - p11
-    rho01 = m[0, 1] * factors[:, 1]
+    rates = (-(0.5 * g1 + c * s) for s in (t, t + 0.5 * h, t + h))     # rho01' = a(s) rho01
+    rho01 = m[0, 1] * np.cumprod(np.r_[1.0, _rk4_factor(*rates, h)])
     bad = first_unphysical(p00, p11, rho01, rho01.conj())
     if bad is not None:
         step, reason = bad
@@ -175,14 +175,11 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     return IntegrationResult(times, p00, p11, rho01)
 
 
-def _rk4_factors(params: DecoherenceParams, t: np.ndarray, h: float) -> np.ndarray:
-    """RK4 growth factors of (p11, rho01) over the steps starting at times t."""
-    g1, g2 = params.gamma1, params.gamma2
+def _rk4_factor(a0, am, a1, h: float):
+    """RK4 growth factor of y' = a(s) y over a step h, from a(s) at its start, middle and end.
 
-    def rate(s):        # (p11, rho01) rates a(s) of y' = a(s) y, shape (len(t), 2)
-        return np.stack([np.full_like(s, -g1), -(0.5 * g1 + 2.0 * g2 * g2 * s)], axis=1)
-
-    a0, am, a1 = rate(t), rate(t + 0.5 * h), rate(t + h)
+    The rates are floats or columns, one entry per step.
+    """
     k1 = a0
     k2 = am * (1.0 + 0.5 * h * k1)
     k3 = am * (1.0 + 0.5 * h * k2)

@@ -229,8 +229,9 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     if trajectories < 100:
         raise ValueError(f"need at least 100 trajectories, got {trajectories}")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not (grid[0] >= 0.0 and np.all(np.diff(grid) > 0.0)):
-        raise ValueError("time grid must be 1-d, non-negative and strictly increasing")
+    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
+            or grid[0] < 0.0 or not np.all(np.diff(grid) > 0.0)):
+        raise ValueError("time grid must be 1-d, finite, non-negative and strictly increasing")
 
     rho01 = psi0.amplitudes[0] * psi0.amplitudes[1].conj()
     sum_phase = np.zeros(grid.size, dtype=complex)        # sum of exp(-2i phi)

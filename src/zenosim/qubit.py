@@ -162,28 +162,26 @@ class SystemHamiltonian:
         n_sigma = (self.epsilon / omega) * SIGMA_Z.matrix + (self.delta / omega) * SIGMA_X.matrix
         return QubitOperator(math.cos(half) * np.eye(2) - 1j * math.sin(half) * n_sigma)
 
-    def rotate_bloch(self, times, vectors) -> np.ndarray:
-        """Bloch vectors (G, 3) of states conjugated by ``evolution`` at each of G times.
+    def rotate_bloch(self, times, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bloch-vector columns (x, y, z) of states conjugated by ``evolution`` at each time.
 
-        exp(-i H t) rho exp(i H t) turns the Bloch vector of rho by the angle
-        omega t about n = (delta, 0, epsilon)/omega; Rodrigues' formula makes the
-        turn row by row.
+        exp(-i H t) rho exp(i H t) turns the Bloch vector r of rho by the angle
+        omega t about n = (delta, 0, epsilon)/omega.  Rodrigues' formula,
+        r cos + (n x r) sin + n (n . r)(1 - cos), makes the turn column by column.
         """
         times = np.asarray(times, dtype=float)
-        vectors = np.asarray(vectors, dtype=float)
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
+        x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
         omega = math.hypot(self.epsilon, self.delta)
         if omega == 0.0:
-            return vectors.copy()
-        n = np.array([self.delta / omega, 0.0, self.epsilon / omega])
-        angle = omega * times
-        cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
-        turned = np.cross(n, vectors)           # summed in place: one (G, 3) temporary
-        turned *= sin
-        turned += cos * vectors
-        turned += (1.0 - cos) * (vectors @ n)[:, None] * n
-        return turned
+            return x.copy(), y.copy(), z.copy()
+        nx, nz = self.delta / omega, self.epsilon / omega
+        cos, sin = np.cos(omega * times), np.sin(omega * times)
+        along = (1.0 - cos) * (nx * x + nz * z)
+        return (cos * x - sin * (nz * y) + along * nx,
+                cos * y + sin * (nz * x - nx * z),
+                cos * z + sin * (nx * y) + along * nz)
 
 
 def plus_state() -> PureState:

@@ -176,8 +176,12 @@ def nonselective_rho(params: DecoherenceParams, t: float, n: int) -> DensityMatr
     plane), the coherence carries the relaxation envelope and the
     measurement-suppressed dephasing exponent t^2/(N T2^2).
     """
-    off = nonselective_coherence(params, t, n)
-    bracket = np.array([[0.5, off], [off, 0.5]], dtype=complex)
+    return _equatorial_rho(params, t, nonselective_coherence(params, t, n))
+
+
+def _equatorial_rho(params: DecoherenceParams, t: float, coherence: float) -> DensityMatrix:
+    """[[1/2, c], [c, 1/2]] conjugated by the free evolution over t: the lab-frame state."""
+    bracket = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
     u = params.hs.evolution(t).matrix
     return DensityMatrix(u @ bracket @ u.conj().T)
 
@@ -347,11 +351,8 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     mean_sign = sign_sum / m
     coherence = 0.5 * mean_sign
     stderr = 0.5 * math.sqrt(max(1.0 - mean_sign ** 2, 0.0) / m)
-    bracket = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
-    u = params.hs.evolution(t).matrix
-    rho = DensityMatrix(u @ bracket @ u.conj().T)
-    return ProtocolResult(config.kind, final_rho=rho, coherence=abs(coherence),
-                          coherence_stderr=stderr, trajectories=m)
+    return ProtocolResult(config.kind, final_rho=_equatorial_rho(params, t, coherence),
+                          coherence=abs(coherence), coherence_stderr=stderr, trajectories=m)
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,16 @@ class TestRunExperiment:
 
     def test_decay_curve_rejects_unphysical_lab_state(self, tmp_path, monkeypatch):
         # |rho01| grows by 1e-9 over the first step, to an eigenvalue of -1e-9:
-        # inside 1e-8, outside the POSITIVITY_TOL = 1e-10 every state check uses
-        def leaky(params, t, h):
-            factors = np.ones((len(t), 2))
-            factors[0, 1] = 1.0 + 2e-9
+        # inside 1e-8, outside the POSITIVITY_TOL = 1e-10 every state check uses;
+        # p11's one float factor is 1, so its column stays at 1/2
+        def leaky(a0, am, a1, h):
+            if np.ndim(a0) == 0:
+                return 1.0
+            factors = np.ones_like(a0)
+            factors[0] = 1.0 + 2e-9
             return factors
 
-        monkeypatch.setattr(lindblad, "_rk4_factors", leaky)
+        monkeypatch.setattr(lindblad, "_rk4_factor", leaky)
         with pytest.raises(PositivityLossError,
                            match=r"t = 0\.1 \(step 1\): negative eigenvalue ") as info:
             run_experiment(parse_config("experiment=decay_curve\n"), out_dir=tmp_path)
@@ -568,12 +571,12 @@ class TestDecayCurveRules:
         columns became 7e5 Python floats in 1e5 row tuples before the CSV was
         written, and (G, 2, 2) complex stacks carried the states through the
         physicality check and into the lab frame.  The CSV is now written from
-        the columns a block at a time, the lab frame is a turn of (G, 3) Bloch
-        vectors, and ``integrate`` returns and checks the entry columns p00,
-        p11 and rho01.  What is left of the gap, about 15 MiB, is two peaks of
-        about the same height: the (G, 2) stage arrays from which ``integrate``
-        takes its RK4 factors, and the Bloch-vector turn, made while the
-        entry columns it reads and the columns it writes are held.
+        the columns a block at a time, ``integrate`` takes its RK4 factors as
+        one float for p11 and one column for rho01 and returns and checks the
+        entry columns p00, p11 and rho01, and the lab frame is a column-wise
+        turn of the Bloch-vector columns x, y and z.  What is left of the gap,
+        about 13 MiB, is mostly the Bloch-vector turn, made while the entry
+        columns it reads and the columns it writes are held.
 
         Linux carries a process's peak RSS over fork and exec into the child's
         ``ru_maxrss``, so a child of this test process would read at least the

@@ -184,11 +184,12 @@ class TestIntegrate:
             assert np.max(np.abs(states[i] - matrix_entries(exact))) <= 1e-8
 
     def test_positivity_loss_names_first_time(self, monkeypatch):
-        # coherence factors of 1.5 per step push |rho01| past 1/2 at the first step
-        def growing(params, t, h):
-            return np.tile([1.0, 1.5], (len(t), 1))
+        # coherence factors of 1.5 per step push |rho01| past 1/2 at the first step;
+        # p11's one float factor is 1, so its column stays at 1/2
+        def growing(a0, am, a1, h):
+            return 1.0 if np.ndim(a0) == 0 else np.full_like(a0, 1.5)
 
-        monkeypatch.setattr(lindblad, "_rk4_factors", growing)
+        monkeypatch.setattr(lindblad, "_rk4_factor", growing)
         with pytest.raises(PositivityLossError, match=r"t = 0\.1 \(step 1\): negative eigenvalue"):
             integrate(plus_state().density(), FIG2, 1.0, 0.1)
 

@@ -158,6 +158,15 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match="100"):
             ensemble_average(plus_state(), QS, np.linspace(0, 1, 5), 99, 0)
 
+    @pytest.mark.parametrize("model", [QS, OU], ids=["quasi-static", "ornstein-uhlenbeck"])
+    @pytest.mark.parametrize("grid", [
+        [[0.0, 1.0]], [], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.inf],
+    ], ids=["2-d", "empty", "negative-start", "non-increasing", "infinite"])
+    def test_rejects_bad_grids(self, model, grid):
+        # an infinite t once ran, with sin/cos warnings and a NaN rho01 and stderr
+        with pytest.raises(ValueError, match="time grid must be 1-d, finite, non-negative"):
+            ensemble_average(plus_state(), model, grid, 200, 1)
+
     def test_zero_coupling_keeps_full_coherence(self):
         model = NoiseModel.quasi_static(0.0)
         initial = plus_state().density().coherence

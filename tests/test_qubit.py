@@ -245,23 +245,24 @@ class TestSystemHamiltonian:
     @pytest.mark.parametrize("eps,delta,t_end", [
         (1.0, 0.0, 40.0), (0.7, 0.3, 40.0), (0.0, 1.0, 40.0), (0.0, 0.0, 40.0),
         (4e5, -4e4, 100.0),         # 4e7 rad of turn at t_end
-    ], ids=["1.0-0.0", "0.7-0.3", "0.0-1.0", "0.0-0.0", "4e5--4e4"])
+        (-1.0, 0.3, 40.0),          # n = (delta, 0, epsilon)/omega with nz < 0
+    ], ids=["1.0-0.0", "0.7-0.3", "0.0-1.0", "0.0-0.0", "4e5--4e4", "-1.0-0.3"])
     def test_rotate_bloch_matches_evolution(self, eps, delta, t_end):
         # each turned vector is the Bloch vector of exp(-iHt) rho exp(iHt)
         hs = SystemHamiltonian(eps, delta)
         times = np.linspace(0.0, t_end, 17)
         states = [random_state(seed).density() for seed in range(16)] + [MIXED]
-        vectors = np.array([bloch_vector(rho) for rho in states])
-        turned = hs.rotate_bloch(times, vectors)
-        assert turned.shape == (17, 3)
-        for t, rho, r in zip(times, states, turned):
+        x, y, z = zip(*(bloch_vector(rho) for rho in states))
+        turned = hs.rotate_bloch(times, np.array(x), np.array(y), np.array(z))
+        assert [c.shape for c in turned] == [(17,)] * 3
+        for t, rho, r in zip(times, states, np.column_stack(turned)):
             u = hs.evolution(float(t)).matrix
             lab = DensityMatrix(u @ rho.matrix @ u.conj().T)
             assert np.max(np.abs(r - bloch_vector(lab))) <= 1e-14
 
     def test_rotate_bloch_rejects_non_finite_times(self):
         with pytest.raises(ValueError, match="finite"):
-            SystemHamiltonian(1.0).rotate_bloch([0.0, math.inf], np.zeros((2, 3)))
+            SystemHamiltonian(1.0).rotate_bloch([0.0, math.inf], *np.zeros((3, 2)))
 
     def test_sigma_y_in_evolution(self):
         # pure sigma_x Hamiltonian rotates the Bloch vector about +x, taking
