@@ -10,6 +10,7 @@ artifacts; see the config module for the accepted keys.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -215,7 +216,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     return {"csv": csv_path, "summary": summary_path}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and kept for the process."""
     parser = argparse.ArgumentParser(prog="zenosim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,8 +228,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", type=Path, default=None, help="override output directory")
     val_p = sub.add_parser("validate", help="parse and validate a config, run nothing")
     val_p.add_argument("config", type=Path)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:

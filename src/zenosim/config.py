@@ -25,10 +25,13 @@ from .noise import ou_decay_exponent
 
 DEFAULT_BASE_SEED = 123456789
 
-# bounds on a plan's exact counts that keep every accepted run short: a table row
-# costs 7-8 us and 0.16 kB in decay_curve (its RK4 step, Bloch-vector turn and CSV
-# line) and at most 5 us in analytic figure2/figure3, so about 1 s at the bound; on
-# 2 CPUs a crossover_scan grid point costs about 4 ms at 1e5 trajectories, and MC work
+# bounds on a plan's exact counts that keep every accepted run short: an analytic table
+# costs 0.5-0.55 us per CSV cell of '%.17g' text, so a row costs 4.5-6.5 us and 0.16 kB
+# in decay_curve (its 7 cells, RK4 step and Bloch-vector turn) and 2-5 us in analytic
+# figure2/figure3, at most 0.65 s at the bound (2 vCPUs, Python 3.11); a run's fixed
+# cost does not grow with it (a console run: 0.1-0.2 s of interpreter start and imports,
+# 1.7-2.7 ms of argument parser, 1-2 ms of config, CSV header and summary); a
+# crossover_scan grid point costs about 4 ms on 2 CPUs at 1e5 trajectories, and MC work
 # about 20 s at the bound: 3 s per 8.4e7 trajectory-intervals of an MC sweep (figure2
 # engine=mc defaults), 1.5 s per 4.1e7 noise values of crossover_scan (its defaults)
 MAX_TABLE_ROWS = 100_000
@@ -218,8 +221,16 @@ def _check_exponents(settings: dict[str, Any]) -> None:
 
 def _bound(count, limit, asks: str, unit: str, fix: str):
     if count > limit:       # an exact count of work past its bound
-        raise ConfigError(f"{asks} {count} {unit}, more than {limit:g}: {fix}")
+        raise ConfigError(f"{asks} {_count_text(count)} {unit}, more than {limit:g}: {fix}")
     return count
+
+
+def _count_text(count) -> str:
+    """A count exactly below 1e15, else to 3 significant digits, also past the float range."""
+    if count < 1e15:
+        return str(count)
+    from decimal import Decimal     # only on the way to a ConfigError
+    return f"{Decimal(count):.3g}"
 
 
 def _decay_plan(settings: dict[str, Any]) -> Plan:

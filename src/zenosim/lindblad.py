@@ -108,8 +108,8 @@ def master_rhs(rho, t: float, params: DecoherenceParams) -> np.ndarray:
     protocol layers that reset the dephasing clock after a projection must
     pass the time since the last reset.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     out = np.zeros((2, 2), dtype=complex)
     if params.gamma1 > 0.0:
@@ -214,5 +214,13 @@ def pure_dephasing_coherence(gamma2: float, t: float) -> float:
 
     Equals the quasi-static noise-ensemble average with coupling
     gamma2/sqrt(2): E[exp(-2i lambda f0 t)] = exp(-2 lambda^2 t^2).
+    Without dephasing or time it is 1, also for an infinite t or gamma2.
     """
-    return math.exp(-((gamma2 * t) ** 2))
+    for name, v in (("gamma2", gamma2), ("t", t)):
+        if not v >= 0.0:
+            raise ValueError(f"{name} must be >= 0, got {v!r}")
+    if gamma2 == 0.0 or t == 0.0:
+        return 1.0
+    x = gamma2 * t
+    # x^2 overflows past 1e154, and exp(-x^2) is 0.0 from x = 27.3 on
+    return 0.0 if x > 1e154 else math.exp(-(x ** 2))

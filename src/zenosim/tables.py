@@ -7,10 +7,11 @@ every column and turning array slices into Python numbers, so no full set of
 row tuples is ever built; each block is formatted by one ``%`` operation from
 a per-block row template and written by one ``write``.  A number fills a
 17-significant-digit ``_NUMBER`` slot, so a float round-trips bit-exactly; a
-column slice that holds None goes through ``_cell`` (empty for None) into a
-``%s`` slot.  The run summaries format their numbers through ``_cell`` too.
-Line endings are LF, the decimal separator is '.', the header row is
-mandatory, and no cell ever needs quoting.
+list or object-array column's slice that holds None goes through ``_cell``
+(empty for None) into a ``%s`` slot; a numeric array column cannot hold None
+and is not scanned for it.  The run summaries format their numbers through
+``_cell`` too.  Line endings are LF, the decimal separator is '.', the header
+row is mandatory, and no cell ever needs quoting.
 """
 
 from dataclasses import dataclass
@@ -60,10 +61,12 @@ def _cell(value) -> str:
 def write_csv(table: Table, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(table.columns) + "\n")
+        # only a list or an object array can hold None: a numeric array is never scanned
+        scan = [getattr(cells, "dtype", object) == object for cells in table.columns.values()]
         for start in range(0, len(table), _BLOCK_ROWS):
             block = [_values(cells[start:start + _BLOCK_ROWS])
                      for cells in table.columns.values()]
-            missing = [None in cells for cells in block]
+            missing = [scanned and None in cells for scanned, cells in zip(scan, block)]
             template = ",".join("%s" if m else _NUMBER for m in missing) + "\n"
             block = [list(map(_cell, c)) if m else c for c, m in zip(block, missing)]
             fh.write((template * len(block[0])) % tuple(chain.from_iterable(zip(*block))))

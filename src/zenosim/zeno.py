@@ -165,8 +165,7 @@ def pn_approx(params: DecoherenceParams, t: float, n: int) -> float:
 
 def nonselective_coherence(params: DecoherenceParams, t: float, n: int) -> float:
     """|<0|rho|1>| after N non-selective projections, frame factored out."""
-    _check_protocol_args(t, n)
-    return 0.5 * math.exp(-0.5 * params.gamma1 * t - (params.gamma2 * t) ** 2 / n)
+    return _coherence_and_ratio(params, t, n)[0]
 
 
 def nonselective_rho(params: DecoherenceParams, t: float, n: int) -> DensityMatrix:
@@ -194,11 +193,18 @@ def coherence_ratio(params: DecoherenceParams, t: float, n: int) -> float:
     measurements suppress.  Where the envelope underflows to 0 the closed
     form is used instead.
     """
+    return _coherence_and_ratio(params, t, n)[1]
+
+
+def _coherence_and_ratio(params: DecoherenceParams, t: float, n: int) -> tuple[float, float]:
+    """``nonselective_coherence`` and ``coherence_ratio`` of one (t, N), the coherence
+    computed once."""
     _check_protocol_args(t, n)
+    coherence = 0.5 * math.exp(-0.5 * params.gamma1 * t - (params.gamma2 * t) ** 2 / n)
     envelope = 0.5 * math.exp(-0.5 * params.gamma1 * t)
     if envelope == 0.0:
-        return math.exp(-(params.gamma2 * t) ** 2 / n)
-    return nonselective_coherence(params, t, n) / envelope
+        return coherence, math.exp(-(params.gamma2 * t) ** 2 / n)
+    return coherence, coherence / envelope
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +391,6 @@ def figure2_sweep(params: DecoherenceParams, times=(20.0, 25.0, 30.0, 35.0),
 def figure3_surface(params: DecoherenceParams, t_values, n_values) -> Table:
     """Measured coherence and its relaxation-normalised ratio over (t, N)."""
     grid = [(t, n) for t in t_values for n in n_values]
+    points = [_coherence_and_ratio(params, t, n) for t, n in grid]
     return Table({"t": [float(t) for t, _ in grid], "N": [int(n) for _, n in grid],
-                  "abs01": [nonselective_coherence(params, t, n) for t, n in grid],
-                  "ratio": [coherence_ratio(params, t, n) for t, n in grid]})
+                  "abs01": [c for c, _ in points], "ratio": [r for _, r in points]})

@@ -285,6 +285,47 @@ class TestMainEntry:
         assert main(["validate", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._parser() is cli._parser()
+        fresh = cli._parser.__wrapped__()       # a parser built afresh, not cached
+        path = tmp_path / "config.txt"
+        path.write_text("experiment=figure2\n")
+        assert main(["validate", str(path)]) == 0
+        for name in ("figure3", "ratio_plot"):
+            path.write_text(f"experiment={name}\nn_max=3\n")
+            assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+            assert (tmp_path / name / f"{name}.csv").exists()
+        capsys.readouterr()
+        for argv in (["run"], ["walk", str(path)], ["run", str(path), "--seed", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: zenosim") and "error:" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert help_text == fresh.format_help()
+        assert help_text.startswith("usage: zenosim [-h] {run,validate} ...\n")
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("text,asks,count", [
+        ("experiment=decay_curve\nt2=1e-300\n", "t_end/dt", "2.00e+304 table rows"),
+        ("experiment=figure2\nn_max=250000000000000\n", "times x n_max", "1.00e+15 table rows"),
+        ("experiment=figure2\nn_max=249999999999999\n", "times x n_max",
+         "999999999999996 table rows"),
+        (f"experiment=figure2\nn_max=1{'0' * 400}\n", "times x n_max", "4.00e+400 table rows"),
+    ], ids=["decay_curve", "at_1e15", "below_1e15", "past_the_float_range"])
+    def test_bound_messages_round_counts_from_1e15_on(self, text, asks, count):
+        # t2 = 1e-300 used to print the 305 digits of 2e304 RK4 steps + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        message = str(exc.value)
+        assert message.startswith(asks) and f" asks for {count}" in message
+        assert not re.search(r"\d{20}", message)
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.txt"]) == 1
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -103,6 +104,12 @@ class TestMasterRhs:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError, match=">= 0"):
             master_rhs(KET0.density(), -1.0, FIG2)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        # nan used to return the pure-relaxation derivative, inf a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^t must be finite and >= 0"):
+            master_rhs(plus_state().density(), t, FIG2)
 
 
 class TestIntegrate:
@@ -247,6 +254,31 @@ class TestPureDephasingCoherence:
 
     def test_one_dephasing_time(self):
         assert pure_dephasing_coherence(0.05, 20.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+
+    @pytest.mark.parametrize("gamma2,t,name", [
+        (math.nan, 1.0, "gamma2"), (-0.05, 1.0, "gamma2"), (-math.inf, 1.0, "gamma2"),
+        (0.05, math.nan, "t"), (0.05, -1.0, "t"), (0.05, -math.inf, "t"),
+    ])
+    def test_rejects_nan_or_negative_arguments_by_name(self, gamma2, t, name):
+        # t = -1 used to return exp(-0.0025) = 0.9975
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0"):
+            pure_dephasing_coherence(gamma2, t)
+
+    @pytest.mark.parametrize("gamma2,t,value", [
+        (0.05, 1e308, 0.0), (1e200, 1e200, 0.0), (0.05, math.inf, 0.0), (math.inf, 1.0, 0.0),
+        (0.0, math.inf, 1.0), (math.inf, 0.0, 1.0), (0.0, 1e308, 1.0),
+    ])
+    def test_extreme_arguments(self, gamma2, t, value):
+        # (gamma2 t)^2 used to raise OverflowError, and inf * 0 to give nan
+        assert pure_dephasing_coherence(gamma2, t) == value
+
+    def test_finite_values_are_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        specials = [0.0, 5e-324, 1e-300, 1.0, 27.3, 1e10]
+        pairs = list(itertools.product(specials, specials)) + list(
+            zip(*(10.0 ** rng.uniform(-10.0, 10.0, (2, 400))).tolist()))
+        for g, s in pairs:
+            assert pure_dephasing_coherence(g, s).hex() == math.exp(-((g * s) ** 2)).hex(), (g, s)
 
     def test_matches_quasi_static_ensemble(self):
         # Monte Carlo oracle: quasi-static noise with coupling gamma2/sqrt(2)

@@ -202,3 +202,19 @@ def test_one_write_per_block_plus_the_header(tmp_path, monkeypatch):
     expected = "t,N,P\n" + "".join(
         ",".join(_cell(cells[i]) for cells in columns.values()) + "\n" for i in range(n))
     assert path.read_bytes() == expected.encode()
+
+
+def test_array_and_list_columns_write_the_same_bytes(tmp_path):
+    # a numeric array column is not scanned for None; an object array and a list
+    # column are, whether or not they hold one
+    n = 11
+    values = [i / 7.0 for i in range(n)]
+    holed = [None if i % 4 == 1 else v for i, v in enumerate(values)]
+    expected = "x\n" + "".join(_cell(v) + "\n" for v in values)
+    expected_holed = "x\n" + "".join(_cell(v) + "\n" for v in holed)
+    for cells, text in [(np.array(values), expected), (values, expected),
+                        (np.array(values, dtype=object), expected),
+                        (holed, expected_holed), (np.array(holed, dtype=object), expected_holed)]:
+        path = tmp_path / "column.csv"
+        write_csv(Table({"x": cells}), path)
+        assert path.read_bytes() == text.encode()

@@ -483,3 +483,21 @@ class TestFigure3Surface:
     def test_spot_values(self):
         table = figure3_surface(FIG3, [400.0], [1, 16])
         assert table["abs01"] == pytest.approx([ABS01_N1, ABS01_N16], abs=1e-12)
+
+    @pytest.mark.parametrize("t1", [1000.0, 0.001, math.inf],
+                             ids=["envelope", "envelope_underflows", "no_relaxation"])
+    def test_columns_are_the_pointwise_functions_bit_for_bit(self, t1):
+        # T1 = 1 ps: exp(-t/(2 T1)) underflows to 0 from t = 1.5 ns on, where
+        # coherence_ratio falls back to exp(-t^2/(N T2^2))
+        params = DecoherenceParams.from_times(t1, 400.0)
+        t_values, n_values = [0.0, 1.0, 50.0, 400.0, 800.0], range(1, 6)
+        table = figure3_surface(params, t_values, n_values)
+        grid = list(itertools.product(t_values, n_values))
+        assert len(table) == len(grid)
+        assert ([x.hex() for x in table["abs01"]]
+                == [nonselective_coherence(params, t, n).hex() for t, n in grid])
+        assert ([x.hex() for x in table["ratio"]]
+                == [coherence_ratio(params, t, n).hex() for t, n in grid])
+        if t1 == 0.001:
+            assert [r for (t, _), r in zip(grid, table["ratio"]) if t >= 50.0] == [
+                math.exp(-(params.gamma2 * t) ** 2 / n) for t, n in grid if t >= 50.0]
