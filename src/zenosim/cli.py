@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, Plan, parse_config
 from .lindblad import DecoherenceParams, integrate
 from .noise import NoiseModel, ensemble_average, ou_decay_exponent
-from .qubit import SystemHamiltonian, plus_state
+from .qubit import SystemHamiltonian, _require, plus_state
 from .tables import Table, _cell, write_csv
 from .zeno import NoiseReset, figure2_sweep, figure3_surface, pn_persistent
 
@@ -138,14 +138,16 @@ def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
     return table, summary
 
 
+def _figure3_table(settings, plan: Plan) -> Table:
+    return figure3_surface(DecoherenceParams.from_times(settings["t1"], settings["t2"]), plan.t,
+                           range(1, settings["n_max"] + 1))
+
+
 def _run_figure3(settings, plan: Plan) -> tuple[Table, list[str]]:
-    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
-    t_grid = plan.t
-    n_grid = range(1, settings["n_max"] + 1)
-    table = figure3_surface(params, t_grid, n_grid)
+    table = _figure3_table(settings, plan)
     # rows run over N within each t, t in grid order; an N=1 coherence that
     # underflowed has no uplift
-    abs01, n = table["abs01"], len(n_grid)
+    t_grid, abs01, n = plan.t, table["abs01"], settings["n_max"]
     uplifts = {t: last / first for t, first, last
                in zip(t_grid.tolist(), abs01[::n], abs01[n - 1::n]) if first > 0.0}
     if uplifts:
@@ -161,7 +163,7 @@ def _run_figure3(settings, plan: Plan) -> tuple[Table, list[str]]:
 
 def _run_ratio_plot(settings, plan: Plan) -> tuple[Table, list[str]]:
     t = settings["t"]
-    table, _ = _run_figure3(settings, plan)
+    table = _figure3_table(settings, plan)
     summary = [f"ratio at N={settings['n_max']}, t={_cell(t)} ns: {_cell(table['ratio'][-1])} "
                f"(measurement-suppressed dephasing only; relaxation cancels)"]
     return table, summary
@@ -195,9 +197,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     """Run one experiment; returns {'csv': path, 'summary': path}."""
     settings = dict(config.settings)
     if seed is not None:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        settings["base_seed"] = int(seed)
+        settings["base_seed"] = int(_require("seed", seed, 0))
     out = Path(out_dir if out_dir is not None else settings.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
 

@@ -267,7 +267,10 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
         raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the decay "
                           "rate 4 coupling^2 tau_c: lower coupling or tau_c")
     # -ln of the normalised coherence; the grid bound keeps dt/tau_c >= 1/(10 MAX_SCAN_POINTS)
-    first, last = (ou_decay_exponent(coupling, tau_c, t) for t in (dt, t_end))
+    try:
+        first = ou_decay_exponent(coupling, tau_c, dt)
+    except ValueError:      # G(dt) past the float range passes; the bounds below name the keys
+        first = math.inf
     if first < 1e-12:       # rounding next to 1 swamps the short-time fit
         raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} and dt = {dt!r} gives "
                           f"-ln(coherence) = {first:.3g} at t = dt, below the 1e-12 the "
@@ -290,6 +293,11 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
         raise ConfigError(f"tau_c = {tau_c!r} with coupling = {coupling!r} and t_end = {t_end!r} "
                           "overflows the decay exponent 4 coupling^2 tau_c t_end or the fit's "
                           "sum of t^2: lower tau_c, coupling or t_end")
+    try:        # rate * t_end is finite, so only (2 coupling tau_c)^2 can overflow here
+        last = ou_decay_exponent(coupling, tau_c, t_end)
+    except ValueError:
+        raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows (2 coupling "
+                          "tau_c)^2 in the decay exponent: lower coupling or tau_c") from None
     floor = 2.0 / math.sqrt(trajectories)
     if math.exp(-last) < floor:
         raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} leaves a coherence "

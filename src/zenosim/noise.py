@@ -55,7 +55,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qubit import PureState
+from .qubit import PureState, _require
 
 TRAJECTORY_BLOCK = 2048
 
@@ -79,13 +79,11 @@ class NoiseModel:
     tau_c: float             # ns; inf for quasi-static
 
     def __post_init__(self):
-        if not (self.coupling >= 0.0 and math.isfinite(self.coupling)):
-            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling!r}")
-        if self.kind is NoiseKind.QUASI_STATIC and not math.isinf(self.tau_c):
+        _require("coupling", self.coupling, 0.0)
+        if self.kind is NoiseKind.QUASI_STATIC and self.tau_c != math.inf:
             raise ValueError("quasi-static noise requires tau_c = inf")
-        if self.kind is NoiseKind.ORNSTEIN_UHLENBECK and not (
-                0.0 < self.tau_c < math.inf):
-            raise ValueError(f"Ornstein-Uhlenbeck noise requires finite tau_c > 0, got {self.tau_c!r}")
+        if self.kind is NoiseKind.ORNSTEIN_UHLENBECK:
+            _require("tau_c", self.tau_c, 0.0, above=True)
 
     @classmethod
     def quasi_static(cls, coupling: float) -> "NoiseModel":
@@ -98,6 +96,7 @@ class NoiseModel:
 
 def stream_generator(base_seed: int, *key: int) -> "np.random.Generator":
     """Counter-based Philox stream for (base_seed, key...); O(1) to derive."""
+    _require("base_seed", base_seed, 0)
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -105,13 +104,20 @@ def stream_generator(base_seed: int, *key: int) -> "np.random.Generator":
 def ou_decay_exponent(coupling: float, tau_c: float, t):
     """G(t) = 4 coupling^2 tau_c^2 (x - 1 + e^-x), x = t/tau_c: |+> keeps coherence exp(-G)/2.
 
-    x + expm1(-x) loses about 2 ulp / x at small x.  As with Python floats, G
-    past the float range is inf (nan for inf times a zero bracket), unwarned.
+    ``t`` is a time or a column of times; x + expm1(-x) loses about 2 ulp / x at small x.
+    A G or (2 coupling tau_c)^2 past the float range is a ValueError naming all three.
     """
-    scale = 2.0 * coupling * tau_c
+    scale = 2.0 * _require("coupling", coupling, 0.0) * _require("tau_c", tau_c, 0.0, above=True)
+    for edge in (np.min(t, initial=0.0), np.max(t, initial=0.0)):      # a nan reaches both
+        _require("t", float(edge), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.divide(t, tau_c)
-        return scale * scale * (x + np.expm1(-x))
+        g = scale * scale * (x + np.expm1(-x))
+    if np.all(np.isfinite(g)):
+        return g
+    named = sorted([(coupling, "coupling"), (tau_c, "tau_c"), (float(np.max(t)), "t")])[::-1]
+    raise ValueError(", ".join(f"{name} = {value!r}" for value, name in named)
+                     + " overflow the decay exponent 4 coupling^2 tau_c^2 (x - 1 + e^-x)")
 
 
 def _ou_interval_coefficients(tau: float, tau_c: float):
@@ -226,8 +232,7 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     Results are bit-reproducible for fixed (model, grid, M, base_seed): see
     the module docstring for the block contract.
     """
-    if trajectories < 100:
-        raise ValueError(f"need at least 100 trajectories, got {trajectories}")
+    _require("trajectories", trajectories, 100)
     grid = np.asarray(grid, dtype=float)
     if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
             or grid[0] < 0.0 or not np.all(np.diff(grid) > 0.0)):

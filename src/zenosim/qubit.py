@@ -25,6 +25,18 @@ POSITIVITY_TOL = 1e-10
 NORM_TOL = 1e-12
 
 
+def _require(name: str, value, minimum, above: bool = False, allow_inf: bool = False):
+    """The one argument rule: ``value`` if >= ``minimum`` (> if ``above``) and finite (or inf if
+    ``allow_inf``), else a ValueError naming it.  An int ``minimum`` asks for an integer."""
+    if ((minimum < value if above else minimum <= value) and (allow_inf or value < math.inf)
+            and (type(minimum) is not int or isinstance(value, (int, np.integer)))):
+        return value
+    bound = f"{'>' if above else '>='} {minimum:g}"
+    rule = (f"an integer {bound}" if type(minimum) is int else "finite" if minimum == -math.inf
+            else bound if allow_inf else f"finite and {bound}")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.shape != shape:
@@ -138,10 +150,8 @@ class SystemHamiltonian:
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("epsilon", "delta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        _require("epsilon", self.epsilon, -math.inf, above=True)
+        _require("delta", self.delta, -math.inf, above=True)
         m = 0.5 * self.epsilon * SIGMA_Z.matrix + 0.5 * self.delta * SIGMA_X.matrix
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -152,8 +162,7 @@ class SystemHamiltonian:
         For H = (omega/2) n.sigma the propagator is
         cos(omega t / 2) I - i sin(omega t / 2) n.sigma.
         """
-        if not math.isfinite(time):
-            raise ValueError(f"time must be finite, got {time!r}")
+        _require("time", time, -math.inf, above=True)
         omega = math.hypot(self.epsilon, self.delta)
         if omega == 0.0:
             return IDENTITY
@@ -192,8 +201,7 @@ def plus_state() -> PureState:
 
 def rotation_y(angle: float) -> QubitOperator:
     """exp(-i angle sigma_y / 2): rotation of the Bloch vector about y."""
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
+    _require("angle", angle, -math.inf, above=True)
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
     return QubitOperator([[c, -s], [s, c]])
 

@@ -32,10 +32,10 @@ from enum import Enum
 
 import numpy as np
 
-from .lindblad import DecoherenceParams
+from .lindblad import DecoherenceParams, _square
 from .noise import (NoiseKind, NoiseModel, _ou_interval_coefficients, _ou_phase_law,
                     _ou_phases, _reduce_blocks)
-from .qubit import DensityMatrix
+from .qubit import DensityMatrix, _require
 from .tables import Table
 
 
@@ -67,10 +67,8 @@ class ProtocolConfig:
     noise_reset: NoiseReset = NoiseReset.RESAMPLE_PER_INTERVAL
 
     def __post_init__(self):
-        if not (self.total_time >= 0.0 and math.isfinite(self.total_time)):
-            raise ValueError(f"total_time must be finite and >= 0, got {self.total_time!r}")
-        if self.measurements < 1:
-            raise ValueError(f"measurements must be >= 1, got {self.measurements}")
+        _require("total_time", self.total_time, 0.0)
+        _require("measurements", self.measurements, 1)
         if self.engine is EngineKind.MONTE_CARLO:
             if self.trajectories is None or self.trajectories < 1000:
                 raise ValueError("Monte Carlo runs need at least 1000 trajectories "
@@ -109,21 +107,13 @@ def selective_step_probability(params: DecoherenceParams, tau: float) -> float:
     Obtained by projecting the closed-form evolved |+> state back onto |+>:
     1/2 + 1/2 exp(-gamma1 tau / 2 - (gamma2 tau)^2).
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau!r}")
-    return 0.5 + 0.5 * math.exp(-0.5 * params.gamma1 * tau - (params.gamma2 * tau) ** 2)
-
-
-def _check_protocol_args(t: float, n: int) -> None:
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require("tau", tau, 0.0, above=True)
+    return 0.5 + 0.5 * math.exp(-0.5 * params.gamma1 * tau - _square(params.gamma2 * tau))
 
 
 def pn_analytic(params: DecoherenceParams, t: float, n: int) -> float:
     """Probability that all N co-rotating |+> projections succeed during t."""
-    _check_protocol_args(t, n)
+    t, n = _require("t", t, 0.0), _require("n", n, 1)
     if t == 0.0:
         return 1.0
     return selective_step_probability(params, t / n) ** n
@@ -142,7 +132,7 @@ def pn_persistent(params: DecoherenceParams, t: float, n: int) -> float:
     rule for the same mean fails once sqrt(2) gamma2 t passes about 15 (off
     by 0.33 at t = 15 T2).
     """
-    _check_protocol_args(t, n)
+    t, n = _require("t", t, 0.0), _require("n", n, 1)
     if t == 0.0:
         return 1.0
     tau = t / n
@@ -150,7 +140,8 @@ def pn_persistent(params: DecoherenceParams, t: float, n: int) -> float:
     angles = np.arange(2 * n + 1) * (2.0 * math.pi / (2 * n + 1))
     c = np.fft.rfft((0.5 + 0.5 * eps * np.cos(angles)) ** n).real / (2 * n + 1)
     c[1:] *= 2.0
-    return float(c @ np.exp(-(np.arange(n + 1) * (params.gamma2 * tau)) ** 2))
+    with np.errstate(over="ignore"):        # a square past the float range decays to 0.0
+        return float(c @ np.exp(-(np.arange(n + 1) * (params.gamma2 * tau)) ** 2))
 
 
 def pn_approx(params: DecoherenceParams, t: float, n: int) -> float:
@@ -159,8 +150,8 @@ def pn_approx(params: DecoherenceParams, t: float, n: int) -> float:
     Accurate to ~2% of the exact product while t stays below about
     0.3 T2 and 0.05 T1.
     """
-    _check_protocol_args(t, n)
-    return (1.0 - 0.25 * params.gamma1 * t) * math.exp(-(params.gamma2 * t) ** 2 / (2.0 * n))
+    t, n = _require("t", t, 0.0), _require("n", n, 1)
+    return (1.0 - 0.25 * params.gamma1 * t) * math.exp(-_square(params.gamma2 * t) / (2.0 * n))
 
 
 def nonselective_coherence(params: DecoherenceParams, t: float, n: int) -> float:
@@ -199,11 +190,12 @@ def coherence_ratio(params: DecoherenceParams, t: float, n: int) -> float:
 def _coherence_and_ratio(params: DecoherenceParams, t: float, n: int) -> tuple[float, float]:
     """``nonselective_coherence`` and ``coherence_ratio`` of one (t, N), the coherence
     computed once."""
-    _check_protocol_args(t, n)
-    coherence = 0.5 * math.exp(-0.5 * params.gamma1 * t - (params.gamma2 * t) ** 2 / n)
+    t, n = _require("t", t, 0.0), _require("n", n, 1)
+    suppressed = _square(params.gamma2 * t) / n
+    coherence = 0.5 * math.exp(-0.5 * params.gamma1 * t - suppressed)
     envelope = 0.5 * math.exp(-0.5 * params.gamma1 * t)
     if envelope == 0.0:
-        return coherence, math.exp(-(params.gamma2 * t) ** 2 / n)
+        return coherence, math.exp(-suppressed)
     return coherence, coherence / envelope
 
 
@@ -375,7 +367,7 @@ def figure2_sweep(params: DecoherenceParams, times=(20.0, 25.0, 30.0, 35.0),
     Each (t, N) Monte Carlo point runs on its own stream context, so the
     estimates are statistically independent.
     """
-    grid = [(t, n) for t in times for n in range(1, n_max + 1)]
+    grid = [(t, n) for t in times for n in range(1, _require("n_max", n_max, 1) + 1)]
     analytic = [pn_analytic(params, t, n) for t, n in grid]
     p_mc, stderr = [None] * len(grid), [None] * len(grid)
     if trajectories is not None:

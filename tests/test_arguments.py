@@ -1,0 +1,204 @@
+"""The library's one argument rule, checked over the whole public API.
+
+Every public callable, and every public method or constructor that takes a
+number, is fed one extreme value at a time in one numeric slot, with the other
+arguments at a valid base call.  Under ``warnings.simplefilter("error")`` each
+call must return a finite result or raise a ValueError whose text starts with
+the slot's name; an OverflowError, a TypeError or any warning fails the test.
+A public name with no entry below, probed or exempt, fails the test too.
+"""
+
+import dataclasses
+import math
+import re
+import warnings
+from enum import Enum
+
+import numpy as np
+import pytest
+
+import zenosim
+from zenosim import (DecoherenceParams, NoiseKind, NoiseModel, ProtocolConfig,
+                     SystemHamiltonian, Table, closed_form_rho, closed_form_rho_rotating,
+                     coherence_ratio, corotating_projector, dynamical_fidelity,
+                     ensemble_average, figure2_sweep, figure3_surface, integrate, master_rhs,
+                     nonselective_coherence, nonselective_rho, pn_analytic, pn_approx,
+                     plus_state, pure_dephasing_coherence, rotation_y,
+                     selective_step_probability, stream_generator)
+from zenosim.lindblad import _square
+from zenosim.noise import ou_decay_exponent
+from zenosim.zeno import pn_persistent
+
+HS = SystemHamiltonian(1.0, 0.05)
+PARAMS = DecoherenceParams.from_times(1000.0, 20.0, HS)
+PLUS = plus_state()
+
+FLOAT_PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308)
+COUNT_PROBES = FLOAT_PROBES + (2.5, -1, 0)
+
+
+def _protocol(func):
+    return func, dict(params=PARAMS, t=20.0, n=4), ("t",), ("n",)
+
+
+# name -> (callable, valid base keyword arguments, float slots, count slots); a slot
+# whose base value is a list is probed through its one entry
+CASES = {
+    "DecoherenceParams": (DecoherenceParams, dict(gamma1=1e-3, gamma2=0.05),
+                          ("gamma1", "gamma2"), ()),
+    "DecoherenceParams.from_times": (DecoherenceParams.from_times, dict(t1=1000.0, t2=20.0),
+                                     ("t1", "t2"), ()),
+    "closed_form_rho": (closed_form_rho, dict(params=PARAMS, t=20.0), ("t",), ()),
+    "closed_form_rho_rotating": (closed_form_rho_rotating, dict(params=PARAMS, t=20.0),
+                                 ("t",), ()),
+    "integrate": (integrate, dict(rho0=PLUS.density(), params=PARAMS, t_end=1.0, dt=0.1),
+                  ("t_end", "dt"), ()),
+    "master_rhs": (master_rhs, dict(rho=PLUS.density(), t=1.0, params=PARAMS), ("t",), ()),
+    "pure_dephasing_coherence": (pure_dephasing_coherence, dict(gamma2=0.05, t=20.0),
+                                 ("gamma2", "t"), ()),
+    "NoiseModel": (NoiseModel, dict(kind=NoiseKind.ORNSTEIN_UHLENBECK, coupling=0.1, tau_c=1.0),
+                   ("coupling", "tau_c"), ()),
+    "NoiseModel.quasi_static": (NoiseModel.quasi_static, dict(coupling=0.1), ("coupling",), ()),
+    "NoiseModel.ornstein_uhlenbeck": (NoiseModel.ornstein_uhlenbeck,
+                                      dict(coupling=0.1, tau_c=1.0), ("coupling", "tau_c"), ()),
+    "ensemble_average": (ensemble_average,
+                         dict(psi0=PLUS, model=NoiseModel.quasi_static(0.1), grid=[0.0, 1.0],
+                              trajectories=200, base_seed=1), (), ("trajectories", "base_seed")),
+    "stream_generator": (stream_generator, dict(base_seed=1), (), ("base_seed",)),
+    "SystemHamiltonian": (SystemHamiltonian, dict(epsilon=1.0, delta=0.05),
+                          ("epsilon", "delta"), ()),
+    "SystemHamiltonian.evolution": (HS.evolution, dict(time=2.0), ("time",), ()),
+    "corotating_projector": (corotating_projector, dict(psi=PLUS, hs=HS, time=2.0),
+                             ("time",), ()),
+    "dynamical_fidelity": (dynamical_fidelity,
+                           dict(rho=PLUS.density(), psi=PLUS, hs=HS, time=2.0), ("time",), ()),
+    "rotation_y": (rotation_y, dict(angle=0.3), ("angle",), ()),
+    "ProtocolConfig": (ProtocolConfig, dict(total_time=20.0, measurements=4),
+                       ("total_time",), ("measurements",)),
+    "selective_step_probability": (selective_step_probability, dict(params=PARAMS, tau=5.0),
+                                   ("tau",), ()),
+    "pn_analytic": _protocol(pn_analytic),
+    "pn_persistent": _protocol(pn_persistent),
+    "pn_approx": _protocol(pn_approx),
+    "nonselective_coherence": _protocol(nonselective_coherence),
+    "nonselective_rho": _protocol(nonselective_rho),
+    "coherence_ratio": _protocol(coherence_ratio),
+    "figure2_sweep": (figure2_sweep, dict(params=PARAMS, times=[20.0], n_max=4),
+                      ("times",), ("n_max",)),
+    "figure3_surface": (figure3_surface, dict(params=PARAMS, t_values=[400.0], n_values=[4]),
+                        ("t_values",), ("n_values",)),
+    "ou_decay_exponent": (ou_decay_exponent, dict(coupling=0.1, tau_c=1.0, t=1.0),
+                          ("coupling", "tau_c", "t"), ()),
+    "ou_decay_exponent on a grid": (ou_decay_exponent, dict(coupling=0.1, tau_c=1.0, t=[1.0]),
+                                    ("t",), ()),
+}
+
+# a sweep's list slot is checked entry by entry, under the name of one entry
+ENTRY_NAMES = {"times": "t", "t_values": "t", "n_values": "n"}
+
+EXEMPT = {
+    **dict.fromkeys(["IDENTITY", "SIGMA_MINUS", "SIGMA_PLUS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z"],
+                    "a constant"),
+    **dict.fromkeys(["NoiseKind", "EngineKind", "NoiseReset", "ProtocolKind"], "an enum"),
+    "PositivityLossError": "an exception type",
+    **dict.fromkeys(["IntegrationResult", "EnsembleResult", "ProtocolResult"],
+                    "a result record; ProtocolResult keeps its own bounds on estimates"),
+    **dict.fromkeys(["DensityMatrix", "PureState", "QubitOperator"],
+                    "takes an array, checked entry by entry as a state or operator"),
+    "bloch_vector": "takes a state",
+    "plus_state": "takes no argument",
+    "Table": "takes columns",
+    "write_csv": "takes a table and a path",
+    **dict.fromkeys(["selective_run_mc", "nonselective_run_mc"],
+                    "takes its numbers in a ProtocolConfig and a NoiseModel, probed above"),
+}
+
+
+def _finite(value) -> bool:
+    """Whether every number in a result is finite (a quasi-static tau_c is inf by definition)."""
+    if value is None or isinstance(value, (str, Enum, np.random.Generator)):
+        return True
+    if isinstance(value, NoiseModel):
+        return _finite(value.coupling) and (value.kind is NoiseKind.QUASI_STATIC
+                                            or _finite(value.tau_c))
+    if isinstance(value, Table):
+        return all(map(_finite, value.columns.values()))
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return bool(np.all(np.isfinite(value)))
+
+
+def _call(name, slot=None, value=None):
+    func, base, _, _ = CASES[name]
+    kwargs = dict(base)
+    if slot is not None:
+        kwargs[slot] = [value] if isinstance(base[slot], list) else value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return func(**kwargs)
+
+
+def _probes():
+    for name, (_, _, floats, counts) in CASES.items():
+        for slot in floats + counts:
+            for value in COUNT_PROBES if slot in counts else FLOAT_PROBES:
+                yield pytest.param(name, slot, value, id=f"{name}-{slot}-{value!r}")
+
+
+def test_every_public_name_is_probed_or_exempt():
+    covered = {name.split(".")[0] for name in CASES} | set(EXEMPT)
+    assert sorted(set(zenosim.__all__) - covered) == []
+    assert sorted(set(EXEMPT) - set(zenosim.__all__)) == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_base_call_is_finite(name):
+    assert _finite(_call(name))
+
+
+@pytest.mark.parametrize("name,slot,value", _probes())
+def test_finite_result_or_value_error_naming_the_slot(name, slot, value):
+    try:
+        result = _call(name, slot, value)
+    except ValueError as exc:
+        assert re.match(rf"{ENTRY_NAMES.get(slot, slot)}\b", str(exc)), exc
+    else:
+        assert _finite(result), result
+
+
+@pytest.mark.parametrize("func,args,text", [
+    # each used to pass: a non-integer count, an infinite interval, a state at t = inf
+    (ProtocolConfig, (40.0, 2.5), "measurements must be an integer >= 1, got 2.5"),
+    (pn_analytic, (PARAMS, 1.0, 2.5), "n must be an integer >= 1, got 2.5"),
+    (selective_step_probability, (PARAMS, math.inf), "tau must be finite and > 0, got inf"),
+    (closed_form_rho_rotating, (PARAMS, math.inf), "t must be finite and >= 0, got inf"),
+    # used to name gamma1, the rate the time's inverse overflowed into
+    (DecoherenceParams.from_times, (1e-320, 20.0), "t1 must be >= 5.56268e-309, got 1e-320"),
+    (DecoherenceParams.from_times, (1000.0, 0.0), "t2 must be >= 5.56268e-309, got 0.0"),
+    (SystemHamiltonian, (math.nan,), "epsilon must be finite, got nan"),
+    (pure_dephasing_coherence, (-1.0, 1.0), "gamma2 must be >= 0, got -1.0"),
+])
+def test_messages(func, args, text):
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("count", [4, np.int64(4), np.int32(4)])
+def test_numpy_integers_are_counts(count):
+    assert pn_analytic(PARAMS, 20.0, count) == pn_analytic(PARAMS, 20.0, 4)
+    assert ProtocolConfig(20.0, count).tau == 5.0
+
+
+def test_square_is_the_power_bit_for_bit():
+    # x * x differs from x ** 2 in the last bit for about 1 float in 1,200, so
+    # _square must keep ** below its inf cut-off
+    rng = np.random.default_rng(2024)
+    mantissas = rng.uniform(1.0, 2.0, 200_000)
+    exponents = rng.integers(-1070, 511, 200_000)
+    xs = np.ldexp(mantissas, exponents).tolist()
+    assert max(xs) < 1e154
+    assert all(_square(x) == x ** 2 for x in xs)
+    assert [_square(x) for x in (1e154, 1e200, math.inf)] == [math.inf] * 3
