@@ -245,6 +245,9 @@ def _decay_plan(settings: dict[str, Any]) -> Plan:
                           "than 1e-8 rad: lower epsilon, delta or t_end")
     scale = min(t1, t2) if min(t1, t2) < math.inf else max(t_end, 1.0)   # t_end if no decay
     dt = settings["dt"] = settings["dt"] or scale / 200.0
+    if dt == 0.0:
+        raise ConfigError(f"t1 = {t1!r} and t2 = {t2!r} give the default dt = min(t1, t2)/200 "
+                          "= 0.0, below the smallest float: raise t1 and t2")
     try:
         steps = rk4_steps(t_end, dt, t1, t2)
     except ValueError as exc:

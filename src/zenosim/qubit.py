@@ -27,8 +27,10 @@ NORM_TOL = 1e-12
 
 def _require(name: str, value, minimum, above: bool = False, allow_inf: bool = False):
     """The one argument rule: ``value`` if >= ``minimum`` (> if ``above``) and finite (or inf if
-    ``allow_inf``), else a ValueError naming it.  An int ``minimum`` asks for an integer."""
-    if ((minimum < value if above else minimum <= value) and (allow_inf or value < math.inf)
+    ``allow_inf``), else a ValueError naming it.  An int ``minimum`` asks for an integer; None
+    fails."""
+    if (value is not None and (minimum < value if above else minimum <= value)
+            and (allow_inf or value < math.inf)
             and (type(minimum) is not int or isinstance(value, (int, np.integer)))):
         return value
     bound = f"{'>' if above else '>='} {minimum:g}"

@@ -69,12 +69,9 @@ class ProtocolConfig:
     def __post_init__(self):
         _require("total_time", self.total_time, 0.0)
         _require("measurements", self.measurements, 1)
-        if self.engine is EngineKind.MONTE_CARLO:
-            if self.trajectories is None or self.trajectories < 1000:
-                raise ValueError("Monte Carlo runs need at least 1000 trajectories "
-                                 "for a meaningful binomial error")
-            if self.base_seed is None:
-                raise ValueError("Monte Carlo runs need a base_seed")
+        if self.engine is EngineKind.MONTE_CARLO:    # 1000 for a meaningful binomial error
+            _require("trajectories", self.trajectories, 1000)
+            _require("base_seed", self.base_seed, 0)
 
     @property
     def tau(self) -> float:
@@ -114,9 +111,10 @@ def selective_step_probability(params: DecoherenceParams, tau: float) -> float:
 def pn_analytic(params: DecoherenceParams, t: float, n: int) -> float:
     """Probability that all N co-rotating |+> projections succeed during t."""
     t, n = _require("t", t, 0.0), _require("n", n, 1)
-    if t == 0.0:
+    tau = t / n
+    if tau == 0.0:          # t = 0, or t/n below the smallest float
         return 1.0
-    return selective_step_probability(params, t / n) ** n
+    return selective_step_probability(params, tau) ** n
 
 
 def pn_persistent(params: DecoherenceParams, t: float, n: int) -> float:
@@ -214,28 +212,46 @@ def _coherence_and_ratio(params: DecoherenceParams, t: float, n: int) -> tuple[f
 #      Gaussian; a persistent path takes interval k's phase from column k
 #      through the law's innovations form, so at N = 1 both resets agree
 #   2. jump uniforms:        random((rows, N))
-#   3. measurement uniforms: random((rows, N))
+#   3. measurement uniforms: random((rows, N)), into the jump uniforms' buffer
+#
+# A block allocates three (rows, N) arrays: the phases, which become the Born
+# probabilities ``stay`` in place (resampled normals are scaled in place into
+# the phases; a persistent draw is spread into a new array); one float buffer
+# for both uniform draws (on a persistent OU path, its spent normals); and one
+# bool array, which holds ``jumped`` and then ``kept``.
 
 
 def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool):
-    """Block sampler: ``phases(gen, rows)`` draws each interval's dephasing phase, shape (rows, n).
+    """Block sampler: ``phases(gen, rows)`` draws each interval's dephasing phase.
 
-    The noise law is worked out here, once per run, not once per block.
+    It returns the phases, a writable (rows, n) array, and a spent (rows, n)
+    float buffer the caller may refill, or None.  The noise law is worked out
+    here, once per run, not once per block.
     """
+    if not persistent:
+        scale = model.coupling * (tau if model.kind is NoiseKind.QUASI_STATIC
+                                  else _ou_interval_coefficients(tau, model.tau_c)[0])
+
+        def resampled(gen, rows):
+            phases = gen.standard_normal((rows, n))
+            phases *= scale
+            return phases, None
+
+        return resampled
     if model.kind is NoiseKind.QUASI_STATIC:
         scale = model.coupling * tau
-        if persistent:
-            return lambda gen, rows: scale * np.broadcast_to(gen.standard_normal((rows, 1)),
-                                                             (rows, n))
-        return lambda gen, rows: scale * gen.standard_normal((rows, n))
-    if not persistent:
-        scale = model.coupling * _ou_interval_coefficients(tau, model.tau_c)[0]
-        return lambda gen, rows: scale * gen.standard_normal((rows, n))
+        return lambda gen, rows: (scale * np.broadcast_to(gen.standard_normal((rows, 1)),
+                                                          (rows, n)), None)
     # one stationary path across the whole run; the phase accumulator resets
     # at each projection, the path does not
     law = _ou_phase_law(np.full(n, tau), model.tau_c)
     law[:2] *= model.coupling                    # sigma and carry
-    return lambda gen, rows: _ou_phases(gen.standard_normal((rows, n)).T, law)[0].T
+
+    def path(gen, rows):
+        normals = gen.standard_normal((rows, n))
+        return _ou_phases(normals.T, law)[0].T, normals      # _ou_phases spends the normals
+
+    return path
 
 
 def _default_noise(params: DecoherenceParams) -> NoiseModel:
@@ -252,10 +268,11 @@ def _kept_outcomes(params: DecoherenceParams, config: ProtocolConfig, noise: Noi
     interval_phases = _interval_phases(noise, tau, n, persistent)
 
     def kept(gen: "np.random.Generator", rows: int) -> np.ndarray:
-        phases = interval_phases(gen, rows)
-        jumped = gen.random((rows, n)) < p_jump
+        phases, uniforms = interval_phases(gen, rows)
+        uniforms = gen.random((rows, n)) if uniforms is None else gen.random(out=uniforms)
+        jumped = np.less(uniforms, p_jump)
         stay = _stay_probability(params, tau, phases, jumped)
-        return gen.random((rows, n)) < stay
+        return np.less(gen.random(out=uniforms), stay, out=jumped)      # now kept
 
     return kept
 
@@ -280,6 +297,18 @@ def _stay_probability(params: DecoherenceParams, tau: float,
     stay /= 2.0 * (1.0 + eps_sq)
     np.copyto(stay, 0.5, where=jumped)
     return stay
+
+
+def _survivors_per_step(kept: np.ndarray) -> np.ndarray:
+    """Rows of ``kept`` whose projections 0..k all returned their state, for each k.
+
+    Counted from each row's first failed projection (N if none failed), the
+    same counts as ``np.logical_and.accumulate(kept, axis=1).sum(axis=0)``.
+    """
+    rows, n = kept.shape
+    first = np.argmin(kept, axis=1)
+    first[kept[np.arange(rows), first]] = n          # argmin of an all-kept row is 0
+    return rows - np.cumsum(np.bincount(first, minlength=n + 1)[:n])
 
 
 def _check_mc_config(config: ProtocolConfig, kind: ProtocolKind) -> None:
@@ -307,12 +336,9 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
         return ProtocolResult(config.kind, success_probability=1.0, success_stderr=0.0,
                               survivors_per_step=(m,) * n, trajectories=m)
     kept = _kept_outcomes(params, config, noise)
-
-    def block_survivors(gen, rows):
-        return np.logical_and.accumulate(kept(gen, rows), axis=1).sum(axis=0)
-
     survivors = np.zeros(n, dtype=np.int64)
-    for block in _reduce_blocks(block_survivors, m, config.base_seed, context):
+    for block in _reduce_blocks(lambda gen, rows: _survivors_per_step(kept(gen, rows)), m,
+                                config.base_seed, context):
         survivors += block
     p = survivors[-1] / m
     stderr = math.sqrt(p * (1.0 - p) / m)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import zenosim
-from zenosim import (DecoherenceParams, NoiseKind, NoiseModel, ProtocolConfig,
+from zenosim import (DecoherenceParams, EngineKind, NoiseKind, NoiseModel, ProtocolConfig,
                      SystemHamiltonian, Table, closed_form_rho, closed_form_rho_rotating,
                      coherence_ratio, corotating_projector, dynamical_fidelity,
                      ensemble_average, figure2_sweep, figure3_surface, integrate, master_rhs,
@@ -34,7 +34,7 @@ PARAMS = DecoherenceParams.from_times(1000.0, 20.0, HS)
 PLUS = plus_state()
 
 FLOAT_PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308)
-COUNT_PROBES = FLOAT_PROBES + (2.5, -1, 0)
+COUNT_PROBES = FLOAT_PROBES + (2.5, -1, 0, 2000.5)
 
 
 def _protocol(func):
@@ -75,6 +75,10 @@ CASES = {
     "rotation_y": (rotation_y, dict(angle=0.3), ("angle",), ()),
     "ProtocolConfig": (ProtocolConfig, dict(total_time=20.0, measurements=4),
                        ("total_time",), ("measurements",)),
+    "ProtocolConfig for Monte Carlo": (ProtocolConfig,
+                                       dict(total_time=20.0, measurements=4,
+                                            engine=EngineKind.MONTE_CARLO, trajectories=2000,
+                                            base_seed=1), (), ("trajectories", "base_seed")),
     "selective_step_probability": (selective_step_probability, dict(params=PARAMS, tau=5.0),
                                    ("tau",), ()),
     "pn_analytic": _protocol(pn_analytic),

@@ -437,6 +437,22 @@ class TestMainEntry:
         path.write_text("experiment=crossover_scan\nt_end=0.02\n")
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("text,keys", [
+        ("experiment=decay_curve\nt1=5e-324\n", ("t1", "t2", "dt")),
+        ("experiment=decay_curve\nt2=5e-324\n", ("t1", "t2", "dt")),
+        ("experiment=crossover_scan\ntau_c=5e-324\n", ("tau_c", "dt")),
+    ], ids=["decay_curve_t1", "decay_curve_t2", "crossover_scan_tau_c"])
+    def test_validate_rejects_default_dt_that_underflows(self, tmp_path, capsys, text, keys):
+        # min(t1, t2)/200 and tau_c/100 round to dt = 0; decay_curve then divided by it
+        # (ZeroDivisionError)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        for key in keys:
+            assert key in err
+
     @pytest.mark.parametrize("dt,accepted", [
         (0.1, False), (0.1 * (1.0 - 1e-12), False), (0.06, True), (None, True),
     ], ids=["tau_c_over_10", "just_below", "two_points", "default"])

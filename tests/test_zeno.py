@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -18,7 +18,7 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
                           pn_approx, pn_persistent, selective_run_mc,
                           selective_step_probability)
-from zenosim.zeno import _interval_phases, _stay_probability
+from zenosim.zeno import _interval_phases, _stay_probability, _survivors_per_step
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
@@ -55,6 +55,19 @@ class TestProtocolConfig:
     def test_mc_needs_seed(self):
         with pytest.raises(ValueError, match="base_seed"):
             ProtocolConfig(10.0, 2, engine=EngineKind.MONTE_CARLO, trajectories=2000)
+
+    @pytest.mark.parametrize("trajectories,seed,text", [
+        (2000.5, 1, "trajectories must be an integer >= 1000, got 2000.5"),
+        (None, 1, "trajectories must be an integer >= 1000, got None"),
+        (2000, -1, "base_seed must be an integer >= 0, got -1"),
+        (2000, 1.0, "base_seed must be an integer >= 0, got 1.0"),
+    ])
+    def test_mc_counts_are_integers(self, trajectories, seed, text):
+        # a fractional count used to pass here and fail in numpy with a TypeError
+        with pytest.raises(ValueError) as info:
+            ProtocolConfig(40.0, 4, ProtocolKind.SELECTIVE, EngineKind.MONTE_CARLO,
+                           trajectories, seed)
+        assert str(info.value) == text
 
     def test_tau(self):
         assert ProtocolConfig(20.0, 4).tau == 5.0
@@ -94,6 +107,11 @@ class TestPnAnalytic:
 
     def test_zero_time(self):
         assert pn_analytic(FIG2, 0.0, 5) == 1.0
+
+    def test_interval_below_the_smallest_float(self):
+        # t/n rounds to 0: no interval, no decay, as in pn_persistent and pn_approx
+        assert pn_analytic(FIG2, 5e-324, 2) == 1.0
+        assert pn_persistent(FIG2, 5e-324, 2) == pn_approx(FIG2, 5e-324, 2) == 1.0
 
     def test_rejects_negative_time(self):
         for op in (pn_analytic, pn_approx, nonselective_coherence):
@@ -242,6 +260,27 @@ class TestStayProbability:
         assert np.all((stay >= 0.0) & (stay <= 1.0))
         assert np.all(stay[jumped] == 0.5)
         assert np.array_equal(jumped, jumped_before)
+
+
+@st.composite
+def kept_matrices(draw):
+    """Bool (rows, N) outcomes whose rows first fail at a drawn column (N: all kept)."""
+    rows, n = draw(st.integers(1, 64)), draw(st.integers(1, 40))
+    first = np.array(draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows)))
+    after = draw(arrays(np.bool_, (rows, n)))
+    columns = np.arange(n)
+    return (columns < first[:, None]) | ((columns > first[:, None]) & after)
+
+
+class TestSurvivorsPerStep:
+    @given(kept_matrices())
+    @example(np.array([[True] * 5, [False] + [True] * 4, [True] * 4 + [False], [False] * 5]))
+    @example(np.array([[True]]))
+    @example(np.array([[False]]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_first_failure_count_is_the_running_and(self, kept):
+        expected = np.logical_and.accumulate(kept, axis=1).sum(axis=0)
+        assert np.array_equal(_survivors_per_step(kept), expected)
 
 
 class TestSelectiveMonteCarlo:
@@ -409,7 +448,7 @@ class TestOrnsteinUhlenbeckProtocols:
         # carry^2 + mix^2 + fresh^2 and spread^2 differ in the last bit
         noise = NoiseModel.ornstein_uhlenbeck(0.6, 1.0)
         resample, persistent = (_interval_phases(noise, 0.25, 1, reset is NoiseReset.PERSISTENT)(
-                                    np.random.Generator(np.random.Philox(5)), 1000)
+                                    np.random.Generator(np.random.Philox(5)), 1000)[0]
                                 for reset in NoiseReset)
         assert np.array_equal(resample, persistent)
         params = DecoherenceParams.from_times(20.0, math.inf)
