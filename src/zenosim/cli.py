@@ -41,18 +41,13 @@ def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _max_z(estimate, reference, stderr) -> tuple[str, bool]:
-    """Max |estimate - reference| / stderr over the points with stderr > 0.
-
-    Returns its summary text and whether every point is within 3 stderr;
-    with every stderr 0, within 3 stderr means equal to the reference.
-    """
+def _max_z(estimate, reference, stderr) -> str:
+    """Summary text of max |estimate - reference| / stderr over the points with stderr > 0."""
     estimate, reference, stderr = map(np.asarray, (estimate, reference, stderr))
     keep = stderr > 0.0
     if not keep.any():
-        return "n/a (every MC stderr is 0)", bool(np.all(estimate == reference))
-    z = float((np.abs(estimate[keep] - reference[keep]) / stderr[keep]).max())
-    return _cell(z), z <= 3.0
+        return "n/a (every MC stderr is 0)"
+    return _cell(float((np.abs(estimate[keep] - reference[keep]) / stderr[keep]).max()))
 
 
 def _local_exponent(times: np.ndarray, coherence: np.ndarray, mask: np.ndarray) -> float:
@@ -88,7 +83,7 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
     # the MC against its closed form exp(-G(t))/2, point by point
     later = grid > 0.0
     closed = 0.5 * np.exp(-ou_decay_exponent(coupling, tau_c, grid[later]))
-    z_max, _ = _max_z(coherence[later], closed, stderr[later])
+    z_max = _max_z(coherence[later], closed, stderr[later])
     summary = [
         f"max |MC - exp(-G(t))/2| over t > 0 in stderr units: {z_max} "
         "(G(t) = 4 coupling^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c)))",
@@ -100,7 +95,7 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _mc_z(settings, table: Table) -> tuple[str, bool]:
+def _mc_z(settings, table: Table) -> str:
     """``_max_z`` of P_mc against the analytic P_N of each MC row.
 
     Resampled noise: the row's P_analytic.  Persistent noise: E[q(f0)^N] of
@@ -114,27 +109,21 @@ def _mc_z(settings, table: Table) -> tuple[str, bool]:
     return _max_z(table["P_mc"], references, table["P_mc_stderr"])
 
 
-def _figure2_table(settings, plan: Plan) -> Table:
-    mc = plan.mc_work > 0
-    return figure2_sweep(
-        DecoherenceParams.from_times(settings["t1"], settings["t2"]), plan.t, settings["n_max"],
+def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
+    mc, n_max = plan.mc_work > 0, settings["n_max"]
+    table = figure2_sweep(
+        DecoherenceParams.from_times(settings["t1"], settings["t2"]), plan.t, n_max,
         trajectories=settings["trajectories"] if mc else None,
         base_seed=settings["base_seed"] if mc else None,
         noise_reset=NoiseReset(settings["noise_reset"]))
-
-
-def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
-    table = _figure2_table(settings, plan)
-    n_max = settings["n_max"]
     # rows run over N = 1..n_max within each t, t in grid order
     summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(p)}"
                for t, p in zip(plan.t, table["P_analytic"][n_max - 1::n_max])]
-    if plan.mc_work > 0:
-        z_max, _ = _mc_z(settings, table)
+    if mc:
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "consistency check against E[q(f0)^N] for persistent noise; "
                   "P_analytic is the resample closed form")
-        summary.append(f"max |MC - analytic| in stderr units: {z_max} ({status})")
+        summary.append(f"max |MC - analytic| in stderr units: {_mc_z(settings, table)} ({status})")
     return table, summary
 
 
@@ -169,27 +158,12 @@ def _run_ratio_plot(settings, plan: Plan) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _run_mc_validate(settings, plan: Plan) -> tuple[Table, list[str]]:
-    table = _figure2_table(settings, plan)
-    z_max, within = _mc_z(settings, table)
-    summary = [
-        f"grid points checked: {len(table)} with {settings['trajectories']} trajectories each",
-        f"max |MC - analytic| in stderr units: {z_max}",
-        f"all within 3 stderr: {'yes' if within else 'NO'}",
-    ]
-    if settings["noise_reset"] == "persistent":
-        summary.append("analytic reference: E[q(f0)^N] for persistent noise "
-                       "(P_analytic is the resample closed form)")
-    return table, summary
-
-
 _RUNNERS = {
     "decay_curve": _run_decay_curve,
     "crossover_scan": _run_crossover_scan,
     "figure2": _run_figure2,
     "figure3": _run_figure3,
     "ratio_plot": _run_ratio_plot,
-    "mc_validate": _run_mc_validate,
 }
 
 

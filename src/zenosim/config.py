@@ -7,10 +7,10 @@ key keeps the last value while emitting a warning.
 
 Every experiment fills unspecified keys from documented defaults; times are
 in ns, ``inf`` is accepted where a decay channel can be switched off.
-``mc_validate`` and ``ratio_plot`` run on the ``figure2`` and ``figure3``
-runners, so each pair builds its schema from one shared block.  Parsing also
-plans the run (``Plan``): its t values, CSV rows and Monte Carlo work, counted
-exactly before anything is built and bounded below.
+``ratio_plot`` runs on the ``figure3`` runner, so the two build their schemas
+from one shared block.  Parsing also plans the run (``Plan``): its t values,
+CSV rows and Monte Carlo work, counted exactly before anything is built and
+bounded below.
 """
 
 import math
@@ -98,15 +98,6 @@ _RATE_BLOCK = {
     "t2": _float_field(default=20.0, allow_inf=True, positive=True),
 }
 
-# figure2 and mc_validate sweep P(N) over the same grid
-_SWEEP_BLOCK = {
-    **_COMMON, **_RATE_BLOCK,
-    "times": Field(parse=_parse_float_list, default=(20.0, 25.0, 30.0, 35.0),
-                   check=lambda v: None if all(x > 0 for x in v) else "times must be > 0"),
-    "n_max": _int_field(default=20),
-    "noise_reset": _choice_field(("resample", "persistent"), "resample"),
-}
-
 # figure3 and ratio_plot probe the long-T2 regime by default
 _SURFACE_BLOCK = {
     **_COMMON, **_RATE_BLOCK,
@@ -132,7 +123,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "trajectories": _int_field(default=100_000, minimum=100),
     },
     "figure2": {
-        **_SWEEP_BLOCK,
+        **_COMMON, **_RATE_BLOCK,
+        "times": Field(parse=_parse_float_list, default=(20.0, 25.0, 30.0, 35.0),
+                       check=lambda v: None if all(x > 0 for x in v) else "times must be > 0"),
+        "n_max": _int_field(default=20),
+        "noise_reset": _choice_field(("resample", "persistent"), "resample"),
         "engine": _choice_field(("analytic", "mc"), "analytic"),
         "trajectories": _int_field(default=100_000, minimum=1000),
     },
@@ -143,7 +138,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "t_points": _int_field(default=16, minimum=1),
     },
     "ratio_plot": {**_SURFACE_BLOCK, "t": _float_field(default=400.0, positive=True)},
-    "mc_validate": {**_SWEEP_BLOCK, "trajectories": _int_field(default=10_000, minimum=1000)},
 }
 
 EXPERIMENTS = tuple(SCHEMAS)
@@ -312,9 +306,10 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
     return Plan(grid, points, work)
 
 
-def _sweep_plan(settings: dict[str, Any], mc: bool) -> Plan:
+def _sweep_plan(settings: dict[str, Any]) -> Plan:
     times, n_max = settings["times"], settings["n_max"]
-    trajectories = settings["trajectories"] if mc else 0    # a row and an MC run per (t, N)
+    # a row per (t, N), and an MC run per (t, N) with engine=mc
+    trajectories = settings["trajectories"] if settings["engine"] == "mc" else 0
     rows = _bound(len(times) * n_max, MAX_TABLE_ROWS, "times x n_max asks for", "table rows",
                   "lower times or n_max")
     work = _bound(trajectories * len(times) * n_max * (n_max + 1) // 2, MAX_MC_INTERVALS,
@@ -335,8 +330,7 @@ def _surface_plan(settings: dict[str, Any], t_min, t_max, points: int, keys) -> 
 _PLANNERS: dict[str, Callable[[dict[str, Any]], Plan]] = {
     "decay_curve": _decay_plan,
     "crossover_scan": _crossover_plan,
-    "figure2": lambda s: _sweep_plan(s, s["engine"] == "mc"),
-    "mc_validate": lambda s: _sweep_plan(s, True),
+    "figure2": _sweep_plan,
     "figure3": lambda s: _surface_plan(s, s["t_min"], s["t_max"], s["t_points"],
                                        ("t_points", "n_max")),
     "ratio_plot": lambda s: _surface_plan(s, s["t"], s["t"], 1, ("n_max",)),

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, DensityMatrix,
-                    SystemHamiltonian, _require, first_unphysical)
+from .qubit import DensityMatrix, SystemHamiltonian, _require, first_unphysical
 
-_EXCITED_PROJ = SIGMA_PLUS.matrix @ SIGMA_MINUS.matrix   # |1><1|
-_SZ = SIGMA_Z.matrix
 _SHORTEST_TIME = math.nextafter(1.0 / np.finfo(float).max, 1.0)   # the least t with a finite 1/t
 
 
@@ -95,25 +92,6 @@ class DecoherenceParams:
     @property
     def t2(self) -> float:
         return math.inf if self.gamma2 == 0.0 else 1.0 / self.gamma2
-
-
-def master_rhs(rho, t: float, params: DecoherenceParams) -> np.ndarray:
-    """Interaction-picture time derivative of the state at absolute time t.
-
-    The dephasing coefficient grows linearly in the time since preparation;
-    protocol layers that reset the dephasing clock after a projection must
-    pass the time since the last reset.
-    """
-    _require("t", t, 0.0)
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    if params.gamma1 > 0.0:
-        anticomm = _EXCITED_PROJ @ m + m @ _EXCITED_PROJ
-        out -= 0.5 * params.gamma1 * (anticomm - 2.0 * (SIGMA_MINUS.matrix @ m @ SIGMA_PLUS.matrix))
-    if params.gamma2 > 0.0 and t > 0.0:
-        inner = _SZ @ m - m @ _SZ
-        out -= 0.5 * params.gamma2 ** 2 * t * (_SZ @ inner - inner @ _SZ)
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Classical Gaussian dephasing noise and trajectory ensemble averaging.
 
 The noise f(t) is zero-mean, unit-variance Gaussian with one of two
-correlation structures:
+correlation structures, told apart by the correlation time ``tau_c`` alone:
 
-* quasi-static: one standard-normal constant per realisation (the
-  infinite-correlation-time limit of low-frequency noise),
-* Ornstein-Uhlenbeck: stationary with autocorrelation exp(-|dt|/tau_c).
+* Ornstein-Uhlenbeck: stationary with autocorrelation exp(-|dt|/tau_c),
+* quasi-static, tau_c = inf: one standard-normal constant per realisation
+  (the infinite-correlation-time limit of low-frequency noise).
 
 White-spectrum decay is not sampled: the master-equation module handles it
 through the relaxation rate.
@@ -51,7 +51,6 @@ in one core's L2 cache.
 import math
 import os
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -65,33 +64,28 @@ TRAJECTORY_BLOCK = 2048
 CHUNK_VALUES = 1 << 15
 
 
-class NoiseKind(str, Enum):
-    QUASI_STATIC = "quasi-static"
-    ORNSTEIN_UHLENBECK = "ornstein-uhlenbeck"
-
-
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean, unit-variance Gaussian noise coupled through sigma_z."""
+    """Zero-mean, unit-variance Gaussian noise coupled through sigma_z.
 
-    kind: NoiseKind
-    coupling: float          # rad/ns
-    tau_c: float             # ns; inf for quasi-static
+    ``tau_c`` is the Ornstein-Uhlenbeck correlation time; its default, inf,
+    is quasi-static noise, the OU law's tau_c -> inf limit.
+    """
+
+    coupling: float                 # rad/ns
+    tau_c: float = math.inf         # ns
 
     def __post_init__(self):
         _require("coupling", self.coupling, 0.0)
-        if self.kind is NoiseKind.QUASI_STATIC and self.tau_c != math.inf:
-            raise ValueError("quasi-static noise requires tau_c = inf")
-        if self.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-            _require("tau_c", self.tau_c, 0.0, above=True)
+        _require("tau_c", self.tau_c, 0.0, above=True, allow_inf=True)
 
     @classmethod
     def quasi_static(cls, coupling: float) -> "NoiseModel":
-        return cls(NoiseKind.QUASI_STATIC, coupling, math.inf)
+        return cls(coupling)
 
     @classmethod
     def ornstein_uhlenbeck(cls, coupling: float, tau_c: float) -> "NoiseModel":
-        return cls(NoiseKind.ORNSTEIN_UHLENBECK, coupling, tau_c)
+        return cls(coupling, tau_c)
 
 
 def stream_generator(base_seed: int, *key: int) -> "np.random.Generator":
@@ -99,6 +93,20 @@ def stream_generator(base_seed: int, *key: int) -> "np.random.Generator":
     _require("base_seed", base_seed, 0)
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _check_phase(coupling: float, t: float, normals: int) -> None:
+    """Reject, before anything is drawn, a coupling whose phase 2 phi up to t may overflow.
+
+    Each phase an engine forms up to t is a sum of at most ``normals`` standard
+    normals whose coefficients have an L2 norm of at most coupling t, the bound
+    on its standard deviation.  numpy's float64 ziggurat draws |z| < 13.71 (its
+    tail is 3.654 + (-log1p(-u))/3.654 with u <= 1 - 2^-53), so
+    |2 phi| <= 2 coupling t sqrt(normals) 13.71.
+    """
+    if not 2.0 * coupling * t * math.sqrt(normals) * 13.71 < math.inf:
+        raise ValueError(f"coupling = {coupling!r} with t = {t!r} can overflow the dephasing "
+                         f"phase, up to 2 coupling t sqrt({normals}) 13.71: lower coupling or t")
 
 
 def ou_decay_exponent(coupling: float, tau_c: float, t):
@@ -213,10 +221,8 @@ class EnsembleResult:
     Var[Re] + Var[Im] = (1 - |mean factor|^2) M / (M - 1).
     """
 
-    time_grid: np.ndarray
     rho01: np.ndarray          # (G,) complex
     stderr: np.ndarray         # (G,) real
-    trajectory_count: int
 
 
 def _block_row_counts(trajectories: int):
@@ -237,6 +243,7 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid))
             or grid[0] < 0.0 or not np.all(np.diff(grid) > 0.0)):
         raise ValueError("time grid must be 1-d, finite, non-negative and strictly increasing")
+    _check_phase(model.coupling, float(grid[-1]), grid.size)
 
     rho01 = psi0.amplitudes[0] * psi0.amplitudes[1].conj()
     sum_phase = np.zeros(grid.size, dtype=complex)        # sum of exp(-2i phi)
@@ -247,7 +254,7 @@ def ensemble_average(psi0: PureState, model: NoiseModel, grid, trajectories: int
     m = float(trajectories)
     mean_factor = sum_phase / m
     factor_stderr = np.sqrt(np.maximum(1.0 - np.abs(mean_factor) ** 2, 0.0) / (m - 1.0))
-    return EnsembleResult(grid, rho01 * mean_factor, abs(rho01) * factor_stderr, trajectories)
+    return EnsembleResult(rho01 * mean_factor, abs(rho01) * factor_stderr)
 
 
 def _grid_chunks(size: int, rows: int) -> list[tuple[int, int]]:
@@ -268,7 +275,7 @@ def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
     chunk's phases into ``tile`` (drawing OU normals into ``spare`` first),
     and the sines go into ``spare``.
     """
-    if model.kind is NoiseKind.QUASI_STATIC:
+    if model.tau_c == math.inf:
         scale = 2.0 * model.coupling * grid
 
         def chunk_phases(gen, chunks, tile, spare):

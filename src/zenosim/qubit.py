@@ -1,9 +1,9 @@
 """Exact 2x2 algebra for a single qubit.
 
 States, Pauli operators, the system Hamiltonian with its propagator and the
-Bloch-vector turn it makes, y rotations, co-rotating projectors, Bloch vectors
-and the dynamical fidelity.  One check, ``first_unphysical``, reads the entries
-of one state or the entry columns of many, at the one set of tolerances below.
+Bloch-vector turn it makes, y rotations, co-rotating projectors and Bloch
+vectors.  One check, ``first_unphysical``, reads the entries of one state or
+the entry columns of many, at the one set of tolerances below.
 Conventions are fixed here once and for all:
 
 * basis: ``|0>`` is the ground state, ``|1>`` the excited state,
@@ -217,17 +217,3 @@ def corotating_projector(psi: PureState, hs: SystemHamiltonian, time: float) -> 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
     """(x, y, z) = (tr rho sigma_x, tr rho sigma_y, tr rho sigma_z)."""
     return tuple(float(np.trace(rho.matrix @ s.matrix).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-
-
-def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
-                       hs: SystemHamiltonian, time: float) -> float:
-    """Overlap <psi| exp(iHt) rho exp(-iHt) |psi>.
-
-    Measures how close ``rho`` is to the purely unitary evolution of ``psi``;
-    equals 1 when the state tracked the free evolution perfectly.
-    """
-    u = hs.evolution(time).matrix
-    value = psi.amplitudes.conj() @ (u.conj().T @ rho.matrix @ u) @ psi.amplitudes
-    if abs(value.imag) >= 1e-10:
-        raise ValueError(f"fidelity has non-negligible imaginary part {float(value.imag)!r}")
-    return float(value.real)

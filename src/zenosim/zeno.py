@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .lindblad import DecoherenceParams, _square
-from .noise import (NoiseKind, NoiseModel, _ou_interval_coefficients, _ou_phase_law,
+from .noise import (NoiseModel, _check_phase, _ou_interval_coefficients, _ou_phase_law,
                     _ou_phases, _reduce_blocks)
 from .qubit import DensityMatrix, _require
 from .tables import Table
@@ -229,7 +229,7 @@ def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool):
     here, once per run, not once per block.
     """
     if not persistent:
-        scale = model.coupling * (tau if model.kind is NoiseKind.QUASI_STATIC
+        scale = model.coupling * (tau if model.tau_c == math.inf
                                   else _ou_interval_coefficients(tau, model.tau_c)[0])
 
         def resampled(gen, rows):
@@ -238,7 +238,7 @@ def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool):
             return phases, None
 
         return resampled
-    if model.kind is NoiseKind.QUASI_STATIC:
+    if model.tau_c == math.inf:
         scale = model.coupling * tau
         return lambda gen, rows: (scale * np.broadcast_to(gen.standard_normal((rows, 1)),
                                                           (rows, n)), None)
@@ -262,6 +262,7 @@ def _default_noise(params: DecoherenceParams) -> NoiseModel:
 def _kept_outcomes(params: DecoherenceParams, config: ProtocolConfig, noise: NoiseModel):
     """Block draws: kept(gen, rows)[r, k] says projection k returned trajectory r's state."""
     n, tau = config.measurements, config.tau
+    _check_phase(noise.coupling, config.total_time, n)
     persistent = config.noise_reset is NoiseReset.PERSISTENT
     eps_sq = math.exp(-params.gamma1 * tau)          # no-jump weight of |1>
     p_jump = 0.5 * (1.0 - eps_sq)                    # from a fresh |+->-type state

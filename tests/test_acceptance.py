@@ -206,7 +206,7 @@ def test_criterion_9_exponential_dephasing_is_measurement_insensitive():
 
 
 def test_criterion_10_deterministic_artifacts(tmp_path):
-    text = ("experiment=mc_validate\ntimes=20,30\nn_max=5\n"
+    text = ("experiment=figure2\nengine=mc\ntimes=20,30\nn_max=5\n"
             "trajectories=5000\nbase_seed=2718\n")
     first = run_experiment(parse_config(text), out_dir=tmp_path / "first")
     second = run_experiment(parse_config(text), out_dir=tmp_path / "second")

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 import zenosim
-from zenosim import (DecoherenceParams, EngineKind, NoiseKind, NoiseModel, ProtocolConfig,
+from zenosim import (DecoherenceParams, EngineKind, NoiseModel, ProtocolConfig, ProtocolKind,
                      SystemHamiltonian, Table, closed_form_rho, closed_form_rho_rotating,
-                     coherence_ratio, corotating_projector, dynamical_fidelity,
-                     ensemble_average, figure2_sweep, figure3_surface, integrate, master_rhs,
-                     nonselective_coherence, nonselective_rho, pn_analytic, pn_approx,
-                     plus_state, pure_dephasing_coherence, rotation_y,
+                     coherence_ratio, corotating_projector, ensemble_average, figure2_sweep,
+                     figure3_surface, integrate, nonselective_coherence, nonselective_rho,
+                     nonselective_run_mc, pn_analytic, pn_approx, plus_state,
+                     pure_dephasing_coherence, rotation_y, selective_run_mc,
                      selective_step_probability, stream_generator)
 from zenosim.lindblad import _square
 from zenosim.noise import ou_decay_exponent
@@ -41,6 +41,13 @@ def _protocol(func):
     return func, dict(params=PARAMS, t=20.0, n=4), ("t",), ("n",)
 
 
+def _under_noise(run, kind):
+    """``run`` at t = 40, N = 5 under the noise model built from the probed coupling and tau_c."""
+    config = ProtocolConfig(40.0, 5, kind, EngineKind.MONTE_CARLO, 1000, 1)
+    return (lambda coupling, tau_c: run(PARAMS, config, NoiseModel(coupling, tau_c)),
+            dict(coupling=0.1, tau_c=1.0), ("coupling", "tau_c"), ())
+
+
 # name -> (callable, valid base keyword arguments, float slots, count slots); a slot
 # whose base value is a list is probed through its one entry
 CASES = {
@@ -53,25 +60,25 @@ CASES = {
                                  ("t",), ()),
     "integrate": (integrate, dict(rho0=PLUS.density(), params=PARAMS, t_end=1.0, dt=0.1),
                   ("t_end", "dt"), ()),
-    "master_rhs": (master_rhs, dict(rho=PLUS.density(), t=1.0, params=PARAMS), ("t",), ()),
     "pure_dephasing_coherence": (pure_dephasing_coherence, dict(gamma2=0.05, t=20.0),
                                  ("gamma2", "t"), ()),
-    "NoiseModel": (NoiseModel, dict(kind=NoiseKind.ORNSTEIN_UHLENBECK, coupling=0.1, tau_c=1.0),
-                   ("coupling", "tau_c"), ()),
+    "NoiseModel": (NoiseModel, dict(coupling=0.1, tau_c=1.0), ("coupling", "tau_c"), ()),
     "NoiseModel.quasi_static": (NoiseModel.quasi_static, dict(coupling=0.1), ("coupling",), ()),
     "NoiseModel.ornstein_uhlenbeck": (NoiseModel.ornstein_uhlenbeck,
                                       dict(coupling=0.1, tau_c=1.0), ("coupling", "tau_c"), ()),
     "ensemble_average": (ensemble_average,
                          dict(psi0=PLUS, model=NoiseModel.quasi_static(0.1), grid=[0.0, 1.0],
                               trajectories=200, base_seed=1), (), ("trajectories", "base_seed")),
+    "ensemble_average under noise": (
+        lambda coupling, tau_c: ensemble_average(PLUS, NoiseModel(coupling, tau_c), [0.0, 10.0],
+                                                 100, 1),
+        dict(coupling=0.1, tau_c=1.0), ("coupling", "tau_c"), ()),
     "stream_generator": (stream_generator, dict(base_seed=1), (), ("base_seed",)),
     "SystemHamiltonian": (SystemHamiltonian, dict(epsilon=1.0, delta=0.05),
                           ("epsilon", "delta"), ()),
     "SystemHamiltonian.evolution": (HS.evolution, dict(time=2.0), ("time",), ()),
     "corotating_projector": (corotating_projector, dict(psi=PLUS, hs=HS, time=2.0),
                              ("time",), ()),
-    "dynamical_fidelity": (dynamical_fidelity,
-                           dict(rho=PLUS.density(), psi=PLUS, hs=HS, time=2.0), ("time",), ()),
     "rotation_y": (rotation_y, dict(angle=0.3), ("angle",), ()),
     "ProtocolConfig": (ProtocolConfig, dict(total_time=20.0, measurements=4),
                        ("total_time",), ("measurements",)),
@@ -79,6 +86,8 @@ CASES = {
                                        dict(total_time=20.0, measurements=4,
                                             engine=EngineKind.MONTE_CARLO, trajectories=2000,
                                             base_seed=1), (), ("trajectories", "base_seed")),
+    "selective_run_mc": _under_noise(selective_run_mc, ProtocolKind.SELECTIVE),
+    "nonselective_run_mc": _under_noise(nonselective_run_mc, ProtocolKind.NON_SELECTIVE),
     "selective_step_probability": (selective_step_probability, dict(params=PARAMS, tau=5.0),
                                    ("tau",), ()),
     "pn_analytic": _protocol(pn_analytic),
@@ -103,7 +112,7 @@ ENTRY_NAMES = {"times": "t", "t_values": "t", "n_values": "n"}
 EXEMPT = {
     **dict.fromkeys(["IDENTITY", "SIGMA_MINUS", "SIGMA_PLUS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z"],
                     "a constant"),
-    **dict.fromkeys(["NoiseKind", "EngineKind", "NoiseReset", "ProtocolKind"], "an enum"),
+    **dict.fromkeys(["EngineKind", "NoiseReset", "ProtocolKind"], "an enum"),
     "PositivityLossError": "an exception type",
     **dict.fromkeys(["IntegrationResult", "EnsembleResult", "ProtocolResult"],
                     "a result record; ProtocolResult keeps its own bounds on estimates"),
@@ -113,8 +122,6 @@ EXEMPT = {
     "plus_state": "takes no argument",
     "Table": "takes columns",
     "write_csv": "takes a table and a path",
-    **dict.fromkeys(["selective_run_mc", "nonselective_run_mc"],
-                    "takes its numbers in a ProtocolConfig and a NoiseModel, probed above"),
 }
 
 
@@ -123,8 +130,7 @@ def _finite(value) -> bool:
     if value is None or isinstance(value, (str, Enum, np.random.Generator)):
         return True
     if isinstance(value, NoiseModel):
-        return _finite(value.coupling) and (value.kind is NoiseKind.QUASI_STATIC
-                                            or _finite(value.tau_c))
+        return _finite(value.coupling) and value.tau_c > 0.0
     if isinstance(value, Table):
         return all(map(_finite, value.columns.values()))
     if dataclasses.is_dataclass(value):
@@ -188,6 +194,25 @@ def test_messages(func, args, text):
     with pytest.raises(ValueError) as info:
         func(*args)
     assert str(info.value) == text
+
+
+@pytest.mark.parametrize("model", [NoiseModel.quasi_static(1e308),
+                                   NoiseModel.ornstein_uhlenbeck(1e308, 1.0)],
+                         ids=["quasi_static", "ornstein_uhlenbeck"])
+@pytest.mark.parametrize("call", [
+    lambda model: selective_run_mc(DecoherenceParams.from_times(1000.0, 20.0), ProtocolConfig(
+        40.0, 5, ProtocolKind.SELECTIVE, EngineKind.MONTE_CARLO, 1000, 1), model),
+    lambda model: nonselective_run_mc(DecoherenceParams.from_times(1000.0, 20.0), ProtocolConfig(
+        40.0, 5, ProtocolKind.NON_SELECTIVE, EngineKind.MONTE_CARLO, 1000, 1), model),
+    lambda model: ensemble_average(PLUS, model, [0.0, 10.0], 100, 1),
+], ids=["selective_run_mc", "nonselective_run_mc", "ensemble_average"])
+def test_overflowing_phase_is_rejected_before_any_draw(call, model):
+    # the phase overflowed to inf and cos(inf) is nan: P = 0.0 with survivors
+    # (1, 0, 0, 0, 0), a coherence of 0.49 and a nan ensemble, or a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^coupling = 1e\+308 with t = (40|10)\.0 "):
+            call(model)
 
 
 @pytest.mark.parametrize("count", [4, np.int64(4), np.int32(4)])

@@ -19,9 +19,10 @@ from zenosim.cli import main, run_experiment
 from zenosim.config import DEFAULT_BASE_SEED, ConfigError, parse_config
 from zenosim.lindblad import (DecoherenceParams, PositivityLossError, closed_form_rho,
                               integrate)
-from zenosim.qubit import DensityMatrix, SystemHamiltonian, dynamical_fidelity, plus_state
+from zenosim.qubit import DensityMatrix, SystemHamiltonian, plus_state
 
 from csv_reader import read_csv
+from oracles import dynamical_fidelity
 
 
 class TestParseConfig:
@@ -58,6 +59,13 @@ class TestParseConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config("experiment=fourier\n")
+
+    def test_mc_validate_is_gone(self):
+        # figure2 with engine=mc and trajectories=10000 writes the CSV it wrote
+        with pytest.raises(ConfigError) as exc:
+            parse_config("experiment=mc_validate\n")
+        assert str(exc.value) == ("line 1: unknown experiment 'mc_validate'; expected one of "
+                                  "decay_curve, crossover_scan, figure2, figure3, ratio_plot")
 
     def test_missing_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -174,12 +182,13 @@ class TestRunExperiment:
         table = read_csv(run_experiment(config, out_dir=tmp_path)["csv"])
         assert all(row[3] is None and row[4] is None for row in table.rows)
 
-    def test_mc_validate_within_three_sigma(self, tmp_path):
-        text = ("experiment=mc_validate\ntimes=20,35\nn_max=4\n"
+    def test_figure2_mc_within_three_sigma(self, tmp_path):
+        text = ("experiment=figure2\nengine=mc\ntimes=20,35\nn_max=4\n"
                 "trajectories=20000\nbase_seed=99\n")
         paths = run_experiment(parse_config(text), out_dir=tmp_path)
         summary = paths["summary"].read_text()
-        assert "all within 3 stderr: yes" in summary
+        z_max = re.search(r"max \|MC - analytic\| in stderr units: (\S+) ", summary).group(1)
+        assert float(z_max) <= 3.0
         table = read_csv(paths["csv"])
         for _, _, analytic, p_mc, stderr in table.rows:
             assert abs(p_mc - analytic) <= 3.0 * stderr
@@ -194,7 +203,7 @@ class TestRunExperiment:
             assert abs(a - b) <= 1e-12
 
     def test_seed_override_changes_mc_output(self, tmp_path):
-        text = "experiment=mc_validate\ntimes=20\nn_max=2\ntrajectories=2000\n"
+        text = "experiment=figure2\nengine=mc\ntimes=20\nn_max=2\ntrajectories=2000\n"
         first = read_csv(run_experiment(parse_config(text), out_dir=tmp_path / "a",
                                         seed=1)["csv"])
         second = read_csv(run_experiment(parse_config(text), out_dir=tmp_path / "b",
@@ -202,7 +211,7 @@ class TestRunExperiment:
         assert first["P_mc"] != second["P_mc"]
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        text = ("experiment=mc_validate\ntimes=25\nn_max=3\n"
+        text = ("experiment=figure2\nengine=mc\ntimes=25\nn_max=3\n"
                 "trajectories=5000\nbase_seed=42\n")
         first = run_experiment(parse_config(text), out_dir=tmp_path / "a")
         second = run_experiment(parse_config(text), out_dir=tmp_path / "b")
@@ -245,7 +254,7 @@ class TestRunExperiment:
 
 
 class TestSharedRunners:
-    """ratio_plot and mc_validate are figure3 and figure2 with their own summaries."""
+    """ratio_plot is figure3 with its own summary."""
 
     def test_every_experiment_has_a_runner(self):
         assert set(cli._RUNNERS) == set(config_module.SCHEMAS)
@@ -259,16 +268,6 @@ class TestSharedRunners:
                                + keys)
         a = run_experiment(ratio, out_dir=tmp_path / "ratio")["csv"].read_bytes()
         b = run_experiment(surface, out_dir=tmp_path / "surface")["csv"].read_bytes()
-        assert a == b
-
-    @pytest.mark.parametrize("reset", ["resample", "persistent"])
-    def test_mc_validate_is_figure2_mc(self, tmp_path, reset):
-        keys = (f"times=20,35\nn_max=4\ntrajectories=2000\nbase_seed=7\n"
-                f"noise_reset={reset}\n")
-        validate = parse_config("experiment=mc_validate\n" + keys)
-        sweep = parse_config("experiment=figure2\nengine=mc\n" + keys)
-        a = run_experiment(validate, out_dir=tmp_path / "validate")["csv"].read_bytes()
-        b = run_experiment(sweep, out_dir=tmp_path / "sweep")["csv"].read_bytes()
         assert a == b
 
 
@@ -344,18 +343,15 @@ class TestMainEntry:
         assert (out / "figure3.csv").exists()
         assert (out / "summary.txt").exists()
 
-    @pytest.mark.parametrize("experiment", ["figure2\nengine=mc", "mc_validate"],
-                             ids=["figure2_mc", "mc_validate"])
-    def test_mc_without_decay_channels_exits_zero(self, tmp_path, capsys, experiment):
+    @pytest.mark.parametrize("reset", ["resample", "persistent"])
+    def test_mc_without_decay_channels_exits_zero(self, tmp_path, capsys, reset):
         # every MC point is exact, so no stderr is nonzero
         path = tmp_path / "config.txt"
-        path.write_text(f"experiment={experiment}\nt1=inf\nt2=inf\ntimes=20,30\n"
-                        "n_max=3\ntrajectories=1000\n")
+        path.write_text(f"experiment=figure2\nengine=mc\nnoise_reset={reset}\nt1=inf\n"
+                        "t2=inf\ntimes=20,30\nn_max=3\ntrajectories=1000\n")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "max |MC - analytic| in stderr units: n/a (every MC stderr is 0)" in summary
-        if experiment == "mc_validate":
-            assert "all within 3 stderr: yes" in summary
 
     def test_validate_rejects_reversed_figure3_range(self, tmp_path, capsys):
         path = tmp_path / "config.txt"
@@ -364,13 +360,13 @@ class TestMainEntry:
         assert "t_min" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment", ["decay_curve", "crossover_scan", "figure2",
-                                            "figure3", "ratio_plot", "mc_validate"])
+                                            "figure3", "ratio_plot"])
     def test_validate_accepts_defaults(self, tmp_path, experiment):
         path = tmp_path / "config.txt"
         path.write_text(f"experiment={experiment}\n")
         assert main(["validate", str(path)]) == 0
 
-    @pytest.mark.parametrize("experiment", ["figure2", "figure3", "ratio_plot", "mc_validate"])
+    @pytest.mark.parametrize("experiment", ["figure2", "figure3", "ratio_plot"])
     @pytest.mark.parametrize("key", ["epsilon", "delta"])
     def test_validate_takes_hamiltonian_keys_for_decay_curve_only(self, tmp_path, capsys,
                                                                   experiment, key):
@@ -415,9 +411,9 @@ class TestMainEntry:
         # default sweep runs 4 times x n_max(n_max+1)/2 = 4 x 210 intervals
         parse_config("experiment=figure2\nengine=mc\n")
         monkeypatch.setattr(config_module, "MAX_MC_INTERVALS", 1000 * 4 * 210)
-        parse_config("experiment=mc_validate\ntrajectories=1000\n")
+        parse_config("experiment=figure2\nengine=mc\ntrajectories=1000\n")
         with pytest.raises(ConfigError, match="trajectories"):
-            parse_config("experiment=mc_validate\ntrajectories=1001\n")
+            parse_config("experiment=figure2\nengine=mc\ntrajectories=1001\n")
         parse_config("experiment=figure2\ntrajectories=1001\n")      # analytic: no MC work
 
     def test_validate_rejects_zero_crossover_coupling(self, tmp_path, capsys):
@@ -533,7 +529,7 @@ class TestMainEntry:
         ("experiment=crossover_scan\nt_end=400\n", ("t_end", "dt")),
         ("experiment=figure2\nengine=mc\nn_max=3000\ntrajectories=1000\n",
          ("trajectories", "n_max", "times")),
-        ("experiment=mc_validate\ntrajectories=1000000000000\n",
+        ("experiment=figure2\nengine=mc\ntrajectories=1000000000000\n",
          ("trajectories", "n_max", "times")),
         ("experiment=crossover_scan\ntrajectories=1000000000000\n",
          ("trajectories", "t_end", "dt")),
@@ -544,7 +540,7 @@ class TestMainEntry:
         # the lab frame turns by 5e301 rad, which float64 rounds by ~1e286 rad
         ("experiment=decay_curve\nepsilon=1e300\n", ("epsilon", "delta", "t_end")),
     ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan", "figure2_mc",
-            "mc_validate", "crossover_scan_trajectories", "figure2", "figure3",
+            "figure2_mc_trajectories", "crossover_scan_trajectories", "figure2", "figure3",
             "decay_curve_dt_above_rk4_limit", "crossover_scan_uncountable_grid",
             "decay_curve_lab_phase"])
     def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
@@ -696,8 +692,7 @@ _EXPERIMENT_VALUES = {
 
 # the keys that size a run are always drawn, so no run falls back to a full-size default
 _SIZE_KEYS = {"decay_curve": ["t_end"], "crossover_scan": ["trajectories"],
-              "figure2": ["times", "n_max", "trajectories"],
-              "mc_validate": ["times", "n_max", "trajectories"]}
+              "figure2": ["times", "n_max", "trajectories"]}
 
 
 @st.composite

@@ -8,11 +8,11 @@ import pytest
 from zenosim import lindblad
 from zenosim.config import MAX_TABLE_ROWS
 from zenosim.lindblad import (DecoherenceParams, PositivityLossError, closed_form_rho,
-                              closed_form_rho_rotating, integrate, master_rhs,
-                              pure_dephasing_coherence)
+                              closed_form_rho_rotating, integrate, pure_dephasing_coherence)
 from zenosim.noise import NoiseModel, ensemble_average
-from zenosim.qubit import (DensityMatrix, PureState, SystemHamiltonian,
-                           dynamical_fidelity, plus_state)
+from zenosim.qubit import DensityMatrix, PureState, SystemHamiltonian, plus_state
+
+from oracles import dynamical_fidelity, master_rhs
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))

@@ -35,7 +35,7 @@ CLI_CASES = {
     "figure2_mc_resample": "experiment=figure2\nengine=mc\ntrajectories=5000\n",
     "figure2_mc_persistent": ("experiment=figure2\nengine=mc\ntrajectories=5000\n"
                               "noise_reset=persistent\n"),
-    "mc_validate": "experiment=mc_validate\n",
+    "figure2_mc_1e4": "experiment=figure2\nengine=mc\ntrajectories=10000\n",
     "crossover_scan": "experiment=crossover_scan\ntrajectories=2000\n",
     "crossover_scan_long": "experiment=crossover_scan\ntrajectories=5000\nt_end=80\n",
 }

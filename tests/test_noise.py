@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from zenosim.noise import (NoiseKind, NoiseModel, _block_row_counts, _ou_phase_law,
+from zenosim.noise import (NoiseModel, _block_row_counts, _ou_phase_law,
                            ensemble_average, ou_decay_exponent, stream_generator)
 from zenosim.qubit import PureState, first_unphysical, plus_state
 
@@ -23,7 +23,7 @@ def block_phases(model, grid, base_seed, block, rows):
     grid = np.asarray(grid, dtype=float)
     gen = stream_generator(base_seed, block)
     two_c = 2.0 * model.coupling
-    if model.kind is NoiseKind.QUASI_STATIC:
+    if model.tau_c == math.inf:
         return np.multiply.outer(gen.standard_normal(rows), two_c * grid)
     law = _ou_phase_law(np.diff(grid, prepend=0.0), model.tau_c)
     law[:2] *= two_c
@@ -58,14 +58,22 @@ def integrated_ou_covariance(s, t, tau_c):
 
 
 class TestNoiseModel:
-    def test_quasi_static_requires_infinite_tau(self):
-        with pytest.raises(ValueError, match="tau_c"):
-            NoiseModel(NoiseKind.QUASI_STATIC, 0.1, 5.0)
+    def test_coupling_alone_is_quasi_static(self):
+        assert NoiseModel(0.1) == NoiseModel.quasi_static(0.1) == QS
+        assert NoiseModel(0.1).tau_c == math.inf
 
-    def test_ou_requires_finite_positive_tau(self):
-        for bad in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                NoiseModel(NoiseKind.ORNSTEIN_UHLENBECK, 0.1, bad)
+    def test_ou_at_infinite_tau_c_is_quasi_static(self):
+        # the OU law's tau_c -> inf limit: G(t) -> 2 coupling^2 t^2, the quasi-static exponent
+        assert NoiseModel.ornstein_uhlenbeck(0.1, math.inf) == QS
+        t = np.array([0.5, 1.0, 2.0])
+        assert np.allclose(ou_decay_exponent(0.1, 1e6, t), 2.0 * 0.1 ** 2 * t ** 2, rtol=1e-5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.nan])
+    def test_rejects_tau_c_not_above_zero(self, bad):
+        with pytest.raises(ValueError, match=r"^tau_c must be > 0"):
+            NoiseModel(0.1, bad)
+        with pytest.raises(ValueError, match=r"^tau_c must be > 0"):
+            NoiseModel.ornstein_uhlenbeck(0.1, bad)
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError, match="coupling"):
@@ -216,6 +224,18 @@ class TestEnsembleAverage:
         for t_index in (0, 4, 10):
             rho01 = [rho0[0, 1] * np.exp(-1j * phases[row, t_index]) for row in range(m)]
             assert np.allclose(np.mean(rho01), result.rho01[t_index], rtol=0.0, atol=1e-12)
+
+    def test_ou_at_infinite_tau_c_draws_the_quasi_static_bits(self):
+        grid = np.linspace(0.0, 5.0, 11)
+        limit = ensemble_average(plus_state(), NoiseModel.ornstein_uhlenbeck(0.1, math.inf),
+                                 grid, 300, 17)
+        static = ensemble_average(plus_state(), QS, grid, 300, 17)
+        assert np.array_equal(limit.rho01, static.rho01)
+        assert np.array_equal(limit.stderr, static.stderr)
+        # one normal per trajectory, 2 coupling t f0, as the quasi-static reference draws
+        phases = all_block_phases(QS, grid, 17, 300)
+        rho01 = 0.5 * np.exp(-1j * phases).mean(axis=0)
+        assert np.allclose(limit.rho01, rho01, rtol=0.0, atol=1e-15)
 
     def test_bit_reproducible_and_block_order_free(self):
         grid = np.linspace(0.0, 1.0, 11)

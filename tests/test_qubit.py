@@ -9,7 +9,9 @@ from zenosim import qubit
 from zenosim.lindblad import DecoherenceParams, integrate
 from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
                            SystemHamiltonian, bloch_vector, corotating_projector,
-                           dynamical_fidelity, first_unphysical, plus_state, rotation_y)
+                           first_unphysical, plus_state, rotation_y)
+
+from oracles import dynamical_fidelity
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))

@@ -460,6 +460,18 @@ class TestOrnsteinUhlenbeckProtocols:
             assert persistent.success_probability == resample.success_probability
             assert persistent.coherence == resample.coherence
 
+    @pytest.mark.parametrize("reset", list(NoiseReset))
+    def test_ou_at_infinite_tau_c_is_the_default_quasi_static_noise(self, reset):
+        # the default noise is quasi-static at coupling gamma2/sqrt(2); the OU
+        # constructor at tau_c = inf is that model, and the engines draw its bits
+        noise = NoiseModel.ornstein_uhlenbeck(FIG2.gamma2 / math.sqrt(2.0), math.inf)
+        for kind, run in ((ProtocolKind.SELECTIVE, selective_run_mc),
+                          (ProtocolKind.NON_SELECTIVE, nonselective_run_mc)):
+            config = mc_config(20.0, 5, m=3000, seed=29, kind=kind, reset=reset)
+            limit, default = run(FIG2, config, noise), run(FIG2, config)
+            assert limit.survivors_per_step == default.survivors_per_step
+            assert limit.coherence == default.coherence
+
     def test_interval_far_longer_than_correlation_time(self):
         # tau/tau_c = 1e6: one draw per interval whatever the ratio
         coupling, tau_c, t = 0.4, 1e-3, 1e3
