@@ -12,8 +12,7 @@ from .lindblad import (DecoherenceParams, IntegrationResult, PositivityLossError
                        closed_form_rho, closed_form_rho_rotating, integrate,
                        pure_dephasing_coherence)
 from .noise import EnsembleResult, NoiseModel, ensemble_average, stream_generator
-from .qubit import (IDENTITY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                    DensityMatrix, PureState, QubitOperator, SystemHamiltonian,
+from .qubit import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, SystemHamiltonian,
                     bloch_vector, corotating_projector, plus_state, rotation_y)
 from .tables import Table, write_csv
 from .zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
@@ -28,8 +27,7 @@ __all__ = [
     "DecoherenceParams", "IntegrationResult", "PositivityLossError",
     "closed_form_rho", "closed_form_rho_rotating", "integrate", "pure_dephasing_coherence",
     "EnsembleResult", "NoiseModel", "ensemble_average", "stream_generator",
-    "IDENTITY", "SIGMA_MINUS", "SIGMA_PLUS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
-    "DensityMatrix", "PureState", "QubitOperator", "SystemHamiltonian",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "DensityMatrix", "PureState", "SystemHamiltonian",
     "bloch_vector", "corotating_projector", "plus_state", "rotation_y",
     "Table", "write_csv",
     "EngineKind", "NoiseReset", "ProtocolConfig", "ProtocolKind", "ProtocolResult",

@@ -94,7 +94,7 @@ class DecoherenceParams:
         return math.inf if self.gamma2 == 0.0 else 1.0 / self.gamma2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationResult:
     """Interaction-picture states on a uniform grid, as (len(times),) entry columns.
 
@@ -178,7 +178,7 @@ def closed_form_rho_rotating(params: DecoherenceParams, t: float) -> DensityMatr
 def closed_form_rho(params: DecoherenceParams, t: float) -> DensityMatrix:
     """Closed-form solution for the |+> initial state, including the free rotation."""
     _require("t", t, 0.0)
-    u = params.hs.evolution(t).matrix
+    u = params.hs.evolution(t)
     return DensityMatrix(u @ _plus_bracket(params, t) @ u.conj().T)
 
 

@@ -209,7 +209,7 @@ def _ou_phases(z: np.ndarray, law: np.ndarray, m=0.0, out=None):
     return phases, m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Ensemble-mean coherence on a time grid with its statistical error.
 

@@ -1,21 +1,21 @@
 """Exact 2x2 algebra for a single qubit.
 
-States, Pauli operators, the system Hamiltonian with its propagator and the
+States, Pauli matrices, the system Hamiltonian with its propagator and the
 Bloch-vector turn it makes, y rotations, co-rotating projectors and Bloch
-vectors.  One check, ``first_unphysical``, reads the entries of one state or
-the entry columns of many, at the one set of tolerances below.
-Conventions are fixed here once and for all:
+vectors.  Pauli matrices, propagators, rotations and projectors are read-only
+complex (2, 2) numpy arrays.  One check, ``first_unphysical``, reads the
+entries of one state or the entry columns of many, at the one set of
+tolerances below.  Conventions are fixed here once and for all:
 
-* basis: ``|0>`` is the ground state, ``|1>`` the excited state,
-* ``sigma_z |0> = +|0>``, ``sigma_plus |0> = |1>``,
+* basis: ``|0>`` is the ground state, ``|1>`` the excited state, ``sigma_z |0> = +|0>``,
 * time in nanoseconds, angular frequencies in rad/ns.
 
-All types are immutable values and all operations are pure, so they can be
-shared freely across concurrent workers.
+All types and arrays are immutable values and all operations are pure, so
+they can be shared freely across concurrent workers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,26 +49,28 @@ def _frozen_array(values, shape) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QubitOperator:
-    """A 2x2 complex operator (Pauli matrix or propagator)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix, (2, 2)))
+_IDENTITY = _frozen_array(np.eye(2), (2, 2))
+SIGMA_X = _frozen_array([[0.0, 1.0], [1.0, 0.0]], (2, 2))
+SIGMA_Y = _frozen_array([[0.0, -1.0j], [1.0j, 0.0]], (2, 2))
+SIGMA_Z = _frozen_array([[1.0, 0.0], [0.0, -1.0]], (2, 2))
 
 
-IDENTITY = QubitOperator(np.eye(2))
-SIGMA_X = QubitOperator([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Y = QubitOperator([[0.0, -1.0j], [1.0j, 0.0]])
-SIGMA_Z = QubitOperator([[1.0, 0.0], [0.0, -1.0]])
-SIGMA_PLUS = QubitOperator([[0.0, 0.0], [1.0, 0.0]])   # |1><0|
-SIGMA_MINUS = QubitOperator([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
+class _ArrayValue:
+    """``==`` by np.array_equal on a record's one array; the hash agrees (-0.0 hashes as 0.0)."""
+
+    def _array(self) -> np.ndarray:
+        return getattr(self, fields(self)[0].name)
+
+    def __eq__(self, other):
+        return (np.array_equal(self._array(), other._array()) if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(self._array().ravel().tolist()))
 
 
-@dataclass(frozen=True)
-class PureState:
+@dataclass(frozen=True, eq=False)
+class PureState(_ArrayValue):
     """Normalised two-component state vector."""
 
     amplitudes: np.ndarray
@@ -84,26 +86,15 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_ArrayValue):
     """2x2 Hermitian, unit-trace, positive-semidefinite state."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.matrix, (2, 2))
-        object.__setattr__(self, "matrix", arr)
-        validate_density(arr)
-
-    @property
-    def populations(self) -> tuple[float, float]:
-        """(ground, excited) occupations."""
-        return float(self.matrix[0, 0].real), float(self.matrix[1, 1].real)
-
-    @property
-    def coherence(self) -> float:
-        """Magnitude of the off-diagonal element |<0|rho|1>|."""
-        return float(abs(self.matrix[0, 1]))
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, (2, 2)))
+        validate_density(self.matrix)
 
 
 def validate_density(arr: np.ndarray) -> None:
@@ -149,16 +140,12 @@ class SystemHamiltonian:
 
     epsilon: float
     delta: float = 0.0
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require("epsilon", self.epsilon, -math.inf, above=True)
         _require("delta", self.delta, -math.inf, above=True)
-        m = 0.5 * self.epsilon * SIGMA_Z.matrix + 0.5 * self.delta * SIGMA_X.matrix
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
-    def evolution(self, time: float) -> QubitOperator:
+    def evolution(self, time: float) -> np.ndarray:
         """Propagator exp(-i H t), evaluated in closed form.
 
         For H = (omega/2) n.sigma the propagator is
@@ -167,11 +154,11 @@ class SystemHamiltonian:
         _require("time", time, -math.inf, above=True)
         omega = math.hypot(self.epsilon, self.delta)
         if omega == 0.0:
-            return IDENTITY
+            return _IDENTITY
         half = 0.5 * omega * time
         # the axis components first: 1/omega overflows for a subnormal omega
-        n_sigma = (self.epsilon / omega) * SIGMA_Z.matrix + (self.delta / omega) * SIGMA_X.matrix
-        return QubitOperator(math.cos(half) * np.eye(2) - 1j * math.sin(half) * n_sigma)
+        n_sigma = (self.epsilon / omega) * SIGMA_Z + (self.delta / omega) * SIGMA_X
+        return _frozen_array(math.cos(half) * np.eye(2) - 1j * math.sin(half) * n_sigma, (2, 2))
 
     def rotate_bloch(self, times, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bloch-vector columns (x, y, z) of states conjugated by ``evolution`` at each time.
@@ -201,19 +188,19 @@ def plus_state() -> PureState:
     return PureState(np.array([s, s], dtype=complex))
 
 
-def rotation_y(angle: float) -> QubitOperator:
+def rotation_y(angle: float) -> np.ndarray:
     """exp(-i angle sigma_y / 2): rotation of the Bloch vector about y."""
     _require("angle", angle, -math.inf, above=True)
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
-    return QubitOperator([[c, -s], [s, c]])
+    return _frozen_array([[c, -s], [s, c]], (2, 2))
 
 
-def corotating_projector(psi: PureState, hs: SystemHamiltonian, time: float) -> QubitOperator:
+def corotating_projector(psi: PureState, hs: SystemHamiltonian, time: float) -> np.ndarray:
     """Rank-1 projector onto exp(-i H t)|psi>, tracking the free evolution."""
-    rotated = hs.evolution(time).matrix @ psi.amplitudes
-    return QubitOperator(np.outer(rotated, rotated.conj()))
+    rotated = hs.evolution(time) @ psi.amplitudes
+    return _frozen_array(np.outer(rotated, rotated.conj()), (2, 2))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
     """(x, y, z) = (tr rho sigma_x, tr rho sigma_y, tr rho sigma_z)."""
-    return tuple(float(np.trace(rho.matrix @ s.matrix).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    return tuple(float(np.trace(rho.matrix @ s).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))

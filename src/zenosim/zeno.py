@@ -170,7 +170,7 @@ def nonselective_rho(params: DecoherenceParams, t: float, n: int) -> DensityMatr
 def _equatorial_rho(params: DecoherenceParams, t: float, coherence: float) -> DensityMatrix:
     """[[1/2, c], [c, 1/2]] conjugated by the free evolution over t: the lab-frame state."""
     bracket = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
-    u = params.hs.evolution(t).matrix
+    u = params.hs.evolution(t)
     return DensityMatrix(u @ bracket @ u.conj().T)
 
 
@@ -332,15 +332,10 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     _check_mc_config(config, ProtocolKind.SELECTIVE)
     if noise is None:
         noise = _default_noise(params)
-    m, n = config.trajectories, config.measurements
-    if config.total_time == 0.0:
-        return ProtocolResult(config.kind, success_probability=1.0, success_stderr=0.0,
-                              survivors_per_step=(m,) * n, trajectories=m)
+    m = config.trajectories
     kept = _kept_outcomes(params, config, noise)
-    survivors = np.zeros(n, dtype=np.int64)
-    for block in _reduce_blocks(lambda gen, rows: _survivors_per_step(kept(gen, rows)), m,
-                                config.base_seed, context):
-        survivors += block
+    survivors = sum(_reduce_blocks(lambda gen, rows: _survivors_per_step(kept(gen, rows)), m,
+                                   config.base_seed, context))
     p = survivors[-1] / m
     stderr = math.sqrt(p * (1.0 - p) / m)
     return ProtocolResult(config.kind, success_probability=float(p),
@@ -361,18 +356,15 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     if noise is None:
         noise = _default_noise(params)
     m, n, t = config.trajectories, config.measurements, config.total_time
-    if t == 0.0:
-        sign_sum = m
-    else:
-        kept = _kept_outcomes(params, config, noise)
+    kept = _kept_outcomes(params, config, noise)
 
-        def block_sign_sum(gen, rows):
-            # a trajectory's sign flips at every projection that lands on
-            # the other eigenstate, so its final sign is the flip-count parity
-            odd = np.count_nonzero((n - np.count_nonzero(kept(gen, rows), axis=1)) % 2)
-            return rows - 2 * int(odd)
+    def block_sign_sum(gen, rows):
+        # a trajectory's sign flips at every projection that lands on
+        # the other eigenstate, so its final sign is the flip-count parity
+        odd = np.count_nonzero((n - np.count_nonzero(kept(gen, rows), axis=1)) % 2)
+        return rows - 2 * int(odd)
 
-        sign_sum = sum(_reduce_blocks(block_sign_sum, m, config.base_seed, context))
+    sign_sum = sum(_reduce_blocks(block_sign_sum, m, config.base_seed, context))
     mean_sign = sign_sum / m
     coherence = 0.5 * mean_sign
     stderr = 0.5 * math.sqrt(max(1.0 - mean_sign ** 2, 0.0) / m)

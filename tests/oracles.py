@@ -10,11 +10,12 @@ route to decay_curve's fidelity column.
 import numpy as np
 
 from zenosim.lindblad import DecoherenceParams
-from zenosim.qubit import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, DensityMatrix, PureState,
-                           SystemHamiltonian, _require)
+from zenosim.qubit import SIGMA_Z as _SZ
+from zenosim.qubit import DensityMatrix, PureState, SystemHamiltonian, _require
 
-_EXCITED_PROJ = SIGMA_PLUS.matrix @ SIGMA_MINUS.matrix   # |1><1|
-_SZ = SIGMA_Z.matrix
+_SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |1><0|
+_SIGMA_MINUS = _SIGMA_PLUS.T                                      # |0><1|
+_EXCITED_PROJ = _SIGMA_PLUS @ _SIGMA_MINUS                        # |1><1|
 
 
 def master_rhs(rho, t: float, params: DecoherenceParams) -> np.ndarray:
@@ -27,7 +28,7 @@ def master_rhs(rho, t: float, params: DecoherenceParams) -> np.ndarray:
     out = np.zeros((2, 2), dtype=complex)
     if params.gamma1 > 0.0:
         anticomm = _EXCITED_PROJ @ m + m @ _EXCITED_PROJ
-        out -= 0.5 * params.gamma1 * (anticomm - 2.0 * (SIGMA_MINUS.matrix @ m @ SIGMA_PLUS.matrix))
+        out -= 0.5 * params.gamma1 * (anticomm - 2.0 * (_SIGMA_MINUS @ m @ _SIGMA_PLUS))
     if params.gamma2 > 0.0 and t > 0.0:
         inner = _SZ @ m - m @ _SZ
         out -= 0.5 * params.gamma2 ** 2 * t * (_SZ @ inner - inner @ _SZ)
@@ -41,7 +42,7 @@ def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
     Measures how close ``rho`` is to the purely unitary evolution of ``psi``;
     equals 1 when the state tracked the free evolution perfectly.
     """
-    u = hs.evolution(time).matrix
+    u = hs.evolution(time)
     value = psi.amplitudes.conj() @ (u.conj().T @ rho.matrix @ u) @ psi.amplitudes
     if abs(value.imag) >= 1e-10:
         raise ValueError(f"fidelity has non-negligible imaginary part {float(value.imag)!r}")

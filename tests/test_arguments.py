@@ -110,14 +110,13 @@ CASES = {
 ENTRY_NAMES = {"times": "t", "t_values": "t", "n_values": "n"}
 
 EXEMPT = {
-    **dict.fromkeys(["IDENTITY", "SIGMA_MINUS", "SIGMA_PLUS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z"],
-                    "a constant"),
+    **dict.fromkeys(["SIGMA_X", "SIGMA_Y", "SIGMA_Z"], "a constant"),
     **dict.fromkeys(["EngineKind", "NoiseReset", "ProtocolKind"], "an enum"),
     "PositivityLossError": "an exception type",
     **dict.fromkeys(["IntegrationResult", "EnsembleResult", "ProtocolResult"],
                     "a result record; ProtocolResult keeps its own bounds on estimates"),
-    **dict.fromkeys(["DensityMatrix", "PureState", "QubitOperator"],
-                    "takes an array, checked entry by entry as a state or operator"),
+    **dict.fromkeys(["DensityMatrix", "PureState"],
+                    "takes an array, checked entry by entry as a state"),
     "bloch_vector": "takes a state",
     "plus_state": "takes no argument",
     "Table": "takes columns",

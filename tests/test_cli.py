@@ -128,7 +128,7 @@ class TestRunExperiment:
         assert len(table) == len(result.times)
         for row, t, p00, p11, rho01 in zip(table.rows, result.times, result.p00, result.p11,
                                             result.rho01):
-            u = hs.evolution(float(t)).matrix
+            u = hs.evolution(float(t))
             lab = DensityMatrix(u @ np.array([[p00, rho01], [np.conj(rho01), p11]]) @ u.conj().T)
             m = lab.matrix
             expected = (float(t), m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag,

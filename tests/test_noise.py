@@ -177,7 +177,7 @@ class TestEnsembleAverage:
 
     def test_zero_coupling_keeps_full_coherence(self):
         model = NoiseModel.quasi_static(0.0)
-        initial = plus_state().density().coherence
+        initial = abs(plus_state().density().matrix[0, 1])
         result = ensemble_average(plus_state(), model, np.linspace(0, 50, 6), 200, 1)
         assert np.all(np.abs(result.rho01) == initial)
 
@@ -200,7 +200,8 @@ class TestEnsembleAverage:
         rho01 = rho.matrix[0, 1]
         assert np.allclose(result.rho01, rho01 * 2.0 * plus.rho01, rtol=0.0, atol=1e-15)
         assert np.allclose(result.stderr, abs(rho01) * 2.0 * plus.stderr, rtol=1e-12, atol=0.0)
-        assert first_unphysical(*rho.populations, result.rho01, result.rho01.conj()) is None
+        p00, p11 = rho.matrix.diagonal().real
+        assert first_unphysical(p00, p11, result.rho01, result.rho01.conj()) is None
 
     def test_quasi_static_gaussian_decay(self):
         # ensemble coherence matches the Gaussian-integral value
@@ -282,7 +283,7 @@ class TestEnsembleAverage:
     def test_mean_states_are_physical(self):
         grid = np.linspace(0.0, 2.0, 21)
         result = ensemble_average(plus_state(), OU, grid, 2000, 8)
-        p00, p11 = plus_state().density().populations
+        p00, p11 = plus_state().density().matrix.diagonal().real
         assert first_unphysical(p00, p11, result.rho01, result.rho01.conj()) is None
         assert np.abs(result.rho01[10]) <= 0.5
 

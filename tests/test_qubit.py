@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from zenosim import qubit
 from zenosim.lindblad import DecoherenceParams, integrate
-from zenosim.qubit import (SIGMA_X, SIGMA_Z, DensityMatrix, PureState,
+from zenosim.noise import NoiseModel, ensemble_average
+from zenosim.qubit import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState,
                            SystemHamiltonian, bloch_vector, corotating_projector,
                            first_unphysical, plus_state, rotation_y)
 
@@ -37,7 +38,7 @@ class TestPlusState:
 
     def test_sigma_x_eigenstate(self):
         psi = plus_state().amplitudes
-        assert np.allclose(SIGMA_X.matrix @ psi, psi, atol=1e-12)
+        assert np.allclose(SIGMA_X @ psi, psi, atol=1e-12)
 
     def test_density_entries(self):
         rho = plus_state().density().matrix
@@ -46,15 +47,15 @@ class TestPlusState:
 
 class TestRotationY:
     def test_zero_angle_is_identity(self):
-        assert np.allclose(rotation_y(0.0).matrix, np.eye(2), atol=1e-15)
+        assert np.allclose(rotation_y(0.0), np.eye(2), atol=1e-15)
 
     def test_half_pi_maps_ground_to_plus(self):
-        rotated = rotation_y(math.pi / 2).matrix @ KET0.amplitudes
+        rotated = rotation_y(math.pi / 2) @ KET0.amplitudes
         rho = np.outer(rotated, rotated.conj())
         assert np.allclose(rho, plus_state().density().matrix, atol=1e-12)
 
     def test_inverse(self):
-        u = rotation_y(math.pi / 2).matrix @ rotation_y(-math.pi / 2).matrix
+        u = rotation_y(math.pi / 2) @ rotation_y(-math.pi / 2)
         assert np.max(np.abs(u - np.eye(2))) <= 1e-12
 
     def test_rejects_non_finite(self):
@@ -64,23 +65,23 @@ class TestRotationY:
     @given(st.floats(-10.0, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_always_unitary(self, angle):
-        u = rotation_y(angle).matrix
+        u = rotation_y(angle)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
 
 class TestCorotatingProjector:
     def test_time_zero_plus(self):
         proj = corotating_projector(plus_state(), SystemHamiltonian(1.0), 0.0)
-        assert np.allclose(proj.matrix, 0.5 * np.ones((2, 2)), atol=1e-12)
+        assert np.allclose(proj, 0.5 * np.ones((2, 2)), atol=1e-12)
 
     def test_idempotent(self):
         proj = corotating_projector(plus_state(), SystemHamiltonian(1.0), 7.3)
-        assert np.max(np.abs(proj.matrix @ proj.matrix - proj.matrix)) <= 1e-12
+        assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
 
     @pytest.mark.parametrize("seed,time", [(1, 0.4), (2, 3.7), (3, 12.0)])
     def test_unit_trace(self, seed, time):
         proj = corotating_projector(random_state(seed), SystemHamiltonian(0.8, 0.05), time)
-        assert abs(np.trace(proj.matrix) - 1.0) <= 1e-12
+        assert abs(np.trace(proj) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_projects_corotating_state_onto_itself(self, k):
@@ -88,9 +89,9 @@ class TestCorotatingProjector:
         hs = SystemHamiltonian(1.3, 0.0)
         tau = 2.1
         psi = plus_state()
-        u = hs.evolution(k * tau).matrix
+        u = hs.evolution(k * tau)
         evolved = u @ psi.density().matrix @ u.conj().T
-        proj = corotating_projector(psi, hs, k * tau).matrix
+        proj = corotating_projector(psi, hs, k * tau)
         assert np.max(np.abs(proj @ evolved @ proj - evolved)) <= 1e-12
 
 
@@ -98,7 +99,7 @@ class TestDynamicalFidelity:
     def test_perfect_tracking(self):
         hs = SystemHamiltonian(0.9, 0.0)
         psi = plus_state()
-        u = hs.evolution(5.0).matrix
+        u = hs.evolution(5.0)
         rho = DensityMatrix(u @ psi.density().matrix @ u.conj().T)
         assert dynamical_fidelity(rho, psi, hs, 5.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -118,7 +119,7 @@ class TestDynamicalFidelity:
         hs = SystemHamiltonian(1.1, 0.2)
         psi = random_state(seed)
         rho = random_state(seed + 1).density()
-        u = hs.evolution(s).matrix
+        u = hs.evolution(s)
         shifted = DensityMatrix(u @ rho.matrix @ u.conj().T)
         f0 = dynamical_fidelity(rho, psi, hs, t)
         f1 = dynamical_fidelity(shifted, psi, hs, t + s)
@@ -133,7 +134,7 @@ class TestDynamicalFidelity:
         times = np.linspace(-3.0, 9.0, 13)
         for seed, t in enumerate(times):
             rho = random_state(seed).density()
-            projector = corotating_projector(psi, hs, float(t)).matrix
+            projector = corotating_projector(psi, hs, float(t))
             expected = np.trace(rho.matrix @ projector).real
             assert abs(dynamical_fidelity(rho, psi, hs, float(t)) - expected) <= 1e-15
 
@@ -227,22 +228,63 @@ class TestInvariantEnforcement:
             rho.matrix[0, 0] = 2.0
 
 
+class TestOperatorArrays:
+    def test_operators_are_read_only_complex_arrays(self):
+        hs = SystemHamiltonian(1.0, 0.05)
+        operators = [SIGMA_X, SIGMA_Y, SIGMA_Z, hs.evolution(2.0),
+                     SystemHamiltonian(0.0).evolution(2.0),       # the omega = 0 identity
+                     rotation_y(0.3), corotating_projector(plus_state(), hs, 2.0)]
+        for op in operators:
+            assert op.shape == (2, 2) and op.dtype == complex
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 2.0
+
+
+class TestValueEquality:
+    def test_states_compare_by_value(self):
+        assert (plus_state().density() == plus_state().density()) is True
+        assert hash(plus_state().density()) == hash(plus_state().density())
+        assert (plus_state() == plus_state()) is True
+        assert hash(plus_state()) == hash(plus_state())
+        assert KET0 != KET1 and KET0.density() != KET1.density()
+        assert KET0 != KET0.density()
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        a = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        b = DensityMatrix(np.array([[1.0, -0.0], [-0.0, -0.0]]))
+        assert a.matrix.tobytes() != b.matrix.tobytes()
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, KET0.density()}) == 1
+
+    @pytest.mark.parametrize("make", [
+        plus_state,
+        lambda: plus_state().density(),
+        lambda: integrate(plus_state().density(), DecoherenceParams(1e-3, 0.05), 1.0, 0.1),
+        lambda: ensemble_average(plus_state(), NoiseModel.quasi_static(0.1), [0.0, 1.0], 200, 1),
+    ], ids=["PureState", "DensityMatrix", "IntegrationResult", "EnsembleResult"])
+    def test_eq_returns_a_bool(self, make):
+        a, b = make(), make()
+        assert type(a == b) is bool and type(a != b) is bool and (a == a) is True
+
+
 class TestSystemHamiltonian:
     def test_matrix_form(self):
-        hs = SystemHamiltonian(2.0, 0.6)
-        expected = 0.5 * 2.0 * SIGMA_Z.matrix + 0.5 * 0.6 * SIGMA_X.matrix
-        assert np.allclose(hs.matrix, expected, atol=1e-15)
+        # i dU/dt at t = 0, a central difference, is H = (epsilon/2) sigma_z + (delta/2) sigma_x
+        hs, h = SystemHamiltonian(2.0, 0.6), 1e-6
+        expected = 0.5 * 2.0 * SIGMA_Z + 0.5 * 0.6 * SIGMA_X
+        assert np.allclose(0.5j * (hs.evolution(h) - hs.evolution(-h)) / h, expected,
+                           rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("eps,delta,t", [(1.0, 0.0, 4.0), (0.7, 0.3, 11.0), (0.0, 0.0, 5.0)])
     def test_evolution_unitary(self, eps, delta, t):
-        u = SystemHamiltonian(eps, delta).evolution(t).matrix
+        u = SystemHamiltonian(eps, delta).evolution(t)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
     def test_evolution_matches_eigen_expansion(self):
         hs = SystemHamiltonian(0.9, 0.4)
-        w, v = np.linalg.eigh(hs.matrix)
+        w, v = np.linalg.eigh(0.5 * 0.9 * SIGMA_Z + 0.5 * 0.4 * SIGMA_X)
         expected = v @ np.diag(np.exp(-1j * w * 3.3)) @ v.conj().T
-        assert np.allclose(hs.evolution(3.3).matrix, expected, atol=1e-12)
+        assert np.allclose(hs.evolution(3.3), expected, atol=1e-12)
 
     @pytest.mark.parametrize("eps,delta,t_end", [
         (1.0, 0.0, 40.0), (0.7, 0.3, 40.0), (0.0, 1.0, 40.0), (0.0, 0.0, 40.0),
@@ -258,7 +300,7 @@ class TestSystemHamiltonian:
         turned = hs.rotate_bloch(times, np.array(x), np.array(y), np.array(z))
         assert [c.shape for c in turned] == [(17,)] * 3
         for t, rho, r in zip(times, states, np.column_stack(turned)):
-            u = hs.evolution(float(t)).matrix
+            u = hs.evolution(float(t))
             lab = DensityMatrix(u @ rho.matrix @ u.conj().T)
             assert np.max(np.abs(r - bloch_vector(lab))) <= 1e-14
 
@@ -270,7 +312,7 @@ class TestSystemHamiltonian:
         # pure sigma_x Hamiltonian rotates the Bloch vector about +x, taking
         # the north pole to -y after a quarter turn
         hs = SystemHamiltonian(0.0, 1.0)
-        u = hs.evolution(math.pi / 2).matrix
+        u = hs.evolution(math.pi / 2)
         rho = u @ KET0.density().matrix @ u.conj().T
         # U|0> = (|0> - i|1>)/sqrt(2): rho01 = i/2, so y = -2 Im rho01 = -1, x = z = 0
         assert np.allclose(rho, [[0.5, 0.5j], [-0.5j, 0.5]], atol=1e-12)

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from zenosim.lindblad import DecoherenceParams, closed_form_rho_rotating
 from zenosim.noise import NoiseModel, _ou_interval_coefficients
-from zenosim.qubit import SystemHamiltonian
+from zenosim.qubit import DensityMatrix, SystemHamiltonian
 from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           ProtocolResult, coherence_ratio, figure2_sweep,
                           figure3_surface, nonselective_coherence,
@@ -192,14 +192,15 @@ class TestPnApprox:
 class TestNonselective:
     def test_populations_equalised(self):
         rho = nonselective_rho(FIG3, 400.0, 4)
-        assert rho.populations == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert rho.matrix.diagonal().real.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
 
     @pytest.mark.parametrize("n,expected", [(1, ABS01_N1), (16, ABS01_N16)])
     def test_spot_values(self, n, expected):
         assert nonselective_coherence(FIG3, 400.0, n) == pytest.approx(expected, abs=1e-12)
 
     def test_state_carries_the_coherence(self):
-        assert nonselective_rho(FIG3, 400.0, 16).coherence == pytest.approx(ABS01_N16, abs=1e-12)
+        rho = nonselective_rho(FIG3, 400.0, 16)
+        assert abs(rho.matrix[0, 1]) == pytest.approx(ABS01_N16, abs=1e-12)
 
     def test_many_measurements_leave_relaxation_floor(self):
         # only the quadratic (low-frequency) part is suppressed
@@ -215,8 +216,8 @@ class TestNonselective:
     def test_frame_preserves_coherence_magnitude(self):
         params = DecoherenceParams.from_times(1000.0, 400.0, SystemHamiltonian(0.9, 0.0))
         rho = nonselective_rho(params, 400.0, 4)
-        assert rho.coherence == pytest.approx(nonselective_coherence(params, 400.0, 4),
-                                              abs=1e-12)
+        assert abs(rho.matrix[0, 1]) == pytest.approx(nonselective_coherence(params, 400.0, 4),
+                                                      abs=1e-12)
 
 
 class TestCoherenceRatio:
@@ -361,12 +362,21 @@ class TestNonselectiveMonteCarlo:
     def test_final_state_has_equal_populations(self):
         result = nonselective_run_mc(
             FIG3, mc_config(400.0, 2, m=2000, kind=ProtocolKind.NON_SELECTIVE))
-        assert result.final_rho.populations == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert result.final_rho.matrix.diagonal().real.tolist() == pytest.approx([0.5, 0.5],
+                                                                                 abs=1e-12)
 
     def test_deterministic(self):
         a = nonselective_run_mc(FIG3, mc_config(400.0, 4, kind=ProtocolKind.NON_SELECTIVE))
         b = nonselective_run_mc(FIG3, mc_config(400.0, 4, kind=ProtocolKind.NON_SELECTIVE))
         assert a.coherence == b.coherence
+
+    def test_results_compare_by_value(self):
+        # a result carries its final state, whose == compares entries
+        a, b, other = (nonselective_run_mc(FIG3, mc_config(400.0, 4, seed=seed,
+                                                           kind=ProtocolKind.NON_SELECTIVE))
+                       for seed in (11, 11, 12))
+        assert a.final_rho is not b.final_rho
+        assert (a == b) is True and (a == other) is False
 
 
 def ou_phase_covariance(coupling, tau_c, tau, n, persistent):
@@ -397,6 +407,34 @@ def sign_pattern_average(cov, values, weight):
     weights = weight ** np.count_nonzero(s, axis=1)
     quad = np.einsum("pi,ij,pj->p", s, cov, s)
     return float(np.sum(weights * np.exp(-2.0 * quad))) / 2.0 ** n
+
+
+class TestZeroTime:
+    """At t = 0 the phases are 0, no trajectory jumps and the Born probability to
+    stay is exactly 1.0, so the sampled path keeps every trajectory."""
+
+    PARAMS = DecoherenceParams.from_times(1000.0, 20.0, SystemHamiltonian(1.0, 0.05))
+    NOISE = [None, NoiseModel.ornstein_uhlenbeck(0.3, 2.0),
+             NoiseModel.ornstein_uhlenbeck(0.0, 2.0)]
+
+    @pytest.mark.parametrize("reset", list(NoiseReset))
+    @pytest.mark.parametrize("noise", NOISE, ids=["quasi-static", "ou", "ou-zero-coupling"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_selective(self, reset, noise, n):
+        result = selective_run_mc(self.PARAMS, mc_config(0.0, n, m=2000, reset=reset), noise)
+        assert result == ProtocolResult(ProtocolKind.SELECTIVE, success_probability=1.0,
+                                        success_stderr=0.0, survivors_per_step=(2000,) * n,
+                                        trajectories=2000)
+
+    @pytest.mark.parametrize("reset", list(NoiseReset))
+    @pytest.mark.parametrize("noise", NOISE, ids=["quasi-static", "ou", "ou-zero-coupling"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_nonselective(self, reset, noise, n):
+        config = mc_config(0.0, n, m=2000, kind=ProtocolKind.NON_SELECTIVE, reset=reset)
+        result = nonselective_run_mc(self.PARAMS, config, noise)
+        assert result == ProtocolResult(ProtocolKind.NON_SELECTIVE,
+                                        final_rho=DensityMatrix(np.full((2, 2), 0.5)),
+                                        coherence=0.5, coherence_stderr=0.0, trajectories=2000)
 
 
 class TestOrnsteinUhlenbeckProtocols:
