@@ -20,8 +20,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .lindblad import dephasing_model_holds, rk4_steps
-from .noise import ou_decay_exponent
+from .lindblad import DecoherenceParams, dephasing_model_holds, rk4_steps
+from .noise import _check_phase, ou_decay_exponent
+from .zeno import _default_noise
 
 DEFAULT_BASE_SEED = 123456789
 
@@ -195,22 +196,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if problem:
             raise ConfigError(f"line {lineno}: {key} {problem} (got {parsed!r})")
 
-    plan = _PLANNERS[experiment](settings)
-    if "t1" in settings:
-        _check_exponents(settings)
-    return ExperimentConfig(experiment, settings, plan)
-
-
-def _check_exponents(settings: dict[str, Any]) -> None:
-    """Reject a time that overflows the decay exponent t/T1 or (t/T2)^2."""
-    t1, t2 = settings["t1"], settings["t2"]
-    gamma1, gamma2 = (0.0 if math.isinf(x) else 1.0 / x for x in (t1, t2))
-    for key in ("t", "t_end", "t_min", "t_max", "times"):
-        values = settings.get(key, ())
-        for t in values if isinstance(values, tuple) else (values,):
-            if not math.isfinite(gamma1 * t + (gamma2 * t) * (gamma2 * t)):
-                raise ConfigError(f"{key} = {t!r} overflows the decay exponent t/t1 or (t/t2)^2 "
-                                  f"(t1 = {t1!r}, t2 = {t2!r}): lower {key} or raise t1 and t2")
+    if "t1" in settings:        # the library's rule on T1 and T2, whose rates must be finite
+        try:
+            DecoherenceParams.from_times(settings["t1"], settings["t2"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return ExperimentConfig(experiment, settings, _PLANNERS[experiment](settings))
 
 
 def _bound(count, limit, asks: str, unit: str, fix: str):
@@ -239,9 +230,6 @@ def _decay_plan(settings: dict[str, Any]) -> Plan:
                           "than 1e-8 rad: lower epsilon, delta or t_end")
     scale = min(t1, t2) if min(t1, t2) < math.inf else max(t_end, 1.0)   # t_end if no decay
     dt = settings["dt"] = settings["dt"] or scale / 200.0
-    if dt == 0.0:
-        raise ConfigError(f"t1 = {t1!r} and t2 = {t2!r} give the default dt = min(t1, t2)/200 "
-                          "= 0.0, below the smallest float: raise t1 and t2")
     try:
         steps = rk4_steps(t_end, dt, t1, t2)
     except ValueError as exc:
@@ -259,10 +247,6 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
     dt = settings["dt"] = settings["dt"] or tau_c / 100.0
     if t_end < 2.0 * dt:     # the decay fits need the points dt and 2 dt
         raise ConfigError(f"t_end ({t_end!r}) must be at least 2 dt ({dt!r})")
-    rate = 4.0 * coupling * coupling * tau_c
-    if not math.isfinite(rate):
-        raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows the decay "
-                          "rate 4 coupling^2 tau_c: lower coupling or tau_c")
     # -ln of the normalised coherence; the grid bound keeps dt/tau_c >= 1/(10 MAX_SCAN_POINTS)
     try:
         first = ou_decay_exponent(coupling, tau_c, dt)
@@ -286,11 +270,12 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
     work = _bound(trajectories * points, MAX_MC_INTERVALS, f"trajectories x grid points = "
                   f"{trajectories} x {points} asks for", "noise values",
                   "lower trajectories or t_end, or raise dt")
-    if not math.isfinite(rate * t_end + points * t_end * t_end):  # the slope fit sums t^2
+    # an infinite rate 4 coupling^2 tau_c fails here too; the slope fit sums t^2
+    if not math.isfinite(4.0 * coupling * coupling * tau_c * t_end + points * t_end * t_end):
         raise ConfigError(f"tau_c = {tau_c!r} with coupling = {coupling!r} and t_end = {t_end!r} "
                           "overflows the decay exponent 4 coupling^2 tau_c t_end or the fit's "
                           "sum of t^2: lower tau_c, coupling or t_end")
-    try:        # rate * t_end is finite, so only (2 coupling tau_c)^2 can overflow here
+    try:        # 4 coupling^2 tau_c t_end is finite, so only (2 coupling tau_c)^2 can overflow here
         last = ou_decay_exponent(coupling, tau_c, t_end)
     except ValueError:
         raise ConfigError(f"coupling = {coupling!r} with tau_c = {tau_c!r} overflows (2 coupling "
@@ -312,6 +297,14 @@ def _sweep_plan(settings: dict[str, Any]) -> Plan:
     trajectories = settings["trajectories"] if settings["engine"] == "mc" else 0
     rows = _bound(len(times) * n_max, MAX_TABLE_ROWS, "times x n_max asks for", "table rows",
                   "lower times or n_max")
+    if trajectories:        # the library's bound on the phases of the default noise
+        noise = _default_noise(DecoherenceParams.from_times(settings["t1"], settings["t2"]))
+        try:
+            _check_phase(noise.coupling, max(times), n_max)
+        except ValueError:
+            raise ConfigError(f"times up to {max(times)!r} with t2 = {settings['t2']!r} and n_max "
+                              f"= {n_max} can overflow the Monte Carlo dephasing phase: lower "
+                              "times or n_max, or raise t2") from None
     work = _bound(trajectories * len(times) * n_max * (n_max + 1) // 2, MAX_MC_INTERVALS,
                   f"trajectories x len(times) x n_max(n_max+1)/2 = {trajectories} x {len(times)} "
                   f"x {n_max}({n_max}+1)/2 asks for", "trajectory-intervals",

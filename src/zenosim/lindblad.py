@@ -70,8 +70,8 @@ class DecoherenceParams:
     hs: SystemHamiltonian = SystemHamiltonian(0.0, 0.0)
 
     def __post_init__(self):
-        _require("gamma1", self.gamma1, 0.0)
-        _require("gamma2", self.gamma2, 0.0)
+        for name in ("gamma1", "gamma2"):
+            object.__setattr__(self, name, _require(name, getattr(self, name), 0.0))
         if not dephasing_model_holds(self.hs.epsilon, self.hs.delta):
             warnings.warn(
                 "sigma_x part of the Hamiltonian exceeds 10% of the sigma_z part; "
@@ -125,8 +125,8 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     A fixed step keeps results reproducible; the equation is small and smooth
     enough that adaptivity buys nothing.
     """
-    steps = rk4_steps(_require("t_end", t_end, 0.0), _require("dt", dt, 0.0, above=True),
-                      params.t1, params.t2)
+    t_end = _require("t_end", t_end, 0.0)
+    steps = rk4_steps(t_end, _require("dt", dt, 0.0, above=True), params.t1, params.t2)
     h = t_end / steps if steps else 0.0
 
     times = np.linspace(0.0, t_end, steps + 1)
@@ -177,7 +177,7 @@ def closed_form_rho_rotating(params: DecoherenceParams, t: float) -> DensityMatr
 
 def closed_form_rho(params: DecoherenceParams, t: float) -> DensityMatrix:
     """Closed-form solution for the |+> initial state, including the free rotation."""
-    _require("t", t, 0.0)
+    t = _require("t", t, 0.0)
     u = params.hs.evolution(t)
     return DensityMatrix(u @ _plus_bracket(params, t) @ u.conj().T)
 
@@ -189,8 +189,8 @@ def pure_dephasing_coherence(gamma2: float, t: float) -> float:
     gamma2/sqrt(2): E[exp(-2i lambda f0 t)] = exp(-2 lambda^2 t^2).
     Without dephasing or time it is 1, also for an infinite t or gamma2.
     """
-    _require("gamma2", gamma2, 0.0, allow_inf=True)
-    _require("t", t, 0.0, allow_inf=True)
+    gamma2 = _require("gamma2", gamma2, 0.0, allow_inf=True)
+    t = _require("t", t, 0.0, allow_inf=True)
     if gamma2 == 0.0 or t == 0.0:
         return 1.0
     return math.exp(-_square(gamma2 * t))

@@ -76,8 +76,9 @@ class NoiseModel:
     tau_c: float = math.inf         # ns
 
     def __post_init__(self):
-        _require("coupling", self.coupling, 0.0)
-        _require("tau_c", self.tau_c, 0.0, above=True, allow_inf=True)
+        object.__setattr__(self, "coupling", _require("coupling", self.coupling, 0.0))
+        object.__setattr__(self, "tau_c", _require("tau_c", self.tau_c, 0.0, above=True,
+                                                   allow_inf=True))
 
     @classmethod
     def quasi_static(cls, coupling: float) -> "NoiseModel":
@@ -143,9 +144,13 @@ def _ou_interval_coefficients(tau: float, tau_c: float):
       normals z1, z2 (D. T. Gillespie, Phys. Rev. E 54, 2084 (1996)).
 
     Both differences cancel at small x (x - 2 tanh(x/2) ~ x^3/12), so they
-    come from their Taylor series there.
+    come from their Taylor series there.  A 2x past the float range, where
+    spread and fresh would be inf, is a ValueError naming tau_c.
     """
-    x = tau / tau_c
+    x = float(tau) / tau_c          # a numpy step would warn where this overflows
+    if 2.0 * x == math.inf:
+        raise ValueError(f"tau_c = {tau_c!r} with a step of {float(tau)!r} ns overflows "
+                         "2 step/tau_c: raise tau_c or shorten the step")
     if x < 0.05:
         # (x - 1 + a) / x^2 and (x - 2 tanh(x/2)) / x^3, scaled back below so
         # that a tiny x does not underflow on the way

@@ -27,12 +27,13 @@ NORM_TOL = 1e-12
 
 def _require(name: str, value, minimum, above: bool = False, allow_inf: bool = False):
     """The one argument rule: ``value`` if >= ``minimum`` (> if ``above``) and finite (or inf if
-    ``allow_inf``), else a ValueError naming it.  An int ``minimum`` asks for an integer; None
-    fails."""
+    ``allow_inf``), else a ValueError naming it.  An int ``minimum`` asks for an integer; a float
+    ``minimum`` returns a Python float, whose arithmetic overflows to inf without a warning (a
+    numpy scalar's warns); None fails."""
     if (value is not None and (minimum < value if above else minimum <= value)
             and (allow_inf or value < math.inf)
             and (type(minimum) is not int or isinstance(value, (int, np.integer)))):
-        return value
+        return value if type(minimum) is int else float(value)
     bound = f"{'>' if above else '>='} {minimum:g}"
     rule = (f"an integer {bound}" if type(minimum) is int else "finite" if minimum == -math.inf
             else bound if allow_inf else f"finite and {bound}")
@@ -142,8 +143,9 @@ class SystemHamiltonian:
     delta: float = 0.0
 
     def __post_init__(self):
-        _require("epsilon", self.epsilon, -math.inf, above=True)
-        _require("delta", self.delta, -math.inf, above=True)
+        for name in ("epsilon", "delta"):
+            value = _require(name, getattr(self, name), -math.inf, above=True)
+            object.__setattr__(self, name, value)
 
     def evolution(self, time: float) -> np.ndarray:
         """Propagator exp(-i H t), evaluated in closed form.
@@ -151,7 +153,7 @@ class SystemHamiltonian:
         For H = (omega/2) n.sigma the propagator is
         cos(omega t / 2) I - i sin(omega t / 2) n.sigma.
         """
-        _require("time", time, -math.inf, above=True)
+        time = _require("time", time, -math.inf, above=True)
         omega = math.hypot(self.epsilon, self.delta)
         if omega == 0.0:
             return _IDENTITY
@@ -190,7 +192,7 @@ def plus_state() -> PureState:
 
 def rotation_y(angle: float) -> np.ndarray:
     """exp(-i angle sigma_y / 2): rotation of the Bloch vector about y."""
-    _require("angle", angle, -math.inf, above=True)
+    angle = _require("angle", angle, -math.inf, above=True)
     c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
     return _frozen_array([[c, -s], [s, c]], (2, 2))
 

@@ -67,7 +67,7 @@ class ProtocolConfig:
     noise_reset: NoiseReset = NoiseReset.RESAMPLE_PER_INTERVAL
 
     def __post_init__(self):
-        _require("total_time", self.total_time, 0.0)
+        object.__setattr__(self, "total_time", _require("total_time", self.total_time, 0.0))
         _require("measurements", self.measurements, 1)
         if self.engine is EngineKind.MONTE_CARLO:    # 1000 for a meaningful binomial error
             _require("trajectories", self.trajectories, 1000)
@@ -89,14 +89,6 @@ class ProtocolResult:
     coherence_stderr: float | None = None
     trajectories: int | None = None
 
-    def __post_init__(self):
-        if self.success_probability is not None and not (
-                -1e-12 <= self.success_probability <= 1.0 + 1e-12):
-            raise ValueError(f"success probability {self.success_probability!r} outside [0, 1]")
-        if self.coherence is not None and not (
-                -1e-12 <= self.coherence <= 0.5 + 1e-12):
-            raise ValueError(f"coherence magnitude {self.coherence!r} outside [0, 1/2]")
-
 
 def selective_step_probability(params: DecoherenceParams, tau: float) -> float:
     """Probability that one projection onto the co-rotating |+> succeeds.
@@ -104,7 +96,7 @@ def selective_step_probability(params: DecoherenceParams, tau: float) -> float:
     Obtained by projecting the closed-form evolved |+> state back onto |+>:
     1/2 + 1/2 exp(-gamma1 tau / 2 - (gamma2 tau)^2).
     """
-    _require("tau", tau, 0.0, above=True)
+    tau = _require("tau", tau, 0.0, above=True)
     return 0.5 + 0.5 * math.exp(-0.5 * params.gamma1 * tau - _square(params.gamma2 * tau))
 
 

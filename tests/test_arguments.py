@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 import zenosim
-from zenosim import (DecoherenceParams, EngineKind, NoiseModel, ProtocolConfig, ProtocolKind,
-                     SystemHamiltonian, Table, closed_form_rho, closed_form_rho_rotating,
-                     coherence_ratio, corotating_projector, ensemble_average, figure2_sweep,
-                     figure3_surface, integrate, nonselective_coherence, nonselective_rho,
-                     nonselective_run_mc, pn_analytic, pn_approx, plus_state,
-                     pure_dephasing_coherence, rotation_y, selective_run_mc,
-                     selective_step_probability, stream_generator)
+from zenosim import (DecoherenceParams, EngineKind, NoiseModel, NoiseReset, ProtocolConfig,
+                     ProtocolKind, SystemHamiltonian, Table, closed_form_rho,
+                     closed_form_rho_rotating, coherence_ratio, corotating_projector,
+                     ensemble_average, figure2_sweep, figure3_surface, integrate, noise,
+                     nonselective_coherence, nonselective_rho, nonselective_run_mc, pn_analytic,
+                     pn_approx, plus_state, pure_dephasing_coherence, rotation_y,
+                     selective_run_mc, selective_step_probability, stream_generator)
 from zenosim.lindblad import _square
 from zenosim.noise import ou_decay_exponent
 from zenosim.zeno import pn_persistent
@@ -33,7 +33,8 @@ HS = SystemHamiltonian(1.0, 0.05)
 PARAMS = DecoherenceParams.from_times(1000.0, 20.0, HS)
 PLUS = plus_state()
 
-FLOAT_PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308)
+# a numpy scalar's arithmetic warns where a float's overflows to inf in silence
+FLOAT_PROBES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308, np.float64(1e308))
 COUNT_PROBES = FLOAT_PROBES + (2.5, -1, 0, 2000.5)
 
 
@@ -114,7 +115,7 @@ EXEMPT = {
     **dict.fromkeys(["EngineKind", "NoiseReset", "ProtocolKind"], "an enum"),
     "PositivityLossError": "an exception type",
     **dict.fromkeys(["IntegrationResult", "EnsembleResult", "ProtocolResult"],
-                    "a result record; ProtocolResult keeps its own bounds on estimates"),
+                    "a result record, built by the engines only"),
     **dict.fromkeys(["DensityMatrix", "PureState"],
                     "takes an array, checked entry by entry as a state"),
     "bloch_vector": "takes a state",
@@ -212,6 +213,30 @@ def test_overflowing_phase_is_rejected_before_any_draw(call, model):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^coupling = 1e\+308 with t = (40|10)\.0 "):
             call(model)
+
+
+def _protocol_run(run, kind, reset):
+    config = ProtocolConfig(40.0, 5, kind, EngineKind.MONTE_CARLO, 1000, 1, reset)
+    return lambda model: run(PARAMS, config, model)
+
+
+@pytest.mark.parametrize("tau_c", [1e-310, 5e-324])
+@pytest.mark.parametrize("call,step", [
+    *((_protocol_run(run, kind, reset), "8.0") for run, kind in [
+        (selective_run_mc, ProtocolKind.SELECTIVE),
+        (nonselective_run_mc, ProtocolKind.NON_SELECTIVE)] for reset in NoiseReset),
+    (lambda model: ensemble_average(PLUS, model, [0.0, 10.0], 100, 1), "10.0"),
+], ids=[f"{run}-{reset.value}" for run in ("selective_run_mc", "nonselective_run_mc")
+        for reset in NoiseReset] + ["ensemble_average"])
+def test_overflowing_step_over_tau_c_is_rejected_before_any_draw(monkeypatch, call, step,
+                                                                 tau_c):
+    # step/tau_c = inf made every OU coefficient inf: P = 0.0 for a truth near 1, every
+    # sign flipped or a nan ensemble, with a RuntimeWarning as the only symptom
+    monkeypatch.setattr(noise, "stream_generator", None)        # a draw fails with TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^tau_c = {tau_c!r} with a step of {step} ns "):
+            call(NoiseModel(0.1, tau_c))
 
 
 @pytest.mark.parametrize("count", [4, np.int64(4), np.int32(4)])

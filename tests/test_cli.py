@@ -434,13 +434,14 @@ class TestMainEntry:
         assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("text,keys", [
-        ("experiment=decay_curve\nt1=5e-324\n", ("t1", "t2", "dt")),
-        ("experiment=decay_curve\nt2=5e-324\n", ("t1", "t2", "dt")),
+        ("experiment=decay_curve\nt1=5e-324\n", ("t1",)),
+        ("experiment=decay_curve\nt2=5e-324\n", ("t2",)),
         ("experiment=crossover_scan\ntau_c=5e-324\n", ("tau_c", "dt")),
     ], ids=["decay_curve_t1", "decay_curve_t2", "crossover_scan_tau_c"])
     def test_validate_rejects_default_dt_that_underflows(self, tmp_path, capsys, text, keys):
         # min(t1, t2)/200 and tau_c/100 round to dt = 0; decay_curve then divided by it
-        # (ZeroDivisionError)
+        # (ZeroDivisionError).  A t1 or t2 this short now fails the library's rule that
+        # 1/t1 and 1/t2 be finite, before any dt is derived
         path = tmp_path / "config.txt"
         path.write_text(text)
         assert main(["validate", str(path)]) == 2
@@ -551,21 +552,35 @@ class TestMainEntry:
         for key in keys:
             assert key in err
 
-    @pytest.mark.parametrize("text,key", [
-        ("experiment=ratio_plot\nt=1e300\n", "t"),
-        ("experiment=figure2\ntimes=1e300\n", "times"),
-        ("experiment=crossover_scan\ncoupling=1e200\n", "coupling"),
-        ("experiment=crossover_scan\ntau_c=1e300\n", "tau_c"),
-    ], ids=["ratio_plot_t", "figure2_times", "crossover_scan_coupling", "crossover_scan_tau_c"])
-    def test_run_rejects_overflowing_exponents(self, tmp_path, capsys, text, key):
-        # (t/t2)^2 and coupling^2 used to raise OverflowError past the CLI; the
-        # default t_end = 40 tau_c overflowed the crossover_scan fit
+    @pytest.mark.parametrize("text,keys", [
+        ("experiment=crossover_scan\ncoupling=1e200\n", ("tau_c", "coupling")),
+        ("experiment=crossover_scan\ntau_c=1e300\n", ("tau_c",)),
+    ], ids=["crossover_scan_coupling", "crossover_scan_tau_c"])
+    def test_run_rejects_overflowing_exponents(self, tmp_path, capsys, text, keys):
+        # coupling^2 used to raise OverflowError past the CLI; the default
+        # t_end = 40 tau_c overflowed the crossover_scan fit
         path = tmp_path / "config.txt"
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} = ")
+        assert err.startswith(f"config error: {keys[0]} = ")
+        assert all(re.search(rf"\b{key}\b", err) for key in keys), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,key,limits", [
+        ("ratio_plot", "t", {"abs01": [0.0] * 16, "ratio": [0.0] * 16}),
+        ("figure2", "times", {"P_analytic": [2.0 ** -n for n in range(1, 21)]}),
+    ], ids=["ratio_plot_t", "figure2_times"])
+    def test_run_writes_exact_limits_at_huge_times(self, tmp_path, experiment, key, limits):
+        # (t/t2)^2 used to overflow here and the config rejected the time; the
+        # closed forms now reach their limits: no coherence, and P_N = 2^-N
+        path = tmp_path / "config.txt"
+        path.write_text(f"experiment={experiment}\n{key}=1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        table = read_csv(tmp_path / "out" / f"{experiment}.csv")
+        assert {column: table[column] for column in limits} == limits
 
     def test_golden_figure2(self, tmp_path):
         # regression pin of the analytic sweep artifact
@@ -663,25 +678,32 @@ def _float_text(low, high):
     return st.floats(low, high, allow_nan=False).map(repr)
 
 
+# edge values: a T1 or T2 whose rate 1/T overflows (5e-324, 1e-310), is finite but
+# overflows a Monte Carlo phase (1e-307) or is all but zero (1e300), and a time past
+# every decay
+_EDGE_RATE_TIMES = st.sampled_from(["5e-324", "1e-310", "1e-307", "1e300"])
+_HUGE_TIME = st.just("1e300")
+
 # small sizes keep every drawn run short: at most a few thousand decay_curve rows,
 # 500 crossover grid points of 300 trajectories, and 2 x 4 sweep points
 _VALUES = {
     "base_seed": st.integers(0, 2 ** 32).map(str),
-    "t1": st.one_of(st.just("inf"), _float_text(0.5, 2000.0)),
-    "t2": st.one_of(st.just("inf"), _float_text(0.5, 800.0)),
+    "t1": st.one_of(st.just("inf"), _EDGE_RATE_TIMES, _float_text(0.5, 2000.0)),
+    "t2": st.one_of(st.just("inf"), _EDGE_RATE_TIMES, _float_text(0.5, 800.0)),
     "epsilon": st.one_of(st.just("0"), _float_text(-2.0, 2.0)),
     "delta": st.one_of(st.just("0"), _float_text(-0.5, 0.5)),
     "coupling": _float_text(0.01, 0.3),
     "tau_c": _float_text(0.1, 2.0),
     "trajectories": st.integers(1000, 1200).map(str),
-    "times": st.lists(_float_text(0.5, 50.0), min_size=1, max_size=2).map(",".join),
+    "times": st.lists(st.one_of(_HUGE_TIME, _float_text(0.5, 50.0)),
+                      min_size=1, max_size=2).map(",".join),
     "n_max": st.integers(1, 4).map(str),
     "noise_reset": st.sampled_from(["resample", "persistent"]),
     "engine": st.sampled_from(["analytic", "mc"]),
     "t_min": _float_text(1.0, 800.0),
-    "t_max": _float_text(1.0, 800.0),
+    "t_max": st.one_of(_HUGE_TIME, _float_text(1.0, 800.0)),
     "t_points": st.integers(1, 5).map(str),
-    "t": _float_text(1.0, 800.0),
+    "t": st.one_of(_HUGE_TIME, _float_text(1.0, 800.0)),
 }
 _EXPERIMENT_VALUES = {
     "decay_curve": {"t_end": _float_text(0.0, 20.0), "dt": _float_text(0.005, 2.0)},

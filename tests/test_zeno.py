@@ -72,14 +72,6 @@ class TestProtocolConfig:
     def test_tau(self):
         assert ProtocolConfig(20.0, 4).tau == 5.0
 
-    def test_result_rejects_bad_probability(self):
-        with pytest.raises(ValueError, match="probability"):
-            ProtocolResult(ProtocolKind.SELECTIVE, success_probability=1.5)
-
-    def test_result_rejects_bad_coherence(self):
-        with pytest.raises(ValueError, match="coherence"):
-            ProtocolResult(ProtocolKind.NON_SELECTIVE, coherence=0.7)
-
 
 class TestSelectiveStepProbability:
     def test_spot_value(self):
