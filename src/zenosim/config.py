@@ -51,12 +51,13 @@ class Field:
     check: Callable[[Any], str | None] = lambda v: None
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_times(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     if not values:
         raise ValueError("empty list")
-    if any(not math.isfinite(v) for v in values):
-        raise ValueError("list entries must be finite")
+    for entry, value in enumerate(values, start=1):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"entry {entry} must be finite and > 0 (got {value!r})")
     return values
 
 
@@ -94,15 +95,16 @@ _COMMON = {
     "base_seed": _int_field(default=DEFAULT_BASE_SEED, minimum=0),
 }
 
+# t1 and t2 follow the library's rule (DecoherenceParams.from_times), checked in parse_config
 _RATE_BLOCK = {
-    "t1": _float_field(default=1000.0, allow_inf=True, positive=True),
-    "t2": _float_field(default=20.0, allow_inf=True, positive=True),
+    "t1": _float_field(default=1000.0, allow_inf=True, allow_negative=True),
+    "t2": _float_field(default=20.0, allow_inf=True, allow_negative=True),
 }
 
 # figure3 and ratio_plot probe the long-T2 regime by default
 _SURFACE_BLOCK = {
     **_COMMON, **_RATE_BLOCK,
-    "t2": _float_field(default=400.0, allow_inf=True, positive=True),
+    "t2": _float_field(default=400.0, allow_inf=True, allow_negative=True),
     "n_max": _int_field(default=16),
 }
 
@@ -125,8 +127,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "figure2": {
         **_COMMON, **_RATE_BLOCK,
-        "times": Field(parse=_parse_float_list, default=(20.0, 25.0, 30.0, 35.0),
-                       check=lambda v: None if all(x > 0 for x in v) else "times must be > 0"),
+        "times": Field(parse=_parse_times, default=(20.0, 25.0, 30.0, 35.0)),
         "n_max": _int_field(default=20),
         "noise_reset": _choice_field(("resample", "persistent"), "resample"),
         "engine": _choice_field(("analytic", "mc"), "analytic"),
@@ -200,7 +201,8 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             DecoherenceParams.from_times(settings["t1"], settings["t2"])
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            key = str(exc).split(" ", 1)[0]         # the rule names t1 or t2 first
+            raise ConfigError(f"line {raw[key][0]}: {exc}") from None
     return ExperimentConfig(experiment, settings, _PLANNERS[experiment](settings))
 
 
@@ -244,6 +246,9 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
     t_end), then tau_c/10-spaced to t_end; steps count to 1e-9 (398.99999999999994 -> 399)."""
     coupling, tau_c, trajectories = (settings[k] for k in ("coupling", "tau_c", "trajectories"))
     t_end = settings["t_end"] = settings["t_end"] or 40.0 * tau_c
+    if t_end == math.inf:       # a t_end the config sets is finite
+        raise ConfigError(f"tau_c = {tau_c!r} overflows the default t_end = 40 tau_c: "
+                          "lower tau_c or set t_end")
     dt = settings["dt"] = settings["dt"] or tau_c / 100.0
     if t_end < 2.0 * dt:     # the decay fits need the points dt and 2 dt
         raise ConfigError(f"t_end ({t_end!r}) must be at least 2 dt ({dt!r})")

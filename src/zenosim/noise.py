@@ -29,23 +29,26 @@ driving the law's step from grid[k-1] to grid[k] (from t = 0 for k = 0).
 Trajectory i = b * TRAJECTORY_BLOCK + r reads entry r of every grid point.
 
 One engine runs the blocks of every Monte Carlo path (``ensemble_average``
-here, the protocol engines in ``zenosim.zeno``).  It derives the block
-streams on the calling thread, runs the blocks on one worker thread per CPU
-available to the process (there is no setting), and hands their partial
-results back in block order, where they are combined exactly as a serial loop
-would combine them.  Results are therefore bit-identical for a given
-(model, grid, M, base_seed) whatever the worker count and whatever order the
-blocks finish in.  The thread pool is built by the first run of more than one
-block and reused by every later run in the process; a forked child drops the
-pool it inherits and builds its own.  ``numpy.random`` and
+here, the protocol engines in ``zenosim.zeno``).  It derives every block
+stream on the calling thread, before the first kernel starts, and groups the
+blocks into tasks: a task is a run of consecutive blocks, each drawing from
+its own stream, and the caller caps the blocks per task (one for
+``ensemble_average``).  The tasks run on one worker thread per CPU available
+to the process (there is no setting), and their partial results come back in
+task order, where they are combined exactly as a serial loop would combine
+them.  Results are therefore bit-identical for a given (model, grid, M,
+base_seed) whatever the grouping, whatever the worker count and whatever
+order the tasks finish in.  The thread pool is built by the first run of more
+than one task and reused by every later run in the process; a forked child
+drops the pool it inherits and builds its own.  ``numpy.random`` and
 ``concurrent.futures`` are imported only when they are first needed (the
 first stream derived, the first pool built), so a process that samples
-nothing loads neither.  Each block in flight draws and works through its grid in
-chunks of about ``CHUNK_VALUES`` float64, so its scratch memory does not grow
-with the grid, and the chunk size changes no bit of the result.  A chunk is a
-tile of 2^15 values (256 KiB): a block allocates two tiles once, draws every
-chunk's normals into one and writes its phases into the other, so both stay
-in one core's L2 cache.
+nothing loads neither.  Each block of ``ensemble_average`` draws and works
+through its grid in chunks of about ``CHUNK_VALUES`` float64, so its scratch
+memory does not grow with the grid, and the chunk size changes no bit of the
+result.  A chunk is a tile of 2^15 values (256 KiB): a block allocates two
+tiles once, draws every chunk's normals into one and writes its phases into
+the other, so both stay in one core's L2 cache.
 """
 
 import math
@@ -269,9 +272,9 @@ def _grid_chunks(size: int, rows: int) -> list[tuple[int, int]]:
 
 
 def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
-    """Block kernel of ``ensemble_average``.
+    """Task kernel of ``ensemble_average``, whose tasks hold one block each.
 
-    ``kernel(gen, rows)`` draws the block one grid chunk at a time in stream
+    ``kernel([(gen, rows)])`` draws the block one grid chunk at a time in stream
     order and returns its sum of exp(-2i phi) over the rows at each grid
     point.  A chunk is a (points, rows) tile of the phases 2 phi, so each
     grid point sums contiguous values and the chunk size changes no bit; the
@@ -302,7 +305,8 @@ def _ensemble_kernel(model: NoiseModel, grid: np.ndarray):
                 phase = phase.copy()
                 yield phases
 
-    def kernel(gen: "np.random.Generator", rows: int):
+    def kernel(task):
+        [(gen, rows)] = task
         chunks = _grid_chunks(grid.size, rows)
         tile, spare = np.empty((2, chunks[0][1], rows))      # the first chunk is the widest
         sums = np.empty(grid.size, dtype=complex)
@@ -330,27 +334,34 @@ if hasattr(os, "register_at_fork"):
 
 
 def _reduce_blocks(kernel, trajectories: int, base_seed: int,
-                   context: tuple[int, ...] = (), workers: int | None = None):
-    """Yield ``kernel(gen, rows)`` for every trajectory block, in block order.
+                   context: tuple[int, ...] = (), blocks_per_task: int = 1):
+    """Yield ``kernel(task)`` for every task, in task order.
 
-    The block streams are derived here, on the calling thread and in block
-    order, all of them before the first kernel starts, so whatever wraps
-    ``stream_generator`` runs on the caller's thread only.  The kernels run
-    on ``workers`` threads (default: every CPU this process may use, at most
-    one per block; one block runs inline).  The pool of that many threads is
-    built by the first run of more than one block that needs it and reused by
-    every later run in the process; a forked child drops it and builds its
-    own.  ``numpy.random`` loads with the first stream derived.  A kernel
-    must draw only from the ``gen`` it is given, so its result does not
-    depend on which thread runs it or when.
+    A task is a list of (gen, rows) pairs: a run of at most
+    ``blocks_per_task`` consecutive trajectory blocks, each with its own
+    stream.  Every block stream is derived here, on the calling thread and in
+    block order, before the first kernel starts, so whatever wraps
+    ``stream_generator`` runs on the caller's thread only.  The tasks are
+    near-equal and contiguous, and run on one thread per CPU this process may
+    use, at most one per task; with two or more threads their count is a
+    multiple of the thread count where there are blocks enough, and a single
+    task runs inline.  The pool of that many threads is built by the first
+    run that needs it and reused by every later run in the process; a forked
+    child drops it and builds its own.  ``numpy.random`` loads with the first
+    stream derived.  A kernel must draw only from the streams of its task, so
+    its result does not depend on which thread runs it or when.
     """
-    blocks = list(_block_row_counts(trajectories))
-    workers = min(workers or _available_cpus(), len(blocks))
+    blocks = [(stream_generator(base_seed, *context, block), rows)
+              for block, rows in _block_row_counts(trajectories)]
+    count = math.ceil(len(blocks) / blocks_per_task)
+    workers = min(_available_cpus(), count)
+    if workers > 1:
+        count = min(len(blocks), math.ceil(count / workers) * workers)
+    tasks = [blocks[len(blocks) * task // count:len(blocks) * (task + 1) // count]
+             for task in range(count)]
     if workers <= 1:
-        for block, rows in blocks:
-            yield kernel(stream_generator(base_seed, *context, block), rows)
+        yield from map(kernel, tasks)
         return
-    gens = [stream_generator(base_seed, *context, block) for block, _ in blocks]
     pool = _pools.get(workers)
     if pool is None:
         # imported here, so a run that needs no threads skips its ~4 ms import
@@ -358,4 +369,4 @@ def _reduce_blocks(kernel, trajectories: int, base_seed: int,
 
         # of two threads that race here, both use the pool stored first
         pool = _pools.setdefault(workers, ThreadPoolExecutor(workers, "zenosim-block"))
-    yield from pool.map(kernel, gens, [rows for _, rows in blocks])
+    yield from pool.map(kernel, tasks)

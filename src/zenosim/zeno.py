@@ -33,8 +33,8 @@ from enum import Enum
 import numpy as np
 
 from .lindblad import DecoherenceParams, _square
-from .noise import (NoiseModel, _check_phase, _ou_interval_coefficients, _ou_phase_law,
-                    _ou_phases, _reduce_blocks)
+from .noise import (TRAJECTORY_BLOCK, NoiseModel, _check_phase, _ou_interval_coefficients,
+                    _ou_phase_law, _ou_phases, _reduce_blocks)
 from .qubit import DensityMatrix, _require
 from .tables import Table
 
@@ -204,44 +204,51 @@ def _coherence_and_ratio(params: DecoherenceParams, t: float, n: int) -> tuple[f
 #      Gaussian; a persistent path takes interval k's phase from column k
 #      through the law's innovations form, so at N = 1 both resets agree
 #   2. jump uniforms:        random((rows, N))
-#   3. measurement uniforms: random((rows, N)), into the jump uniforms' buffer
+#   3. measurement uniforms: random((rows, N))
 #
-# A block allocates three (rows, N) arrays: the phases, which become the Born
-# probabilities ``stay`` in place (resampled normals are scaled in place into
-# the phases; a persistent draw is spread into a new array); one float buffer
-# for both uniform draws (on a persistent OU path, its spent normals); and one
-# bool array, which holds ``jumped`` and then ``kept``.
+# A task of consecutive blocks allocates its buffers once, for all its rows,
+# and each block draws into its own rows of them, from its own stream: the
+# phases 2 phi, which become the Born probabilities ``stay`` in place; one
+# float buffer for the block's spent noise draws and then both its uniform
+# draws; and a bool array for ``jumped``.  The Born step runs once per task
+# and writes ``kept`` over ``jumped``, column-major, so the survivor and
+# parity counts read each column contiguously.  A task holds at most TASK_VALUES outcomes, the
+# size of one block at the default N = 20.
+
+TASK_VALUES = 40_960
 
 
 def _interval_phases(model: NoiseModel, tau: float, n: int, persistent: bool):
-    """Block sampler: ``phases(gen, rows)`` draws each interval's dephasing phase.
+    """Block sampler: ``fill(gen, phases, spare)`` draws each interval's phase 2 phi.
 
-    It returns the phases, a writable (rows, n) array, and a spent (rows, n)
-    float buffer the caller may refill, or None.  The noise law is worked out
-    here, once per run, not once per block.
+    ``phases`` and ``spare`` are a block's (rows, n) rows of the task's
+    buffers; ``fill`` writes the phases into the first and may spend the
+    second.  The noise law is worked out here, once per run, not once per
+    block, with the 2 of 2 phi folded into its scale (exact in binary).
     """
     if not persistent:
-        scale = model.coupling * (tau if model.tau_c == math.inf
-                                  else _ou_interval_coefficients(tau, model.tau_c)[0])
+        scale = 2.0 * model.coupling * (tau if model.tau_c == math.inf
+                                        else _ou_interval_coefficients(tau, model.tau_c)[0])
 
-        def resampled(gen, rows):
-            phases = gen.standard_normal((rows, n))
-            phases *= scale
-            return phases, None
+        def resampled(gen, phases, spare):
+            np.multiply(gen.standard_normal(out=phases), scale, out=phases)
 
         return resampled
     if model.tau_c == math.inf:
-        scale = model.coupling * tau
-        return lambda gen, rows: (scale * np.broadcast_to(gen.standard_normal((rows, 1)),
-                                                          (rows, n)), None)
+        scale = 2.0 * model.coupling * tau
+
+        def constant(gen, phases, spare):       # one normal per row, drawn into spare
+            f0 = gen.standard_normal(out=spare.reshape(-1)[:len(spare)])
+            np.multiply(f0[:, np.newaxis], scale, out=phases)
+
+        return constant
     # one stationary path across the whole run; the phase accumulator resets
     # at each projection, the path does not
     law = _ou_phase_law(np.full(n, tau), model.tau_c)
-    law[:2] *= model.coupling                    # sigma and carry
+    law[:2] *= 2.0 * model.coupling              # sigma and carry
 
-    def path(gen, rows):
-        normals = gen.standard_normal((rows, n))
-        return _ou_phases(normals.T, law)[0].T, normals      # _ou_phases spends the normals
+    def path(gen, phases, spare):
+        _ou_phases(gen.standard_normal(out=spare).T, law, out=phases.T)
 
     return path
 
@@ -252,56 +259,77 @@ def _default_noise(params: DecoherenceParams) -> NoiseModel:
 
 
 def _kept_outcomes(params: DecoherenceParams, config: ProtocolConfig, noise: NoiseModel):
-    """Block draws: kept(gen, rows)[r, k] says projection k returned trajectory r's state."""
+    """Task kernel: kept(task)[r, k] says projection k returned the state of the task's row r.
+
+    The Born probability that a projection returns the pre-interval state:
+    in the no-jump branch the excited amplitude is damped by eps =
+    exp(-gamma1 tau/2) and the eigenstate phases differ by 2 phi, giving
+    (1 + eps^2 + 2 eps cos 2 phi) / (2 (1 + eps^2)); after a jump the state
+    is |0>, which projects onto either equatorial state with probability 1/2.
+    """
     n, tau = config.measurements, config.tau
     _check_phase(noise.coupling, config.total_time, n)
     persistent = config.noise_reset is NoiseReset.PERSISTENT
-    eps_sq = math.exp(-params.gamma1 * tau)          # no-jump weight of |1>
-    p_jump = 0.5 * (1.0 - eps_sq)                    # from a fresh |+->-type state
-    interval_phases = _interval_phases(noise, tau, n, persistent)
-
-    def kept(gen: "np.random.Generator", rows: int) -> np.ndarray:
-        phases, uniforms = interval_phases(gen, rows)
-        uniforms = gen.random((rows, n)) if uniforms is None else gen.random(out=uniforms)
-        jumped = np.less(uniforms, p_jump)
-        stay = _stay_probability(params, tau, phases, jumped)
-        return np.less(gen.random(out=uniforms), stay, out=jumped)      # now kept
-
-    return kept
-
-
-def _stay_probability(params: DecoherenceParams, tau: float,
-                      phases: np.ndarray, jumped: np.ndarray) -> np.ndarray:
-    """Born probability that the projection returns the pre-interval state.
-
-    No-jump branch: the excited amplitude is damped by eps = exp(-gamma1
-    tau/2) and the eigenstate phases differ by 2 phi, giving
-    (1 + eps^2 + 2 eps cos 2 phi) / (2 (1 + eps^2)); after a jump the state
-    is |0>, which projects onto either equatorial state with probability 1/2.
-    Computed in place: ``phases`` is overwritten and returned.
-    """
+    p_jump = 0.5 * (1.0 - math.exp(-params.gamma1 * tau))   # from a fresh |+->-type state
     eps = math.exp(-0.5 * params.gamma1 * tau)
     eps_sq = eps * eps
-    stay = phases
-    stay *= 2.0
-    np.cos(stay, out=stay)
-    stay *= 2.0 * eps
-    stay += 1.0 + eps_sq
-    stay /= 2.0 * (1.0 + eps_sq)
-    np.copyto(stay, 0.5, where=jumped)
-    return stay
+    fill_phases = _interval_phases(noise, tau, n, persistent)
+
+    def kept(task) -> np.ndarray:
+        rows = sum(block_rows for _, block_rows in task)
+        stay, uniforms = np.empty((rows, n)), np.empty((rows, n))
+        jumped = np.empty((rows, n), dtype=bool)
+        start = 0
+        for gen, block_rows in task:
+            block = slice(start, start + block_rows)
+            start = block.stop
+            fill_phases(gen, stay[block], uniforms[block])
+            np.less(gen.random(out=uniforms[block]), p_jump, out=jumped[block])
+            gen.random(out=uniforms[block])
+        np.cos(stay, out=stay)
+        stay *= 2.0 * eps
+        stay += 1.0 + eps_sq
+        stay /= 2.0 * (1.0 + eps_sq)
+        np.copyto(stay, 0.5, where=jumped)
+        # kept, column-major, in the bytes that held jumped
+        return np.less(uniforms, stay, out=jumped.reshape(n, rows).T)
+
+    return kept
 
 
 def _survivors_per_step(kept: np.ndarray) -> np.ndarray:
     """Rows of ``kept`` whose projections 0..k all returned their state, for each k.
 
-    Counted from each row's first failed projection (N if none failed), the
-    same counts as ``np.logical_and.accumulate(kept, axis=1).sum(axis=0)``.
+    Counted column by column, the same counts as
+    ``np.logical_and.accumulate(kept, axis=1).sum(axis=0)``.
     """
-    rows, n = kept.shape
-    first = np.argmin(kept, axis=1)
-    first[kept[np.arange(rows), first]] = n          # argmin of an all-kept row is 0
-    return rows - np.cumsum(np.bincount(first, minlength=n + 1)[:n])
+    survivors = np.empty(kept.shape[1], dtype=np.int64)
+    alive = kept[:, 0].copy()
+    survivors[0] = np.count_nonzero(alive)
+    for k in range(1, kept.shape[1]):
+        alive &= kept[:, k]
+        survivors[k] = np.count_nonzero(alive)
+    return survivors
+
+
+def _kept_parity(kept: np.ndarray) -> np.ndarray:
+    """Whether each row of ``kept`` returned its state an odd number of times.
+
+    Computed column by column, the same as ``np.count_nonzero(kept, axis=1) % 2 == 1``.
+    """
+    odd = kept[:, 0].copy()
+    for k in range(1, kept.shape[1]):
+        odd ^= kept[:, k]
+    return odd
+
+
+def _reduce_tasks(params: DecoherenceParams, config: ProtocolConfig, noise: NoiseModel,
+                  context: tuple[int, ...], reduce):
+    """``reduce(kept)`` of every task of the run, in task order (see ``_kept_outcomes``)."""
+    kept = _kept_outcomes(params, config, noise)
+    per_task = max(1, TASK_VALUES // (TRAJECTORY_BLOCK * config.measurements))
+    return _reduce_blocks(lambda task: reduce(kept(task)), config.trajectories,
+                          config.base_seed, context, per_task)
 
 
 def _check_mc_config(config: ProtocolConfig, kind: ProtocolKind) -> None:
@@ -325,9 +353,7 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     if noise is None:
         noise = _default_noise(params)
     m = config.trajectories
-    kept = _kept_outcomes(params, config, noise)
-    survivors = sum(_reduce_blocks(lambda gen, rows: _survivors_per_step(kept(gen, rows)), m,
-                                   config.base_seed, context))
+    survivors = sum(_reduce_tasks(params, config, noise, context, _survivors_per_step))
     p = survivors[-1] / m
     stderr = math.sqrt(p * (1.0 - p) / m)
     return ProtocolResult(config.kind, success_probability=float(p),
@@ -348,16 +374,15 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     if noise is None:
         noise = _default_noise(params)
     m, n, t = config.trajectories, config.measurements, config.total_time
-    kept = _kept_outcomes(params, config, noise)
 
-    def block_sign_sum(gen, rows):
-        # a trajectory's sign flips at every projection that lands on
-        # the other eigenstate, so its final sign is the flip-count parity
-        odd = np.count_nonzero((n - np.count_nonzero(kept(gen, rows), axis=1)) % 2)
-        return rows - 2 * int(odd)
+    def sign_sum(kept):
+        # a trajectory's sign flips at every projection that lands on the
+        # other eigenstate, so its final sign is the parity of its n - kept flips
+        parity = _kept_parity(kept)
+        odd = int(np.count_nonzero(parity))
+        return len(parity) - 2 * (len(parity) - odd if n % 2 else odd)
 
-    sign_sum = sum(_reduce_blocks(block_sign_sum, m, config.base_seed, context))
-    mean_sign = sign_sum / m
+    mean_sign = sum(_reduce_tasks(params, config, noise, context, sign_sum)) / m
     coherence = 0.5 * mean_sign
     stderr = 0.5 * math.sqrt(max(1.0 - mean_sign ** 2, 0.0) / m)
     return ProtocolResult(config.kind, final_rho=_equatorial_rho(params, t, coherence),

@@ -1,14 +1,16 @@
 """The block engine's determinism contract, checked rather than stated.
 
 Every Monte Carlo path must give the same bits whatever the number of worker
-threads, whatever order the blocks finish in and whatever the chunk budget,
-and a block's scratch memory must not grow with its grid.  The thread pool
+threads, however its blocks are grouped into tasks, whatever order the tasks
+finish in and whatever the chunk budget, and a block's scratch memory must not
+grow with its grid.  The thread pool
 is built once per process and must neither hang a forked child nor hold up
 interpreter exit, and a run that samples nothing must not load the sampling
 machinery.
 """
 
 import os
+import math
 import signal
 import subprocess
 import sys
@@ -32,6 +34,8 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           nonselective_run_mc, selective_run_mc)
 
 TRAJECTORIES = 3 * TRAJECTORY_BLOCK - 100        # three blocks, the last one partial
+# nine blocks at N = 5, four to a task: three or four tasks on any thread count
+PROTOCOL_TRAJECTORIES, PROTOCOL_N = 9 * TRAJECTORY_BLOCK - 100, 5
 GRID = np.linspace(0.0, 10.0, 1001)              # wider than one grid chunk
 PARAMS = DecoherenceParams(1.0 / 200.0, 1.0 / 20.0)
 OU = NoiseModel.ornstein_uhlenbeck(0.1, 1.0)
@@ -47,8 +51,8 @@ def mc_outputs() -> list[bytes]:
                       (ProtocolKind.NON_SELECTIVE, nonselective_run_mc)):
         for reset in NoiseReset:
             for model in (None, OU):
-                config = ProtocolConfig(10.0, 5, kind, EngineKind.MONTE_CARLO,
-                                        TRAJECTORIES, 11, reset)
+                config = ProtocolConfig(10.0, PROTOCOL_N, kind, EngineKind.MONTE_CARLO,
+                                        PROTOCOL_TRAJECTORIES, 11, reset)
                 r = run(PARAMS, config, model)
                 fields = (r.success_probability, r.success_stderr, r.survivors_per_step,
                           r.coherence, r.coherence_stderr, r.trajectories)
@@ -59,11 +63,12 @@ def mc_outputs() -> list[bytes]:
 
 @pytest.fixture
 def engine(monkeypatch):
-    """``engine(workers, delay_even)`` reroutes every Monte Carlo path.
+    """``engine(cpus, delay_first)`` runs every Monte Carlo path on ``cpus`` threads.
 
-    With ``delay_even`` each even block sleeps before its kernel runs, so
-    with two or more workers the odd blocks finish first.  Returns the list
-    the block indices are appended to as their kernels finish.
+    With ``delay_first`` the first task of every run sleeps before its kernel
+    runs, so with two or more threads later tasks finish first.  Returns the
+    list the first block index of each task is appended to as its kernel
+    finishes.
     """
     reduce_blocks, stream_generator = noise._reduce_blocks, noise.stream_generator
     block_of, finished = {}, []
@@ -73,24 +78,25 @@ def engine(monkeypatch):
         block_of[id(gen)] = key[-1]
         return gen
 
-    def configure(workers, delay_even=False):
-        def delayed(kernel):
-            def run(gen, rows):
-                block = block_of[id(gen)]
-                if block % 2 == 0:
-                    time.sleep(0.05)
-                result = kernel(gen, rows)
-                finished.append(block)
-                return result
-            return run
+    def delayed(kernel):
+        def run(task):
+            first = block_of[id(task[0][0])]
+            if first == 0:
+                time.sleep(0.05)
+            result = kernel(task)
+            finished.append(first)
+            return result
+        return run
 
-        def rerouted(kernel, *args, **kwargs):
-            return reduce_blocks(delayed(kernel) if delay_even else kernel,
-                                 *args, workers=workers, **kwargs)
+    def rerouted(kernel, *args, **kwargs):
+        return reduce_blocks(delayed(kernel), *args, **kwargs)
 
-        monkeypatch.setattr(noise, "stream_generator", tagged_stream)
-        monkeypatch.setattr(noise, "_reduce_blocks", rerouted)
-        monkeypatch.setattr(zeno, "_reduce_blocks", rerouted)
+    def configure(cpus, delay_first=False):
+        monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
+        if delay_first:
+            monkeypatch.setattr(noise, "stream_generator", tagged_stream)
+            monkeypatch.setattr(noise, "_reduce_blocks", rerouted)
+            monkeypatch.setattr(zeno, "_reduce_blocks", rerouted)
         return finished
 
     return configure
@@ -102,8 +108,8 @@ def test_outputs_do_not_depend_on_worker_count(engine):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)        # switch threads often, to expose shared state
     try:
-        for workers in (2, 3, 4):
-            engine(workers)
+        for cpus in (2, 3, 4):
+            engine(cpus)
             assert mc_outputs() == serial
     finally:
         sys.setswitchinterval(interval)
@@ -112,9 +118,11 @@ def test_outputs_do_not_depend_on_worker_count(engine):
 def test_outputs_do_not_depend_on_finishing_order(engine):
     engine(1)
     serial = mc_outputs()
-    finished = engine(2, delay_even=True)
+    finished = engine(2, delay_first=True)
     assert mc_outputs() == serial
-    assert finished != sorted(finished)          # blocks did finish out of order
+    runs = finished.count(0)
+    assert runs == 10 and len(finished) >= 3 * runs      # every run spans three tasks or more
+    assert finished != sorted(finished)          # tasks did finish out of order
 
 
 def test_chunk_budget_does_not_change_outputs(monkeypatch):
@@ -153,33 +161,77 @@ def test_crossover_blocks_in_flight_hold_little_scratch(monkeypatch):
     assert peak < 4 * 2 ** 20
 
 
-def test_engine_yields_in_block_order():
-    def kernel(gen, rows):
-        first = gen.random()
-        time.sleep(0.05 if rows == TRAJECTORY_BLOCK else 0.0)
-        return first, rows
-
-    expected = list(noise._reduce_blocks(kernel, TRAJECTORIES, 5, (1,), workers=1))
-    assert [rows for _, rows in expected] == [TRAJECTORY_BLOCK, TRAJECTORY_BLOCK,
-                                              TRAJECTORIES - 2 * TRAJECTORY_BLOCK]
-    assert list(noise._reduce_blocks(kernel, TRAJECTORIES, 5, (1,), workers=3)) == expected
+def _block_index(gen) -> int:
+    return gen.bit_generator.seed_seq.spawn_key[-1]
 
 
-def test_pool_has_one_worker_per_cpu_capped_at_block_count(monkeypatch):
+def test_engine_yields_in_task_order(monkeypatch):
+    def kernel(task):
+        time.sleep(0.05 if _block_index(task[0][0]) == 0 else 0.0)   # the first task ends last
+        return [(_block_index(gen), gen.random(), rows) for gen, rows in task]
+
+    monkeypatch.setattr(noise, "_available_cpus", lambda: 1)
+    serial = [block for [block] in noise._reduce_blocks(kernel, TRAJECTORIES, 5, (1,))]
+    assert [(block, rows) for block, _, rows in serial] == [
+        (0, TRAJECTORY_BLOCK), (1, TRAJECTORY_BLOCK), (2, TRAJECTORIES - 2 * TRAJECTORY_BLOCK)]
+    for cpus in (1, 3):
+        monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
+        for per_task in (1, 2, 3):
+            tasks = list(noise._reduce_blocks(kernel, TRAJECTORIES, 5, (1,), per_task))
+            assert [block for task in tasks for block in task] == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tasks_are_near_equal_runs_of_consecutive_blocks(monkeypatch, cpus):
+    monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
+    for blocks in (1, 2, 3, 5, 8, 13):
+        for per_task in (1, 2, 3, 4, 20):
+            tasks = list(noise._reduce_blocks(
+                lambda task: [_block_index(gen) for gen, _ in task],
+                blocks * TRAJECTORY_BLOCK, 1, (), per_task))
+            assert [block for task in tasks for block in task] == list(range(blocks))
+            sizes = {len(task) for task in tasks}
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= per_task
+            threads = min(cpus, math.ceil(blocks / per_task))
+            if threads > 1:
+                assert len(tasks) % threads == 0 or len(tasks) == blocks
+            else:
+                assert len(tasks) == math.ceil(blocks / per_task)
+
+
+def test_streams_are_derived_on_the_caller_before_any_kernel(monkeypatch):
+    stream_generator, derived = noise.stream_generator, []
+
+    def recorded(base_seed, *key):
+        derived.append(threading.current_thread())
+        return stream_generator(base_seed, *key)
+
+    def kernel(task):
+        assert derived == [threading.main_thread()] * 3
+        return len(task)
+
+    monkeypatch.setattr(noise, "stream_generator", recorded)
+    for cpus in (1, 2):
+        monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
+        derived.clear()
+        assert sum(noise._reduce_blocks(kernel, TRAJECTORIES, 1)) == 3
+
+
+def test_pool_has_one_worker_per_cpu_capped_at_task_count(monkeypatch):
     lock = threading.Lock()
     running = most = 0
     workers = set()
 
-    def kernel(gen, rows):
+    def kernel(task):
         nonlocal running, most
         with lock:
             running += 1
             most = max(most, running)
             workers.add(threading.current_thread())
-        time.sleep(0.1)                 # long enough for every idle worker to take a block
+        time.sleep(0.1)                 # long enough for every idle worker to take a task
         with lock:
             running -= 1
-        return rows
+        return len(task)
 
     def call():
         nonlocal most
@@ -192,20 +244,22 @@ def test_pool_has_one_worker_per_cpu_capped_at_block_count(monkeypatch):
         monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
         at_once, threads = call()
         alive = set(threading.enumerate())
-        assert at_once == min(cpus, 3)                   # three blocks
+        assert at_once == min(cpus, 3)                   # three one-block tasks
         assert call() == (at_once, threads)              # the same workers again
         assert set(threading.enumerate()) == alive       # and no new thread
 
 
-def test_single_block_runs_inline(monkeypatch):
+@pytest.mark.parametrize("trajectories,per_task", [(TRAJECTORY_BLOCK, 1), (TRAJECTORIES, 3)],
+                         ids=["one_block", "three_blocks"])
+def test_single_task_runs_inline(monkeypatch, trajectories, per_task):
     monkeypatch.setattr(noise, "_available_cpus", lambda: 4)
     threads = []
 
-    def kernel(gen, rows):
+    def kernel(task):
         threads.append(threading.current_thread())
-        return rows
+        return sum(rows for _, rows in task)
 
-    assert list(noise._reduce_blocks(kernel, TRAJECTORY_BLOCK, 1)) == [TRAJECTORY_BLOCK]
+    assert list(noise._reduce_blocks(kernel, trajectories, 1, (), per_task)) == [trajectories]
     assert threads == [threading.main_thread()]
 
 
@@ -241,7 +295,8 @@ def _python(*args, cwd, timeout: float) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=timeout)
 
 
-MC_CONFIG = "experiment=figure2\nengine=mc\ntrajectories=5000\ntimes=20\nn_max=3\n"
+# three blocks; at N = 7 they run as two tasks of at most two blocks
+MC_CONFIG = "experiment=figure2\nengine=mc\ntrajectories=5000\ntimes=20\nn_max=7\n"
 
 
 def test_runs_that_sample_nothing_load_no_sampling_machinery(tmp_path):
@@ -258,7 +313,7 @@ def test_runs_that_sample_nothing_load_no_sampling_machinery(tmp_path):
         assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()
         assert cli.main(["run", "mc.txt", "--out", "mc"]) == 0
         assert "numpy.random" in sys.modules
-        # only a run of two or more blocks on two or more CPUs builds the pool
+        # only a run of two or more tasks on two or more CPUs builds the pool
         assert ("concurrent.futures" in sys.modules) == (noise._available_cpus() > 1)
         """), cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr

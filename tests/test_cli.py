@@ -56,6 +56,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2.*t1"):
             parse_config("experiment=decay_curve\nt1=abc\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("experiment=figure2\nt1=1e-310\n", "line 2: t1 must be >= 5.56268e-309, got 1e-310"),
+        ("experiment=figure3\n\nt2=-5\n", "line 3: t2 must be >= 5.56268e-309, got -5.0"),
+        ("experiment=figure2\ntimes=10,-3\n",
+         "line 2: bad value for 'times': entry 2 must be finite and > 0 (got -3.0)"),
+    ], ids=["t1_rate_overflows", "t2_negative", "times_entry"])
+    def test_rate_and_time_list_errors_name_their_line(self, text, message):
+        # t1 and t2 follow the library's one rule, which used to report no line;
+        # the times check said "times times must be > 0" and named no entry
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config("experiment=fourier\n")
@@ -538,11 +551,15 @@ class TestMainEntry:
         ("experiment=figure3\nt_points=100000000\n", ("t_points", "n_max")),
         ("experiment=decay_curve\ndt=1.2\n", ("dt", "t1", "t2")),
         ("experiment=crossover_scan\nt_end=1e308\n", ("t_end", "dt")),
+        # the default t_end = 40 tau_c overflowed and the grid bound blamed t_end and dt
+        ("experiment=crossover_scan\ntau_c=1e307\n", ("tau_c", "40 tau_c")),
+        ("experiment=crossover_scan\ntau_c=1e308\n", ("tau_c", "40 tau_c")),
         # the lab frame turns by 5e301 rad, which float64 rounds by ~1e286 rad
         ("experiment=decay_curve\nepsilon=1e300\n", ("epsilon", "delta", "t_end")),
     ], ids=["decay_curve_derived_dt", "decay_curve", "crossover_scan", "figure2_mc",
             "figure2_mc_trajectories", "crossover_scan_trajectories", "figure2", "figure3",
             "decay_curve_dt_above_rk4_limit", "crossover_scan_uncountable_grid",
+            "crossover_scan_default_t_end_1e307", "crossover_scan_default_t_end_1e308",
             "decay_curve_lab_phase"])
     def test_validate_rejects_oversized_runs(self, tmp_path, capsys, text, keys):
         path = tmp_path / "config.txt"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from zenosim.lindblad import DecoherenceParams, closed_form_rho_rotating
-from zenosim.noise import NoiseModel, _ou_interval_coefficients
+from zenosim.noise import NoiseModel, _ou_interval_coefficients, stream_generator
 from zenosim.qubit import DensityMatrix, SystemHamiltonian
 from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           ProtocolResult, coherence_ratio, figure2_sweep,
@@ -18,7 +18,7 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           nonselective_rho, nonselective_run_mc, pn_analytic,
                           pn_approx, pn_persistent, selective_run_mc,
                           selective_step_probability)
-from zenosim.zeno import _interval_phases, _stay_probability, _survivors_per_step
+from zenosim.zeno import _interval_phases, _kept_outcomes, _kept_parity, _survivors_per_step
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
@@ -232,48 +232,74 @@ class TestCoherenceRatio:
         assert coherence_ratio(FIG3, 400.0, n) == pytest.approx(expected, abs=1e-12)
 
 
-class TestStayProbability:
-    @given(gamma1=st.floats(0.0, 1e4), tau=st.floats(1e-9, 1e3),
-           phases=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
-                         elements=st.floats(-1e4, 1e4)),
-           data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_born_probability_in_place(self, gamma1, tau, phases, data):
-        jumped = data.draw(arrays(np.bool_, phases.shape))
-        jumped_before = jumped.copy()
-        # a strided view inside a buffer whose border must stay untouched
-        buffer = np.full((phases.shape[0] + 2, phases.shape[1] + 2), 7.0)
-        view = buffer[1:-1, 1:-1]
-        view[:] = phases
-        stay = _stay_probability(DecoherenceParams(gamma1, 0.0), tau, view, jumped)
-        assert stay is view
-        border = np.ones(buffer.shape, dtype=bool)
-        border[1:-1, 1:-1] = False
-        assert np.all(buffer[border] == 7.0)
-        assert np.all((stay >= 0.0) & (stay <= 1.0))
-        assert np.all(stay[jumped] == 0.5)
-        assert np.array_equal(jumped, jumped_before)
+class TestTaskOutcomes:
+    """The task kernel: one Born step over the rows of consecutive blocks."""
+
+    @staticmethod
+    def outcomes(params, config, noise, block_rows, seed=3):
+        task = [(stream_generator(seed, block), rows) for block, rows in enumerate(block_rows)]
+        return _kept_outcomes(params, config, noise)(task)
+
+    @given(n=st.integers(1, 6), block_rows=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           gamma1=st.sampled_from([0.0, 0.01, 1.0]), reset=st.sampled_from(list(NoiseReset)),
+           tau_c=st.sampled_from([math.inf, 0.5]))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_grouping_does_not_change_outcomes(self, n, block_rows, gamma1, reset, tau_c):
+        params = DecoherenceParams(gamma1, 0.05)
+        noise = NoiseModel.ornstein_uhlenbeck(0.3, tau_c)
+        config = mc_config(10.0, n, reset=reset)
+        task = self.outcomes(params, config, noise, block_rows)
+        kernel = _kept_outcomes(params, config, noise)
+        alone = [kernel([(stream_generator(3, block), rows)])      # one-block tasks
+                 for block, rows in enumerate(block_rows)]
+        assert task.shape == (sum(block_rows), n)
+        assert np.array_equal(task, np.concatenate(alone))
+
+    @pytest.mark.parametrize("reset", list(NoiseReset))
+    def test_outcomes_follow_the_draw_layout(self, reset):
+        # each block draws its noise, then its jump uniforms, then its
+        # measurement uniforms; a jump leaves stay = 1/2, else the Born rule
+        params, n, t, coupling = DecoherenceParams(0.02, 0.0), 4, 10.0, 0.3
+        eps = math.exp(-0.5 * params.gamma1 * t / n)
+        block_rows = [7, 5]
+        kept = self.outcomes(params, mc_config(t, n, reset=reset),
+                             NoiseModel.quasi_static(coupling), block_rows)
+        expected = []
+        for block, rows in enumerate(block_rows):
+            gen = stream_generator(3, block)
+            width = 1 if reset is NoiseReset.PERSISTENT else n
+            phases = 2.0 * coupling * (t / n) * gen.standard_normal((rows, width))
+            jumped = gen.random((rows, n)) < 0.5 * (1.0 - eps * eps)
+            stay = (1.0 + eps * eps + 2.0 * eps * np.cos(phases)) / (2.0 * (1.0 + eps * eps))
+            expected.append(gen.random((rows, n)) < np.where(jumped, 0.5, stay))
+        assert np.array_equal(kept, np.concatenate(expected))
 
 
-@st.composite
-def kept_matrices(draw):
-    """Bool (rows, N) outcomes whose rows first fail at a drawn column (N: all kept)."""
-    rows, n = draw(st.integers(1, 64)), draw(st.integers(1, 40))
-    first = np.array(draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows)))
-    after = draw(arrays(np.bool_, (rows, n)))
-    columns = np.arange(n)
-    return (columns < first[:, None]) | ((columns > first[:, None]) & after)
+def kept_examples(test):
+    """N = 1, and all-kept and all-failed rows, besides the drawn (rows, N) outcomes."""
+    for kept in ([[True] * 5, [False] + [True] * 4, [True] * 4 + [False], [False] * 5],
+                 [[True]], [[False]], [[True], [False], [True]]):
+        test = example(np.array(kept))(test)
+    return given(arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, max_side=40)))(test)
 
 
-class TestSurvivorsPerStep:
-    @given(kept_matrices())
-    @example(np.array([[True] * 5, [False] + [True] * 4, [True] * 4 + [False], [False] * 5]))
-    @example(np.array([[True]]))
-    @example(np.array([[False]]))
+class TestColumnCounts:
+    # the task kernel hands over kept column-major; both layouts count alike
+    @kept_examples
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    def test_first_failure_count_is_the_running_and(self, kept):
+    def test_survivors_are_the_running_and(self, kept):
         expected = np.logical_and.accumulate(kept, axis=1).sum(axis=0)
-        assert np.array_equal(_survivors_per_step(kept), expected)
+        for layout in (kept, np.asfortranarray(kept)):
+            assert np.array_equal(_survivors_per_step(layout), expected)
+            assert np.array_equal(layout, kept)
+
+    @kept_examples
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_parity_is_the_kept_count_mod_2(self, kept):
+        expected = np.count_nonzero(kept, axis=1) % 2 == 1
+        for layout in (kept, np.asfortranarray(kept)):
+            assert np.array_equal(_kept_parity(layout), expected)
+            assert np.array_equal(layout, kept)
 
 
 class TestSelectiveMonteCarlo:
@@ -477,9 +503,14 @@ class TestOrnsteinUhlenbeckProtocols:
         # per trajectory and give the same bits, also at tau = tau_c/4, where
         # carry^2 + mix^2 + fresh^2 and spread^2 differ in the last bit
         noise = NoiseModel.ornstein_uhlenbeck(0.6, 1.0)
-        resample, persistent = (_interval_phases(noise, 0.25, 1, reset is NoiseReset.PERSISTENT)(
-                                    np.random.Generator(np.random.Philox(5)), 1000)[0]
-                                for reset in NoiseReset)
+
+        def phases(reset):
+            fill = _interval_phases(noise, 0.25, 1, reset is NoiseReset.PERSISTENT)
+            out, spare = np.empty((2, 1000, 1))
+            fill(np.random.Generator(np.random.Philox(5)), out, spare)
+            return out
+
+        resample, persistent = (phases(reset) for reset in NoiseReset)
         assert np.array_equal(resample, persistent)
         params = DecoherenceParams.from_times(20.0, math.inf)
         for kind, run in ((ProtocolKind.SELECTIVE, selective_run_mc),
