@@ -1,9 +1,11 @@
 """Flat key=value experiment configuration.
 
 Grammar: one ``key=value`` per line, ``#`` starts a comment, blank lines are
-ignored.  Unknown keys are rejected by name, malformed lines and type or
-constraint violations are reported with their line number, and a duplicated
-key keeps the last value while emitting a warning.
+ignored.  Unknown keys are rejected by name, and a duplicated key keeps the
+last value while emitting a warning.  A malformed line, a value that does not
+parse and a value past its key's bound are reported with their line number;
+the bounds are the library's one argument rule (``qubit._require``), so a
+number out of range reads ``line N: <key> must be ...``.
 
 Every experiment fills unspecified keys from documented defaults; times are
 in ns, ``inf`` is accepted where a decay channel can be switched off.
@@ -22,6 +24,7 @@ import numpy as np
 
 from .lindblad import DecoherenceParams, dephasing_model_holds, rk4_steps
 from .noise import _check_phase, ou_decay_exponent
+from .qubit import _require
 from .zeno import _default_noise
 
 DEFAULT_BASE_SEED = 123456789
@@ -46,100 +49,74 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Field:
+    """A key's parser, its default and the library's bound on it (``qubit._require``), if any."""
+
     parse: Callable[[str], Any]
     default: Any = None
-    check: Callable[[Any], str | None] = lambda v: None
+    minimum: Any = None         # an int minimum asks for an integer
+    above: bool = False
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(",") if part.strip() != "")
-    if not values:
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
         raise ValueError("empty list")
-    for entry, value in enumerate(values, start=1):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"entry {entry} must be finite and > 0 (got {value!r})")
-    return values
+    return tuple(_require(f"entry {entry}", float(part), 0.0, above=True)
+                 for entry, part in enumerate(parts, start=1))
 
 
-def _float_field(default=None, allow_inf=False, positive=False, allow_negative=False) -> Field:
-    def parse(text: str) -> float:
-        value = float(text)
-        if math.isnan(value):
-            raise ValueError("nan is not a valid value")
-        if math.isinf(value) and not allow_inf:
-            raise ValueError("value must be finite")
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        value = text.strip().lower()
+        if value not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
         return value
-
-    def check(value: float) -> str | None:
-        if not allow_negative and value < 0.0:
-            return "must be >= 0"
-        if positive and value == 0.0:
-            return "must be nonzero"
-        return None
-
-    return Field(parse=parse, default=default, check=check)
-
-
-def _int_field(default=None, minimum=1) -> Field:
-    return Field(parse=lambda text: int(text, 10), default=default,
-                 check=lambda v: None if v >= minimum else f"must be >= {minimum}")
-
-
-def _choice_field(options: tuple[str, ...], default: str) -> Field:
-    return Field(parse=lambda text: text.strip().lower(), default=default,
-                 check=lambda v: None if v in options else f"must be one of {', '.join(options)}")
+    return parse
 
 
 _COMMON = {
-    "out": Field(parse=str.strip, default="out"),
-    "base_seed": _int_field(default=DEFAULT_BASE_SEED, minimum=0),
+    "out": Field(str.strip, "out"),
+    "base_seed": Field(int, DEFAULT_BASE_SEED, 0),
 }
 
 # t1 and t2 follow the library's rule (DecoherenceParams.from_times), checked in parse_config
-_RATE_BLOCK = {
-    "t1": _float_field(default=1000.0, allow_inf=True, allow_negative=True),
-    "t2": _float_field(default=20.0, allow_inf=True, allow_negative=True),
-}
+_RATE_BLOCK = {"t1": Field(float, 1000.0), "t2": Field(float, 20.0)}
 
 # figure3 and ratio_plot probe the long-T2 regime by default
-_SURFACE_BLOCK = {
-    **_COMMON, **_RATE_BLOCK,
-    "t2": _float_field(default=400.0, allow_inf=True, allow_negative=True),
-    "n_max": _int_field(default=16),
-}
+_SURFACE_BLOCK = {**_COMMON, **_RATE_BLOCK, "t2": Field(float, 400.0), "n_max": Field(int, 16, 1)}
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "decay_curve": {
         **_COMMON, **_RATE_BLOCK,
         # the qubit Hamiltonian sets the lab frame of the decay_curve states
-        "epsilon": _float_field(default=1.0, allow_negative=True),
-        "delta": _float_field(default=0.0, allow_negative=True),
-        "t_end": _float_field(default=100.0),
-        "dt": _float_field(default=None, positive=True),        # min(t1, t2)/200
+        "epsilon": Field(float, 1.0, -math.inf, above=True),
+        "delta": Field(float, 0.0, -math.inf, above=True),
+        "t_end": Field(float, 100.0, 0.0),
+        "dt": Field(float, None, 0.0, above=True),          # min(t1, t2)/200
     },
     "crossover_scan": {
         **_COMMON,
-        "coupling": _float_field(default=0.1, positive=True),
-        "tau_c": _float_field(default=1.0, positive=True),
-        "t_end": _float_field(default=None, positive=True),     # 40 tau_c
-        "dt": _float_field(default=None, positive=True),        # tau_c/100
-        "trajectories": _int_field(default=100_000, minimum=100),
+        "coupling": Field(float, 0.1, 0.0, above=True),
+        "tau_c": Field(float, 1.0, 0.0, above=True),
+        "t_end": Field(float, None, 0.0, above=True),       # 40 tau_c
+        "dt": Field(float, None, 0.0, above=True),          # tau_c/100
+        "trajectories": Field(int, 100_000, 100),
     },
     "figure2": {
         **_COMMON, **_RATE_BLOCK,
-        "times": Field(parse=_parse_times, default=(20.0, 25.0, 30.0, 35.0)),
-        "n_max": _int_field(default=20),
-        "noise_reset": _choice_field(("resample", "persistent"), "resample"),
-        "engine": _choice_field(("analytic", "mc"), "analytic"),
-        "trajectories": _int_field(default=100_000, minimum=1000),
+        "times": Field(_parse_times, (20.0, 25.0, 30.0, 35.0)),
+        "n_max": Field(int, 20, 1),
+        "noise_reset": Field(_choice("resample", "persistent"), "resample"),
+        "engine": Field(_choice("analytic", "mc"), "analytic"),
+        "trajectories": Field(int, 100_000, 1000),
     },
     "figure3": {
         **_SURFACE_BLOCK,
-        "t_min": _float_field(default=50.0, positive=True),
-        "t_max": _float_field(default=800.0, positive=True),
-        "t_points": _int_field(default=16, minimum=1),
+        "t_min": Field(float, 50.0, 0.0, above=True),
+        "t_max": Field(float, 800.0, 0.0, above=True),
+        "t_points": Field(int, 16, 1),
     },
-    "ratio_plot": {**_SURFACE_BLOCK, "t": _float_field(default=400.0, positive=True)},
+    "ratio_plot": {**_SURFACE_BLOCK, "t": Field(float, 400.0, 0.0, above=True)},
 }
 
 EXPERIMENTS = tuple(SCHEMAS)
@@ -170,8 +147,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
         if key in raw:
             warnings.warn(f"duplicate key {key!r} on line {lineno}; last value wins", stacklevel=2)
         raw[key] = (lineno, value)
@@ -189,13 +164,16 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, (lineno, value) in raw.items():
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r} for experiment {experiment!r}")
+        field = schema[key]
         try:
-            settings[key] = parsed = schema[key].parse(value)
+            value = field.parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        problem = schema[key].check(parsed)
-        if problem:
-            raise ConfigError(f"line {lineno}: {key} {problem} (got {parsed!r})")
+        try:        # the library's rule, whose message names the key
+            settings[key] = (value if field.minimum is None
+                             else _require(key, value, field.minimum, field.above))
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
 
     if "t1" in settings:        # the library's rule on T1 and T2, whose rates must be finite
         try:

@@ -29,18 +29,21 @@ driving the law's step from grid[k-1] to grid[k] (from t = 0 for k = 0).
 Trajectory i = b * TRAJECTORY_BLOCK + r reads entry r of every grid point.
 
 One engine runs the blocks of every Monte Carlo path (``ensemble_average``
-here, the protocol engines in ``zenosim.zeno``).  It derives every block
-stream on the calling thread, before the first kernel starts, and groups the
-blocks into tasks: a task is a run of consecutive blocks, each drawing from
-its own stream, and the caller caps the blocks per task (one for
-``ensemble_average``).  The tasks run on one worker thread per CPU available
-to the process (there is no setting), and their partial results come back in
-task order, where they are combined exactly as a serial loop would combine
-them.  Results are therefore bit-identical for a given (model, grid, M,
-base_seed) whatever the grouping, whatever the worker count and whatever
-order the tasks finish in.  The thread pool is built by the first run of more
-than one task and reused by every later run in the process; a forked child
-drops the pool it inherits and builds its own.  ``numpy.random`` and
+here, the protocol engines in ``zenosim.zeno``).  It groups the blocks into
+tasks: a task is a run of consecutive blocks, each drawing from its own
+stream, and the caller caps the blocks per task (one for
+``ensemble_average``).  The tasks run a window of whole tasks, about 1,024
+blocks, at a time: the engine derives the window's streams on the calling
+thread while no kernel runs, so a run holds about 1.3 MiB of generators
+however many blocks it has, and a run of fewer blocks derives all of its
+streams before its first kernel.  The tasks run on one worker thread per CPU
+available to the process (there is no setting), and their partial results
+come back in task order, where they are combined exactly as a serial loop
+would combine them.  Results are therefore bit-identical for a given (model,
+grid, M, base_seed) whatever the grouping, the window, the worker count and
+the order the tasks finish in.  The thread pool is built by the first run of
+more than one task and reused by every later run in the process; a forked
+child drops the pool it inherits and builds its own.  ``numpy.random`` and
 ``concurrent.futures`` are imported only when they are first needed (the
 first stream derived, the first pool built), so a process that samples
 nothing loads neither.  Each block of ``ensemble_average`` draws and works
@@ -54,6 +57,7 @@ the other, so both stay in one core's L2 cache.
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -65,6 +69,13 @@ TRAJECTORY_BLOCK = 2048
 # flight holds two tiles of this size, whatever the length of the grid.  At
 # 256 KiB each they fit in one core's L2 cache, which a 2 MiB tile fills alone
 CHUNK_VALUES = 1 << 15
+
+# trajectory blocks whose streams a run derives and holds at once: about 1.3 KiB
+# of Philox generator each, so 1.3 MiB, where deriving every stream up front
+# grows with the run (a 5e8-trajectory sweep has 244,141 blocks); a run of at
+# most this many blocks, as at every default, derives them all before its
+# first kernel
+_WINDOW_BLOCKS = 1024
 
 
 @dataclass(frozen=True)
@@ -339,29 +350,37 @@ def _reduce_blocks(kernel, trajectories: int, base_seed: int,
 
     A task is a list of (gen, rows) pairs: a run of at most
     ``blocks_per_task`` consecutive trajectory blocks, each with its own
-    stream.  Every block stream is derived here, on the calling thread and in
-    block order, before the first kernel starts, so whatever wraps
-    ``stream_generator`` runs on the caller's thread only.  The tasks are
-    near-equal and contiguous, and run on one thread per CPU this process may
-    use, at most one per task; with two or more threads their count is a
-    multiple of the thread count where there are blocks enough, and a single
-    task runs inline.  The pool of that many threads is built by the first
-    run that needs it and reused by every later run in the process; a forked
-    child drops it and builds its own.  ``numpy.random`` loads with the first
-    stream derived.  A kernel must draw only from the streams of its task, so
-    its result does not depend on which thread runs it or when.
+    stream.  The tasks are near-equal and contiguous, and run on one thread
+    per CPU this process may use, at most one per task; with two or more
+    threads their count is a multiple of the thread count where there are
+    blocks enough.  They run a window of whole tasks at a time, of about
+    ``_WINDOW_BLOCKS`` blocks and a multiple of the thread count: the window's
+    streams are derived here, on the calling thread and in block order, while
+    no kernel runs, so whatever wraps ``stream_generator`` runs on the caller's
+    thread only, and a run holds one window's streams however many blocks it
+    has.  With one thread, as for a single task, the tasks run inline.  The
+    pool of that many threads is built by the first run that needs it and
+    reused by every later run in the process; a forked child drops it and
+    builds its own.  ``numpy.random`` loads with the first stream derived.  A
+    kernel must draw only from the streams of its task, so its result does
+    not depend on which thread runs it or when.
     """
-    blocks = [(stream_generator(base_seed, *context, block), rows)
-              for block, rows in _block_row_counts(trajectories)]
-    count = math.ceil(len(blocks) / blocks_per_task)
+    blocks = math.ceil(trajectories / TRAJECTORY_BLOCK)
+    count = math.ceil(blocks / blocks_per_task)
     workers = min(_available_cpus(), count)
     if workers > 1:
-        count = min(len(blocks), math.ceil(count / workers) * workers)
-    tasks = [blocks[len(blocks) * task // count:len(blocks) * (task + 1) // count]
-             for task in range(count)]
-    if workers <= 1:
-        yield from map(kernel, tasks)
-        return
+        count = min(blocks, math.ceil(count / workers) * workers)
+    per_window = max(workers, _WINDOW_BLOCKS // math.ceil(blocks / count) // workers * workers)
+    row_counts = _block_row_counts(trajectories)
+    for first in range(0, count, per_window):
+        tasks = [[(stream_generator(base_seed, *context, block), rows) for block, rows in
+                  islice(row_counts, blocks * (task + 1) // count - blocks * task // count)]
+                 for task in range(first, min(first + per_window, count))]
+        yield from map(kernel, tasks) if workers == 1 else _pool(workers).map(kernel, tasks)
+        del tasks           # before the next window's streams are derived
+
+
+def _pool(workers: int):
     pool = _pools.get(workers)
     if pool is None:
         # imported here, so a run that needs no threads skips its ~4 ms import
@@ -369,4 +388,4 @@ def _reduce_blocks(kernel, trajectories: int, base_seed: int,
 
         # of two threads that race here, both use the pool stored first
         pool = _pools.setdefault(workers, ThreadPoolExecutor(workers, "zenosim-block"))
-    yield from pool.map(kernel, tasks)
+    return pool

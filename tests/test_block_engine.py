@@ -1,11 +1,11 @@
 """The block engine's determinism contract, checked rather than stated.
 
 Every Monte Carlo path must give the same bits whatever the number of worker
-threads, however its blocks are grouped into tasks, whatever order the tasks
-finish in and whatever the chunk budget, and a block's scratch memory must not
-grow with its grid.  The thread pool
-is built once per process and must neither hang a forked child nor hold up
-interpreter exit, and a run that samples nothing must not load the sampling
+threads, however its blocks are grouped into tasks and windows, whatever order
+the tasks finish in and whatever the chunk budget; a block's scratch memory
+must not grow with its grid, nor a run's streams with its blocks.  The thread
+pool is built once per process and must neither hang a forked child nor hold
+up interpreter exit, and a run that samples nothing must not load the sampling
 machinery.
 """
 
@@ -19,6 +19,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,65 @@ def test_streams_are_derived_on_the_caller_before_any_kernel(monkeypatch):
         monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
         derived.clear()
         assert sum(noise._reduce_blocks(kernel, TRAJECTORIES, 1)) == 3
+
+
+class _TrackedGenerator(np.random.Generator):
+    """A numpy Generator that, unlike numpy's own, takes a weak reference."""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_streams_are_derived_a_window_at_a_time(monkeypatch, cpus):
+    stream_generator, reduce_blocks = noise.stream_generator, noise._reduce_blocks
+    lock = threading.Lock()
+    state = dict(live=0, peak=0, running=0, ran=True, windows=0, misplaced=0)
+
+    def released():
+        with lock:
+            state["live"] -= 1
+
+    def tracked(base_seed, *key):
+        gen = _TrackedGenerator(stream_generator(base_seed, *key).bit_generator)
+        weakref.finalize(gen, released)
+        with lock:
+            state["live"] += 1
+            state["peak"] = max(state["peak"], state["live"])
+            state["windows"] += state["ran"]        # the first stream of a window
+            state["ran"] = False
+            state["misplaced"] += (threading.current_thread() is not threading.main_thread()
+                                   or state["running"] > 0)
+        return gen
+
+    def counted(kernel):
+        def run(task):
+            with lock:
+                state["running"] += 1
+            try:
+                return kernel(task)
+            finally:
+                with lock:
+                    state["running"] -= 1
+                    state["ran"] = True
+        return run
+
+    def rerouted(kernel, *args, **kwargs):
+        return reduce_blocks(counted(kernel), *args, **kwargs)
+
+    def draws(task):
+        return [gen.random() for gen, _ in task]
+
+    monkeypatch.setattr(noise, "_available_cpus", lambda: cpus)
+    unwindowed = mc_outputs(), list(reduce_blocks(draws, 40 * TRAJECTORY_BLOCK, 1, (), 2))
+    monkeypatch.setattr(noise, "stream_generator", tracked)
+    monkeypatch.setattr(noise, "_reduce_blocks", rerouted)
+    monkeypatch.setattr(zeno, "_reduce_blocks", rerouted)
+    monkeypatch.setattr(noise, "_WINDOW_BLOCKS", 4)
+    # 40 blocks, two to a task: ten windows of two tasks, so a run holds four
+    # streams, and with threads the last tasks of the window before, whose
+    # workers may not have dropped them yet
+    windowed = list(noise._reduce_blocks(draws, 40 * TRAJECTORY_BLOCK, 1, (), 2))
+    assert state["windows"] == 10 and state["peak"] <= 4 * cpus
+    assert (mc_outputs(), windowed) == unwindowed
+    assert state["misplaced"] == 0
 
 
 def test_pool_has_one_worker_per_cpu_capped_at_task_count(monkeypatch):

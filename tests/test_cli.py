@@ -25,6 +25,20 @@ from csv_reader import read_csv
 from oracles import dynamical_fidelity
 
 
+# every numeric key of every experiment, and a value just past its bound: the
+# library's rule (qubit._require) for the config's own keys, and for t1 and t2
+# the rule of DecoherenceParams.from_times, which takes inf but not 0
+_NUMERIC_KEYS = [(e, k) for e, schema in sorted(config_module.SCHEMAS.items())
+                 for k in schema if k not in ("out", "engine", "noise_reset")]
+_PAST_BOUND = {
+    "base_seed": "-1", "t1": "0", "t2": "0", "epsilon": "-1e400", "delta": "-1e400",
+    "coupling": "0", "tau_c": "0", "dt": "0", "n_max": "0", "times": "20,0", "t_min": "0",
+    "t_max": "0", "t_points": "0", "t": "0", ("decay_curve", "t_end"): "-5e-324",
+    ("crossover_scan", "t_end"): "0", ("crossover_scan", "trajectories"): "99",
+    ("figure2", "trajectories"): "999",
+}
+
+
 class TestParseConfig:
     def test_figure2_defaults(self):
         config = parse_config("experiment=figure2\n")
@@ -60,14 +74,36 @@ class TestParseConfig:
         ("experiment=figure2\nt1=1e-310\n", "line 2: t1 must be >= 5.56268e-309, got 1e-310"),
         ("experiment=figure3\n\nt2=-5\n", "line 3: t2 must be >= 5.56268e-309, got -5.0"),
         ("experiment=figure2\ntimes=10,-3\n",
-         "line 2: bad value for 'times': entry 2 must be finite and > 0 (got -3.0)"),
-    ], ids=["t1_rate_overflows", "t2_negative", "times_entry"])
+         "line 2: bad value for 'times': entry 2 must be finite and > 0, got -3.0"),
+        ("experiment=figure2\ntimes=\n", "line 2: bad value for 'times': empty list"),
+    ], ids=["t1_rate_overflows", "t2_negative", "times_entry", "times_empty"])
     def test_rate_and_time_list_errors_name_their_line(self, text, message):
         # t1 and t2 follow the library's one rule, which used to report no line;
         # the times check said "times times must be > 0" and named no entry
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("experiment,key", _NUMERIC_KEYS)
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "past_bound"])
+    def test_bad_numbers_name_key_and_line(self, experiment, key, kind):
+        value = (_PAST_BOUND.get((experiment, key)) or _PAST_BOUND[key]
+                 if kind == "past_bound" else kind)
+        if key in ("t1", "t2") and value == "inf":
+            # an infinite T1 or T2 switches its decay channel off
+            assert math.isinf(parse_config(f"experiment={experiment}\n{key}=inf\n").settings[key])
+            return
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"experiment={experiment}\n# a numeric key\n{key}={value}\n")
+        assert str(exc.value).startswith("line 3: ") and re.search(rf"\b{key}\b", str(exc.value))
+
+    def test_crossover_rejects_overflowing_coupling_tau_c_square(self):
+        # 4 coupling^2 tau_c t_end = 4e220 is finite, (2 coupling tau_c)^2 = 4e320 is not
+        with pytest.raises(ConfigError) as exc:
+            parse_config("experiment=crossover_scan\ncoupling=1e60\ntau_c=1e100\nt_end=1\n"
+                         "dt=0.01\n")
+        assert str(exc.value) == ("coupling = 1e+60 with tau_c = 1e+100 overflows (2 coupling "
+                                  "tau_c)^2 in the decay exponent: lower coupling or tau_c")
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -700,6 +736,7 @@ def _float_text(low, high):
 # every decay
 _EDGE_RATE_TIMES = st.sampled_from(["5e-324", "1e-310", "1e-307", "1e300"])
 _HUGE_TIME = st.just("1e300")
+_BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400"])
 
 # small sizes keep every drawn run short: at most a few thousand decay_curve rows,
 # 500 crossover grid points of 300 trajectories, and 2 x 4 sweep points
@@ -740,7 +777,11 @@ def _settings(draw, experiment):
     keys = sorted(k for k in config_module.SCHEMAS[experiment] if k not in sized + ["out"])
     strategies = {**_VALUES, **_EXPERIMENT_VALUES.get(experiment, {})}
     chosen = sized + draw(st.lists(st.sampled_from(keys), unique=True))
-    return {k: draw(strategies[k]) for k in chosen}
+    values = {k: draw(strategies[k]) for k in chosen}
+    numeric = [k for k in chosen if k not in ("engine", "noise_reset")]
+    if numeric and draw(st.booleans()):     # one numeric key set to a bad number instead
+        values[draw(st.sampled_from(numeric))] = draw(_BAD_NUMBERS)
+    return values
 
 
 class TestConfigFuzz:

@@ -222,6 +222,15 @@ class TestInvariantEnforcement:
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amplitudes,message", [
+        ([1.0, 0.0, 0.0], "expected array of shape (2,), got (3,)"),
+        ([math.nan, 1.0], "array contains non-finite entries"),
+    ], ids=["shape", "nan"])
+    def test_pure_state_rejects_bad_arrays(self, amplitudes, message):
+        with pytest.raises(ValueError) as exc:
+            PureState(np.array(amplitudes))
+        assert str(exc.value) == message
+
     def test_density_arrays_are_immutable(self):
         rho = plus_state().density()
         with pytest.raises(ValueError):
