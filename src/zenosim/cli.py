@@ -26,7 +26,7 @@ from .zeno import NoiseReset, figure2_sweep, figure3_surface, pn_persistent
 
 def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     hs = SystemHamiltonian(settings["epsilon"], settings["delta"])
-    params = DecoherenceParams.from_times(settings["t1"], settings["t2"], hs)
+    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
     result = integrate(plus_state().density(), params, settings["t_end"], settings["dt"])
     times, p00, p11, coh = result.times, result.p00, result.p11, result.rho01
     # interaction-picture trace, Bloch vector and |+> fidelity; exp(-iHt) turns the

@@ -36,8 +36,9 @@ DEFAULT_BASE_SEED = 123456789
 # cost does not grow with it (a console run: 0.1-0.2 s of interpreter start and imports,
 # 1.7-2.7 ms of argument parser, 1-2 ms of config, CSV header and summary); a
 # crossover_scan grid point costs about 4 ms on 2 CPUs at 1e5 trajectories, and MC work
-# about 20 s at the bound: 3 s per 8.4e7 trajectory-intervals of an MC sweep (figure2
-# engine=mc defaults), 1.5 s per 4.1e7 noise values of crossover_scan (its defaults)
+# 21-24 s at the bound (figure2 engine=mc times=20 n_max=1): 1.9-2.3 s per 8.4e7
+# trajectory-intervals of an MC sweep (figure2 engine=mc defaults), 0.9-1.0 s per 4.1e7
+# noise values of crossover_scan (its defaults)
 MAX_TABLE_ROWS = 100_000
 MAX_SCAN_POINTS = 2048
 MAX_MC_INTERVALS = 500_000_000

@@ -9,17 +9,16 @@ counterpart of averaging quasi-static sigma_z noise:
 
 For the |+> initial state this has a closed-form solution whose off-diagonal
 element decays as exp(-gamma1 t / 2 - (gamma2 t)^2) while the excited
-population relaxes as exp(-gamma1 t) / 2; the fixed-step Runge-Kutta
-integrator below is cross-checked against that solution in the tests.
+population relaxes as exp(-gamma1 t) / 2; the tests hold the fixed-step
+Runge-Kutta integrator below to that solution.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import DensityMatrix, SystemHamiltonian, _require, first_unphysical
+from .qubit import DensityMatrix, _require, first_unphysical
 
 _SHORTEST_TIME = math.nextafter(1.0 / np.finfo(float).max, 1.0)   # the least t with a finite 1/t
 
@@ -58,7 +57,7 @@ def rk4_steps(t_end: float, dt: float, t1: float, t2: float) -> int:
 
 @dataclass(frozen=True)
 class DecoherenceParams:
-    """Relaxation rate gamma1, dephasing rate gamma2 (1/ns) and the qubit Hamiltonian.
+    """Relaxation rate gamma1 and dephasing rate gamma2, in 1/ns.
 
     gamma2 is the inverse of the usual dephasing time: the |+> coherence decays
     as exp(-(gamma2 t)^2) when relaxation is off.  A rate of zero means the
@@ -67,23 +66,16 @@ class DecoherenceParams:
 
     gamma1: float
     gamma2: float
-    hs: SystemHamiltonian = SystemHamiltonian(0.0, 0.0)
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
             object.__setattr__(self, name, _require(name, getattr(self, name), 0.0))
-        if not dephasing_model_holds(self.hs.epsilon, self.hs.delta):
-            warnings.warn(
-                "sigma_x part of the Hamiltonian exceeds 10% of the sigma_z part; "
-                "the sigma_z-dephasing structure is only approximate here",
-                stacklevel=2)
 
     @classmethod
-    def from_times(cls, t1: float, t2: float,
-                   hs: SystemHamiltonian = SystemHamiltonian(0.0, 0.0)) -> "DecoherenceParams":
+    def from_times(cls, t1: float, t2: float) -> "DecoherenceParams":
         """Build from T1/T2 in ns; pass ``math.inf`` to switch a channel off."""
         return cls(1.0 / _require("t1", t1, _SHORTEST_TIME, allow_inf=True),
-                   1.0 / _require("t2", t2, _SHORTEST_TIME, allow_inf=True), hs)
+                   1.0 / _require("t2", t2, _SHORTEST_TIME, allow_inf=True))
 
     @property
     def t1(self) -> float:
@@ -155,42 +147,3 @@ def _rk4_factor(a0, am, a1, h: float):
     k3 = am * (1.0 + 0.5 * h * k2)
     k4 = a1 * (1.0 + h * k3)
     return 1.0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _square(x: float) -> float:
-    """x ** 2, or inf from x = 1e154 on, where ** overflows and exp(-x ** 2) is 0.0 anyway.
-    It keeps **: x * x differs from x ** 2 in the last bit for about 1 float in 1,200."""
-    return x ** 2 if x < 1e154 else math.inf
-
-
-def _plus_bracket(params: DecoherenceParams, t: float) -> np.ndarray:
-    g1, g2 = params.gamma1, params.gamma2
-    excited = 0.5 * math.exp(-g1 * t)
-    off = 0.5 * math.exp(-0.5 * g1 * t - _square(g2 * t))
-    return np.array([[1.0 - excited, off], [off, excited]], dtype=complex)
-
-
-def closed_form_rho_rotating(params: DecoherenceParams, t: float) -> DensityMatrix:
-    """Closed-form solution for the |+> initial state, frame rotation factored out."""
-    return DensityMatrix(_plus_bracket(params, _require("t", t, 0.0)))
-
-
-def closed_form_rho(params: DecoherenceParams, t: float) -> DensityMatrix:
-    """Closed-form solution for the |+> initial state, including the free rotation."""
-    t = _require("t", t, 0.0)
-    u = params.hs.evolution(t)
-    return DensityMatrix(u @ _plus_bracket(params, t) @ u.conj().T)
-
-
-def pure_dephasing_coherence(gamma2: float, t: float) -> float:
-    """Normalised |+> coherence envelope exp(-(gamma2 t)^2) under pure dephasing.
-
-    Equals the quasi-static noise-ensemble average with coupling
-    gamma2/sqrt(2): E[exp(-2i lambda f0 t)] = exp(-2 lambda^2 t^2).
-    Without dephasing or time it is 1, also for an infinite t or gamma2.
-    """
-    gamma2 = _require("gamma2", gamma2, 0.0, allow_inf=True)
-    t = _require("t", t, 0.0, allow_inf=True)
-    if gamma2 == 0.0 or t == 0.0:
-        return 1.0
-    return math.exp(-_square(gamma2 * t))

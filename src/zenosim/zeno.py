@@ -12,9 +12,10 @@ Two schemes, each with an analytic engine and a Monte Carlo engine:
   the per-interval factor over that value (``pn_persistent``).
 * non-selective: the projection keeps both outcomes (latching-amplifier
   style readout), which equalises the populations and leaves the coherence
-  exp(-t/(2 T1) - t^2/(N T2^2)) / 2.  Dividing out the relaxation envelope
-  exp(-t/(2 T1))/2 isolates the measurement-suppressed part
-  exp(-t^2 / (N T2^2)), independent of T1.
+  exp(-t/(2 T1) - t^2/(N T2^2)) / 2.  States are given in the frame that
+  co-rotates with the projections, so they depend on the two decay rates
+  alone.  Dividing out the relaxation envelope exp(-t/(2 T1))/2 isolates
+  the measurement-suppressed part exp(-t^2 / (N T2^2)), independent of T1.
 
 Frequent measurement suppresses the quadratic (low-frequency-noise) part of
 the decay -- the exponent gains the 1/N -- while purely exponential decay is
@@ -32,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lindblad import DecoherenceParams, _square
+from .lindblad import DecoherenceParams
 from .noise import (TRAJECTORY_BLOCK, NoiseModel, _check_phase, _ou_interval_coefficients,
                     _ou_phase_law, _ou_phases, _reduce_blocks)
 from .qubit import DensityMatrix, _require
@@ -80,7 +81,6 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    kind: ProtocolKind
     success_probability: float | None = None
     success_stderr: float | None = None
     survivors_per_step: tuple[int, ...] | None = None
@@ -88,6 +88,12 @@ class ProtocolResult:
     coherence: float | None = None
     coherence_stderr: float | None = None
     trajectories: int | None = None
+
+
+def _square(x: float) -> float:
+    """x ** 2, or inf from x = 1e154 on, where ** overflows and exp(-x ** 2) is 0.0 anyway.
+    It keeps **: x * x differs from x ** 2 in the last bit for about 1 float in 1,200."""
+    return x ** 2 if x < 1e154 else math.inf
 
 
 def selective_step_probability(params: DecoherenceParams, tau: float) -> float:
@@ -145,25 +151,23 @@ def pn_approx(params: DecoherenceParams, t: float, n: int) -> float:
 
 
 def nonselective_coherence(params: DecoherenceParams, t: float, n: int) -> float:
-    """|<0|rho|1>| after N non-selective projections, frame factored out."""
+    """<0|rho|1> after N non-selective projections, in the co-rotating frame."""
     return _coherence_and_ratio(params, t, n)[0]
 
 
 def nonselective_rho(params: DecoherenceParams, t: float, n: int) -> DensityMatrix:
-    """State after N non-selective co-rotating projections during t.
+    """State after N non-selective co-rotating projections during t, in their frame.
 
     Populations are exactly 1/2 each (the measurement is in the equatorial
     plane), the coherence carries the relaxation envelope and the
     measurement-suppressed dephasing exponent t^2/(N T2^2).
     """
-    return _equatorial_rho(params, t, nonselective_coherence(params, t, n))
+    return _equatorial_rho(nonselective_coherence(params, t, n))
 
 
-def _equatorial_rho(params: DecoherenceParams, t: float, coherence: float) -> DensityMatrix:
-    """[[1/2, c], [c, 1/2]] conjugated by the free evolution over t: the lab-frame state."""
-    bracket = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
-    u = params.hs.evolution(t)
-    return DensityMatrix(u @ bracket @ u.conj().T)
+def _equatorial_rho(coherence: float) -> DensityMatrix:
+    """[[1/2, c], [c, 1/2]]: an equatorial state of real coherence c, in the co-rotating frame."""
+    return DensityMatrix(np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex))
 
 
 def coherence_ratio(params: DecoherenceParams, t: float, n: int) -> float:
@@ -356,9 +360,8 @@ def selective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     survivors = sum(_reduce_tasks(params, config, noise, context, _survivors_per_step))
     p = survivors[-1] / m
     stderr = math.sqrt(p * (1.0 - p) / m)
-    return ProtocolResult(config.kind, success_probability=float(p),
-                          success_stderr=stderr, survivors_per_step=tuple(int(v) for v in survivors),
-                          trajectories=m)
+    return ProtocolResult(success_probability=float(p), success_stderr=stderr,
+                          survivors_per_step=tuple(int(v) for v in survivors), trajectories=m)
 
 
 def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
@@ -368,12 +371,13 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
 
     After every projection a trajectory is in one of the two equatorial
     eigenstates; tracking the sign of that state is enough, and the ensemble
-    mean of the signs is twice the coherence of the averaged state.
+    mean of the signs is twice the coherence of the averaged state.  Like
+    ``nonselective_rho``, ``final_rho`` is that state in the co-rotating frame.
     """
     _check_mc_config(config, ProtocolKind.NON_SELECTIVE)
     if noise is None:
         noise = _default_noise(params)
-    m, n, t = config.trajectories, config.measurements, config.total_time
+    m, n = config.trajectories, config.measurements
 
     def sign_sum(kept):
         # a trajectory's sign flips at every projection that lands on the
@@ -385,7 +389,7 @@ def nonselective_run_mc(params: DecoherenceParams, config: ProtocolConfig,
     mean_sign = sum(_reduce_tasks(params, config, noise, context, sign_sum)) / m
     coherence = 0.5 * mean_sign
     stderr = 0.5 * math.sqrt(max(1.0 - mean_sign ** 2, 0.0) / m)
-    return ProtocolResult(config.kind, final_rho=_equatorial_rho(params, t, coherence),
+    return ProtocolResult(final_rho=_equatorial_rho(coherence),
                           coherence=abs(coherence), coherence_stderr=stderr, trajectories=m)
 
 

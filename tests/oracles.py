@@ -5,7 +5,17 @@ plain RK4 on it is a second route to ``zenosim.lindblad.integrate``'s
 scalar factors.  ``dynamical_fidelity`` takes a state's overlap with the
 unitary evolution of a pure state through the propagator matrix, a second
 route to decay_curve's fidelity column.
+
+The closed forms of the |+> initial state under that generator:
+``closed_form_rho_rotating`` is the interaction-picture state, the reference
+of the integrator and of the non-selective coherence at N = 1;
+``closed_form_rho`` turns it into the lab frame of a given Hamiltonian with
+propagator matrices, a second route to decay_curve's Bloch-vector turn; and
+``pure_dephasing_coherence`` is the normalised coherence envelope
+exp(-(gamma2 t)^2) without relaxation.
 """
+
+import math
 
 import numpy as np
 
@@ -47,3 +57,30 @@ def dynamical_fidelity(rho: DensityMatrix, psi: PureState,
     if abs(value.imag) >= 1e-10:
         raise ValueError(f"fidelity has non-negligible imaginary part {float(value.imag)!r}")
     return float(value.real)
+
+
+def closed_form_rho_rotating(params: DecoherenceParams, t: float) -> DensityMatrix:
+    """Closed-form state at t of |+>, in the interaction picture.
+
+    The excited population relaxes as exp(-gamma1 t) / 2 and the coherence
+    decays as exp(-gamma1 t / 2 - (gamma2 t)^2) / 2.
+    """
+    g1, g2 = params.gamma1, params.gamma2
+    excited = 0.5 * math.exp(-g1 * t)
+    off = 0.5 * math.exp(-0.5 * g1 * t - (g2 * t) ** 2)
+    return DensityMatrix(np.array([[1.0 - excited, off], [off, excited]], dtype=complex))
+
+
+def closed_form_rho(params: DecoherenceParams, hs: SystemHamiltonian, t: float) -> DensityMatrix:
+    """``closed_form_rho_rotating`` conjugated by the free evolution under hs: the lab frame."""
+    u = hs.evolution(t)
+    return DensityMatrix(u @ closed_form_rho_rotating(params, t).matrix @ u.conj().T)
+
+
+def pure_dephasing_coherence(gamma2: float, t: float) -> float:
+    """Normalised |+> coherence envelope exp(-(gamma2 t)^2) under pure dephasing.
+
+    Equals the quasi-static noise-ensemble average with coupling
+    gamma2/sqrt(2): E[exp(-2i lambda f0 t)] = exp(-2 lambda^2 t^2).
+    """
+    return math.exp(-(gamma2 * t) ** 2)

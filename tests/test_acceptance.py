@@ -14,12 +14,14 @@ import pytest
 
 from zenosim.cli import run_experiment
 from zenosim.config import parse_config
-from zenosim.lindblad import DecoherenceParams, closed_form_rho_rotating, integrate
+from zenosim.lindblad import DecoherenceParams, integrate
 from zenosim.noise import NoiseModel, ensemble_average
 from zenosim.qubit import plus_state
 from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           coherence_ratio, figure2_sweep, figure3_surface,
                           pn_analytic, selective_run_mc)
+
+from oracles import closed_form_rho_rotating
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import time
 
@@ -7,12 +6,12 @@ import pytest
 
 from zenosim import lindblad
 from zenosim.config import MAX_TABLE_ROWS
-from zenosim.lindblad import (DecoherenceParams, PositivityLossError, closed_form_rho,
-                              closed_form_rho_rotating, integrate, pure_dephasing_coherence)
+from zenosim.lindblad import DecoherenceParams, PositivityLossError, integrate
 from zenosim.noise import NoiseModel, ensemble_average
 from zenosim.qubit import DensityMatrix, PureState, SystemHamiltonian, plus_state
 
-from oracles import dynamical_fidelity, master_rhs
+from oracles import (closed_form_rho, closed_form_rho_rotating, dynamical_fidelity, master_rhs,
+                     pure_dephasing_coherence)
 
 KET0 = PureState(np.array([1.0, 0.0], dtype=complex))
 KET1 = PureState(np.array([0.0, 1.0], dtype=complex))
@@ -68,15 +67,6 @@ class TestDecoherenceParams:
         assert p.gamma1 == 0.0 and p.t1 == math.inf
         assert p.gamma2 == pytest.approx(0.05)
         assert p.t2 == pytest.approx(20.0)
-
-    def test_warns_on_large_sigma_x_part(self):
-        with pytest.warns(UserWarning, match="sigma_x"):
-            DecoherenceParams(0.001, 0.05, SystemHamiltonian(1.0, 0.2))
-
-    def test_no_warning_in_commuting_regime(self, recwarn):
-        DecoherenceParams(0.001, 0.05, SystemHamiltonian(1.0, 0.05))
-        DecoherenceParams(0.001, 0.05, SystemHamiltonian(1.0, 0.0))
-        assert not recwarn.list
 
 
 class TestMasterRhs:
@@ -214,7 +204,7 @@ class TestIntegrate:
 
 class TestClosedForm:
     def test_initial_state(self):
-        rho = closed_form_rho(FIG2, 0.0)
+        rho = closed_form_rho(FIG2, SystemHamiltonian(0.8, 0.05), 0.0)
         assert np.allclose(rho.matrix, plus_state().density().matrix, atol=1e-15)
 
     def test_spot_values_at_20ns(self):
@@ -228,22 +218,11 @@ class TestClosedForm:
         rho = closed_form_rho_rotating(FIG2, 1e5)
         assert np.allclose(rho.matrix, KET0.density().matrix, atol=1e-12)
 
-    def test_lab_frame_is_rotated_bracket(self):
-        params = DecoherenceParams.from_times(1000.0, 20.0, SystemHamiltonian(0.8, 0.0))
-        t = 13.0
-        u = params.hs.evolution(t)
-        rotated = u @ closed_form_rho_rotating(params, t).matrix @ u.conj().T
-        assert np.allclose(closed_form_rho(params, t).matrix, rotated, atol=1e-14)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            closed_form_rho(FIG2, -1.0)
-
     def test_fidelity_from_coherence_envelope(self):
         # with relaxation off the dynamical fidelity is 1/2 + envelope/2
-        params = DecoherenceParams.from_times(math.inf, 50.0, SystemHamiltonian(1.0))
+        params, hs = DecoherenceParams.from_times(math.inf, 50.0), SystemHamiltonian(1.0)
         for t in (0.0, 10.0, 60.0):
-            fid = dynamical_fidelity(closed_form_rho(params, t), plus_state(), params.hs, t)
+            fid = dynamical_fidelity(closed_form_rho(params, hs, t), plus_state(), hs, t)
             assert fid == pytest.approx(0.5 + 0.5 * pure_dephasing_coherence(params.gamma2, t),
                                         abs=1e-12)
 
@@ -254,31 +233,6 @@ class TestPureDephasingCoherence:
 
     def test_one_dephasing_time(self):
         assert pure_dephasing_coherence(0.05, 20.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
-
-    @pytest.mark.parametrize("gamma2,t,name", [
-        (math.nan, 1.0, "gamma2"), (-0.05, 1.0, "gamma2"), (-math.inf, 1.0, "gamma2"),
-        (0.05, math.nan, "t"), (0.05, -1.0, "t"), (0.05, -math.inf, "t"),
-    ])
-    def test_rejects_nan_or_negative_arguments_by_name(self, gamma2, t, name):
-        # t = -1 used to return exp(-0.0025) = 0.9975
-        with pytest.raises(ValueError, match=rf"^{name} must be >= 0"):
-            pure_dephasing_coherence(gamma2, t)
-
-    @pytest.mark.parametrize("gamma2,t,value", [
-        (0.05, 1e308, 0.0), (1e200, 1e200, 0.0), (0.05, math.inf, 0.0), (math.inf, 1.0, 0.0),
-        (0.0, math.inf, 1.0), (math.inf, 0.0, 1.0), (0.0, 1e308, 1.0),
-    ])
-    def test_extreme_arguments(self, gamma2, t, value):
-        # (gamma2 t)^2 used to raise OverflowError, and inf * 0 to give nan
-        assert pure_dephasing_coherence(gamma2, t) == value
-
-    def test_finite_values_are_the_closed_form_bit_for_bit(self):
-        rng = np.random.default_rng(21)
-        specials = [0.0, 5e-324, 1e-300, 1.0, 27.3, 1e10]
-        pairs = list(itertools.product(specials, specials)) + list(
-            zip(*(10.0 ** rng.uniform(-10.0, 10.0, (2, 400))).tolist()))
-        for g, s in pairs:
-            assert pure_dephasing_coherence(g, s).hex() == math.exp(-((g * s) ** 2)).hex(), (g, s)
 
     def test_matches_quasi_static_ensemble(self):
         # Monte Carlo oracle: quasi-static noise with coupling gamma2/sqrt(2)

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from zenosim.lindblad import DecoherenceParams, closed_form_rho_rotating
+from zenosim.lindblad import DecoherenceParams
 from zenosim.noise import NoiseModel, _ou_interval_coefficients, stream_generator
-from zenosim.qubit import DensityMatrix, SystemHamiltonian
+from zenosim.qubit import DensityMatrix
 from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           ProtocolResult, coherence_ratio, figure2_sweep,
                           figure3_surface, nonselective_coherence,
@@ -19,6 +19,8 @@ from zenosim.zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
                           pn_approx, pn_persistent, selective_run_mc,
                           selective_step_probability)
 from zenosim.zeno import _interval_phases, _kept_outcomes, _kept_parity, _survivors_per_step
+
+from oracles import closed_form_rho_rotating
 
 FIG2 = DecoherenceParams.from_times(1000.0, 20.0)
 FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
@@ -205,11 +207,18 @@ class TestNonselective:
             closed = closed_form_rho_rotating(FIG3, t).matrix[0, 1].real
             assert nonselective_coherence(FIG3, t, 1) == closed
 
-    def test_frame_preserves_coherence_magnitude(self):
-        params = DecoherenceParams.from_times(1000.0, 400.0, SystemHamiltonian(0.9, 0.0))
-        rho = nonselective_rho(params, 400.0, 4)
-        assert abs(rho.matrix[0, 1]) == pytest.approx(nonselective_coherence(params, 400.0, 4),
-                                                      abs=1e-12)
+    @given(t1=st.one_of(st.floats(1e-300, 1e300), st.just(math.inf)),
+           t2=st.one_of(st.floats(1e-300, 1e300), st.just(math.inf)),
+           t=st.floats(0.0, 1e300), n=st.integers(1, 10 ** 9))
+    @example(t1=1000.0, t2=400.0, t=400.0, n=4)
+    @example(t1=math.inf, t2=math.inf, t=0.0, n=1)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_state_is_the_corotating_bracket(self, t1, t2, t, n):
+        # the projections' frame: equal populations and the real coherence, bit for bit
+        params = DecoherenceParams.from_times(t1, t2)
+        c = nonselective_coherence(params, t, n)
+        bracket = np.array([[0.5, c], [c, 0.5]], dtype=complex)
+        assert nonselective_rho(params, t, n).matrix.tobytes() == bracket.tobytes()
 
 
 class TestCoherenceRatio:
@@ -396,6 +405,17 @@ class TestNonselectiveMonteCarlo:
         assert a.final_rho is not b.final_rho
         assert (a == b) is True and (a == other) is False
 
+    @pytest.mark.parametrize("seed", [3, 5, 7, 11])
+    @pytest.mark.parametrize("t,n", [(400.0, 4), (10_000.0, 2)])
+    def test_final_state_is_the_corotating_bracket(self, t, n, seed):
+        # at t = 25 T2 the coherence is near 0, and each seed here samples a negative <0|rho|1>
+        result = nonselective_run_mc(FIG3, mc_config(t, n, m=2000, seed=seed,
+                                                     kind=ProtocolKind.NON_SELECTIVE))
+        c = result.final_rho.matrix[0, 1].real
+        assert c == (result.coherence if t == 400.0 else -result.coherence)
+        bracket = np.array([[0.5, c], [c, 0.5]], dtype=complex)     # imaginary parts +0.0
+        assert result.final_rho.matrix.tobytes() == bracket.tobytes()
+
 
 def ou_phase_covariance(coupling, tau_c, tau, n, persistent):
     """Covariance of the n interval phases under stationary OU noise.
@@ -431,7 +451,7 @@ class TestZeroTime:
     """At t = 0 the phases are 0, no trajectory jumps and the Born probability to
     stay is exactly 1.0, so the sampled path keeps every trajectory."""
 
-    PARAMS = DecoherenceParams.from_times(1000.0, 20.0, SystemHamiltonian(1.0, 0.05))
+    PARAMS = DecoherenceParams.from_times(1000.0, 20.0)
     NOISE = [None, NoiseModel.ornstein_uhlenbeck(0.3, 2.0),
              NoiseModel.ornstein_uhlenbeck(0.0, 2.0)]
 
@@ -440,9 +460,8 @@ class TestZeroTime:
     @pytest.mark.parametrize("n", [1, 3])
     def test_selective(self, reset, noise, n):
         result = selective_run_mc(self.PARAMS, mc_config(0.0, n, m=2000, reset=reset), noise)
-        assert result == ProtocolResult(ProtocolKind.SELECTIVE, success_probability=1.0,
-                                        success_stderr=0.0, survivors_per_step=(2000,) * n,
-                                        trajectories=2000)
+        assert result == ProtocolResult(success_probability=1.0, success_stderr=0.0,
+                                        survivors_per_step=(2000,) * n, trajectories=2000)
 
     @pytest.mark.parametrize("reset", list(NoiseReset))
     @pytest.mark.parametrize("noise", NOISE, ids=["quasi-static", "ou", "ou-zero-coupling"])
@@ -450,8 +469,7 @@ class TestZeroTime:
     def test_nonselective(self, reset, noise, n):
         config = mc_config(0.0, n, m=2000, kind=ProtocolKind.NON_SELECTIVE, reset=reset)
         result = nonselective_run_mc(self.PARAMS, config, noise)
-        assert result == ProtocolResult(ProtocolKind.NON_SELECTIVE,
-                                        final_rho=DensityMatrix(np.full((2, 2), 0.5)),
+        assert result == ProtocolResult(final_rho=DensityMatrix(np.full((2, 2), 0.5)),
                                         coherence=0.5, coherence_stderr=0.0, trajectories=2000)
 
 
