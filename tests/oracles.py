@@ -12,7 +12,8 @@ of the integrator and of the non-selective coherence at N = 1;
 ``closed_form_rho`` turns it into the lab frame of a given Hamiltonian with
 propagator matrices, a second route to decay_curve's Bloch-vector turn; and
 ``pure_dephasing_coherence`` is the normalised coherence envelope
-exp(-(gamma2 t)^2) without relaxation.
+exp(-(gamma2 t)^2) without relaxation.  They keep the library's argument
+rule, so a negative or nan time raises a ValueError that names it.
 """
 
 import math
@@ -22,6 +23,7 @@ import numpy as np
 from zenosim.lindblad import DecoherenceParams
 from zenosim.qubit import SIGMA_Z as _SZ
 from zenosim.qubit import DensityMatrix, PureState, SystemHamiltonian, _require
+from zenosim.zeno import _square
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |1><0|
 _SIGMA_MINUS = _SIGMA_PLUS.T                                      # |0><1|
@@ -65,14 +67,16 @@ def closed_form_rho_rotating(params: DecoherenceParams, t: float) -> DensityMatr
     The excited population relaxes as exp(-gamma1 t) / 2 and the coherence
     decays as exp(-gamma1 t / 2 - (gamma2 t)^2) / 2.
     """
+    t = _require("t", t, 0.0)
     g1, g2 = params.gamma1, params.gamma2
     excited = 0.5 * math.exp(-g1 * t)
-    off = 0.5 * math.exp(-0.5 * g1 * t - (g2 * t) ** 2)
+    off = 0.5 * math.exp(-0.5 * g1 * t - _square(g2 * t))
     return DensityMatrix(np.array([[1.0 - excited, off], [off, excited]], dtype=complex))
 
 
 def closed_form_rho(params: DecoherenceParams, hs: SystemHamiltonian, t: float) -> DensityMatrix:
     """``closed_form_rho_rotating`` conjugated by the free evolution under hs: the lab frame."""
+    t = _require("t", t, 0.0)
     u = hs.evolution(t)
     return DensityMatrix(u @ closed_form_rho_rotating(params, t).matrix @ u.conj().T)
 
@@ -82,5 +86,10 @@ def pure_dephasing_coherence(gamma2: float, t: float) -> float:
 
     Equals the quasi-static noise-ensemble average with coupling
     gamma2/sqrt(2): E[exp(-2i lambda f0 t)] = exp(-2 lambda^2 t^2).
+    Without dephasing or time it is 1, also for an infinite t or gamma2.
     """
-    return math.exp(-(gamma2 * t) ** 2)
+    gamma2 = _require("gamma2", gamma2, 0.0, allow_inf=True)
+    t = _require("t", t, 0.0, allow_inf=True)
+    if gamma2 == 0.0 or t == 0.0:
+        return 1.0
+    return math.exp(-_square(gamma2 * t))

@@ -1,4 +1,5 @@
-"""The library's one argument rule, checked over the whole public API.
+"""The library's one argument rule, checked over the whole public API and the
+closed forms the tests take as references.
 
 Every public callable, and every public method or constructor that takes a
 number, is fed one extreme value at a time in one numeric slot, with the other
@@ -27,6 +28,8 @@ from zenosim import (DecoherenceParams, EngineKind, NoiseModel, NoiseReset, Prot
 from zenosim.noise import ou_decay_exponent
 from zenosim.zeno import _square, pn_persistent
 
+from oracles import closed_form_rho, closed_form_rho_rotating, pure_dephasing_coherence
+
 HS = SystemHamiltonian(1.0, 0.05)
 PARAMS = DecoherenceParams.from_times(1000.0, 20.0)
 PLUS = plus_state()
@@ -54,8 +57,14 @@ CASES = {
                           ("gamma1", "gamma2"), ()),
     "DecoherenceParams.from_times": (DecoherenceParams.from_times, dict(t1=1000.0, t2=20.0),
                                      ("t1", "t2"), ()),
+    # the tests' closed-form oracles keep the rule, so a bad time cannot pass as a reference
+    "closed_form_rho": (closed_form_rho, dict(params=PARAMS, hs=HS, t=20.0), ("t",), ()),
+    "closed_form_rho_rotating": (closed_form_rho_rotating, dict(params=PARAMS, t=20.0),
+                                 ("t",), ()),
     "integrate": (integrate, dict(rho0=PLUS.density(), params=PARAMS, t_end=1.0, dt=0.1),
                   ("t_end", "dt"), ()),
+    "pure_dephasing_coherence": (pure_dephasing_coherence, dict(gamma2=0.05, t=20.0),
+                                 ("gamma2", "t"), ()),
     "NoiseModel": (NoiseModel, dict(coupling=0.1, tau_c=1.0), ("coupling", "tau_c"), ()),
     "NoiseModel.quasi_static": (NoiseModel.quasi_static, dict(coupling=0.1), ("coupling",), ()),
     "NoiseModel.ornstein_uhlenbeck": (NoiseModel.ornstein_uhlenbeck,
@@ -172,14 +181,16 @@ def test_finite_result_or_value_error_naming_the_slot(name, slot, value):
 
 
 @pytest.mark.parametrize("func,args,text", [
-    # each used to pass: a non-integer count, an infinite interval
+    # each used to pass: a non-integer count, an infinite interval, a state at t = inf
     (ProtocolConfig, (40.0, 2.5), "measurements must be an integer >= 1, got 2.5"),
     (pn_analytic, (PARAMS, 1.0, 2.5), "n must be an integer >= 1, got 2.5"),
     (selective_step_probability, (PARAMS, math.inf), "tau must be finite and > 0, got inf"),
+    (closed_form_rho_rotating, (PARAMS, math.inf), "t must be finite and >= 0, got inf"),
     # used to name gamma1, the rate the time's inverse overflowed into
     (DecoherenceParams.from_times, (1e-320, 20.0), "t1 must be >= 5.56268e-309, got 1e-320"),
     (DecoherenceParams.from_times, (1000.0, 0.0), "t2 must be >= 5.56268e-309, got 0.0"),
     (SystemHamiltonian, (math.nan,), "epsilon must be finite, got nan"),
+    (pure_dephasing_coherence, (-1.0, 1.0), "gamma2 must be >= 0, got -1.0"),
 ])
 def test_messages(func, args, text):
     with pytest.raises(ValueError) as info:
