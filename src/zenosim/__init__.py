@@ -8,7 +8,7 @@ deterministic master equation are independent routes to the same answers and
 are tested against each other.
 """
 
-from .lindblad import DecoherenceParams, IntegrationResult, PositivityLossError, integrate
+from .lindblad import DecoherenceParams, IntegrationResult, integrate
 from .noise import EnsembleResult, NoiseModel, ensemble_average, stream_generator
 from .qubit import (SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, PureState, SystemHamiltonian,
                     bloch_vector, corotating_projector, plus_state, rotation_y)
@@ -22,7 +22,7 @@ from .zeno import (EngineKind, NoiseReset, ProtocolConfig, ProtocolKind,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecoherenceParams", "IntegrationResult", "PositivityLossError", "integrate",
+    "DecoherenceParams", "IntegrationResult", "integrate",
     "EnsembleResult", "NoiseModel", "ensemble_average", "stream_generator",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "DensityMatrix", "PureState", "SystemHamiltonian",
     "bloch_vector", "corotating_projector", "plus_state", "rotation_y",

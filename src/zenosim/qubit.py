@@ -3,9 +3,9 @@
 States, Pauli matrices, the system Hamiltonian with its propagator and the
 Bloch-vector turn it makes, y rotations, co-rotating projectors and Bloch
 vectors.  Pauli matrices, propagators, rotations and projectors are read-only
-complex (2, 2) numpy arrays.  One check, ``first_unphysical``, reads the
-entries of one state or the entry columns of many, at the one set of
-tolerances below.  Conventions are fixed here once and for all:
+complex (2, 2) numpy arrays.  One check, ``validate_density``, reads the
+entries of one state at the one set of tolerances below.  Conventions are
+fixed here once and for all:
 
 * basis: ``|0>`` is the ground state, ``|1>`` the excited state, ``sigma_z |0> = +|0>``,
 * time in nanoseconds, angular frequencies in rad/ns.
@@ -14,6 +14,7 @@ All types and arrays are immutable values and all operations are pure, so
 they can be shared freely across concurrent workers.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -99,40 +100,26 @@ class DensityMatrix(_ArrayValue):
 
 
 def validate_density(arr: np.ndarray) -> None:
-    """Raise ValueError unless ``arr`` is a physical 2x2 state within the module tolerances."""
-    arr = np.asarray(arr)
-    bad = first_unphysical(arr[0, 0], arr[1, 1], arr[0, 1], arr[1, 0])
-    if bad is not None:
-        raise ValueError(bad[1])
+    """Raise ValueError, with the reason, unless ``arr`` is a physical 2x2 state.
 
-
-def first_unphysical(p00, p11, rho01, rho10) -> tuple[int, str] | None:
-    """Index and reason of the first non-physical state, else None.
-
-    State k has the entries p00[k], p11[k], rho01[k] and rho10[k]; scalars are
-    one state.  Its entries must be finite, its trace 1 within ``TRACE_TOL``,
-    rho - rho^dagger, whose largest entry is max(2|Im p00|, 2|Im p11|,
-    |rho01 - conj rho10|), 0 within ``HERMITICITY_TOL``, and its smaller
-    eigenvalue, taken in closed form, above -``POSITIVITY_TOL``.
+    Its entries must be finite, its trace 1 within ``TRACE_TOL``, rho - rho^dagger,
+    whose largest entry is max(2|Im p00|, 2|Im p11|, |rho01 - conj rho10|), 0 within
+    ``HERMITICITY_TOL``, and its smaller eigenvalue, taken in closed form, above
+    -``POSITIVITY_TOL``.
     """
-    p00, p11, rho01, rho10 = np.atleast_1d(p00, p11, rho01, rho10)
-    finite = np.isfinite(p00) & np.isfinite(p11) & np.isfinite(rho01) & np.isfinite(rho10)
+    arr = np.asarray(arr)
+    p00, p11, rho01, rho10 = (complex(arr[i, j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)))
+    if not all(map(cmath.isfinite, (p00, p11, rho01, rho10))):
+        raise ValueError("matrix contains non-finite entries")
     trace = p00 + p11
-    asymmetry = np.maximum(2.0 * np.maximum(np.abs(p00.imag), np.abs(p11.imag)),
-                           np.abs(rho01 - rho10.conj()))
-    lowest = 0.5 * (p00.real + p11.real) - np.hypot(0.5 * (p00.real - p11.real), np.abs(rho10))
-    bad = (~finite | (np.abs(trace - 1.0) > TRACE_TOL) | (asymmetry > HERMITICITY_TOL)
-           | (lowest < -POSITIVITY_TOL))
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    if not finite[i]:
-        return i, "matrix contains non-finite entries"
-    if abs(trace[i] - 1.0) > TRACE_TOL:
-        return i, f"trace {complex(trace[i])!r} deviates from 1 beyond {TRACE_TOL}"
-    if asymmetry[i] > HERMITICITY_TOL:
-        return i, "matrix is not Hermitian within tolerance"
-    return i, f"negative eigenvalue {float(lowest[i])!r} below -{POSITIVITY_TOL}"
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL}")
+    if max(2.0 * abs(p00.imag), 2.0 * abs(p11.imag),
+           abs(rho01 - rho10.conjugate())) > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    lowest = 0.5 * (p00.real + p11.real) - math.hypot(0.5 * (p00.real - p11.real), abs(rho10))
+    if lowest < -POSITIVITY_TOL:
+        raise ValueError(f"negative eigenvalue {lowest!r} below -{POSITIVITY_TOL}")
 
 
 @dataclass(frozen=True)

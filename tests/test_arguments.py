@@ -115,7 +115,6 @@ ENTRY_NAMES = {"times": "t", "t_values": "t", "n_values": "n"}
 EXEMPT = {
     **dict.fromkeys(["SIGMA_X", "SIGMA_Y", "SIGMA_Z"], "a constant"),
     **dict.fromkeys(["EngineKind", "NoiseReset", "ProtocolKind"], "an enum"),
-    "PositivityLossError": "an exception type",
     **dict.fromkeys(["IntegrationResult", "EnsembleResult", "ProtocolResult"],
                     "a result record, built by the engines only"),
     **dict.fromkeys(["DensityMatrix", "PureState"],

@@ -1,15 +1,19 @@
+import cmath
 import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zenosim import lindblad
 from zenosim.config import MAX_TABLE_ROWS
-from zenosim.lindblad import DecoherenceParams, PositivityLossError, integrate
+from zenosim.lindblad import DecoherenceParams, integrate
 from zenosim.noise import NoiseModel, ensemble_average
-from zenosim.qubit import DensityMatrix, PureState, SystemHamiltonian, plus_state
+from zenosim.qubit import (DensityMatrix, PureState, SystemHamiltonian, plus_state,
+                           validate_density)
 
 from oracles import (closed_form_rho, closed_form_rho_rotating, dynamical_fidelity, master_rhs,
                      pure_dephasing_coherence)
@@ -21,6 +25,21 @@ FIG3 = DecoherenceParams.from_times(1000.0, 400.0)
 PAIRS = [(1000.0, 20.0), (1000.0, 400.0), (math.inf, 50.0), (200.0, math.inf)]
 # excited population 0.3 and a complex coherence: p00, p11 and rho10 all move
 MIXED_RHO0 = DensityMatrix(np.array([[0.7, 0.2 - 0.35j], [0.2 + 0.35j, 0.3]]))
+
+
+# T1 or T2: off, the least the library accepts, or log-uniform up to 1e300
+_DECAY_TIMES = st.one_of(st.sampled_from([math.inf, lindblad._SHORTEST_TIME, 1e-160, 1e300]),
+                         st.floats(-308.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+def _bloch_state(r, theta, phi):
+    """(I + r n.sigma)/2, n at polar angle theta and azimuth phi: pure at r = 1, mixed below."""
+    z, rho10 = r * math.cos(theta), cmath.rect(r * math.sin(theta), phi)
+    return DensityMatrix(0.5 * np.array([[1.0 + z, rho10.conjugate()], [rho10, 1.0 - z]]))
+
+
+_RHO0 = st.builds(_bloch_state, st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                  st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
 
 
 def stepwise_rk4(rho0, params, t_end, dt):
@@ -181,22 +200,30 @@ class TestIntegrate:
             exact = closed_form_rho_rotating(FIG2, float(result.times[i])).matrix
             assert np.max(np.abs(states[i] - matrix_entries(exact))) <= 1e-8
 
-    def test_positivity_loss_names_first_time(self, monkeypatch):
-        # coherence factors of 1.5 per step push |rho01| past 1/2 at the first step;
-        # p11's one float factor is 1, so its column stays at 1/2
-        def growing(a0, am, a1, h):
-            return 1.0 if np.ndim(a0) == 0 else np.full_like(a0, 1.5)
-
-        monkeypatch.setattr(lindblad, "_rk4_factor", growing)
-        with pytest.raises(PositivityLossError, match=r"t = 0\.1 \(step 1\): negative eigenvalue"):
-            integrate(plus_state().density(), FIG2, 1.0, 0.1)
-
-    def test_states_stay_physical(self):
-        result = integrate(plus_state().density(), FIG2, 100.0, 0.1)
-        states = entries(result)[:, [[0, 2], [3, 1]]]       # [[p00, rho01], [rho10, p11]]
-        for i in range(0, len(result.times), 100):
-            rho = DensityMatrix(states[i])
-            assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-10
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rho0=_RHO0, t1=_DECAY_TIMES, t2=_DECAY_TIMES, shrink=st.floats(0.0, 3.0),
+           steps=st.one_of(st.integers(0, 200), st.integers(0, MAX_TABLE_ROWS - 1)))
+    @example(rho0=plus_state().density(), t1=1000.0, t2=20.0, shrink=0.0,
+             steps=MAX_TABLE_ROWS - 1)
+    @example(rho0=plus_state().density(), t1=math.inf, t2=5.6e-309, shrink=0.0,
+             steps=MAX_TABLE_ROWS - 1)
+    @example(rho0=MIXED_RHO0, t1=1e-300, t2=1e-300, shrink=0.0, steps=MAX_TABLE_ROWS - 1)
+    @example(rho0=plus_state().density(), t1=1.0, t2=1e-160, shrink=0.0,
+             steps=MAX_TABLE_ROWS - 1)
+    @example(rho0=plus_state().density(), t1=math.inf, t2=1.0, shrink=0.0,
+             steps=MAX_TABLE_ROWS - 1)
+    @example(rho0=MIXED_RHO0, t1=1000.0, t2=20.0, shrink=0.0, steps=0)    # t_end = 0: one row
+    def test_states_stay_physical(self, rho0, t1, t2, shrink, steps):
+        # integrate checks no state: the argument in its docstring, held here for
+        # every T1 and T2 the library accepts, dt from the step bound down to a
+        # thousandth of it and runs up to the row bound (past 139 T2 at the bound,
+        # where a coherence factor first exceeds 1)
+        params = DecoherenceParams.from_times(t1, t2)
+        bound = min(params.t1, params.t2) / 100.0
+        dt = (bound if math.isfinite(bound) else 1.0) * 10.0 ** -shrink
+        result = integrate(rho0, params, steps * dt, dt)
+        for state in entries(result)[:, [[0, 2], [3, 1]]]:     # [[p00, rho01], [rho10, p11]]
+            validate_density(state)
 
     def test_grid_lands_on_t_end(self):
         result = integrate(plus_state().density(), FIG2, 10.0, 0.15)

@@ -6,7 +6,7 @@ import pytest
 
 from zenosim.noise import (NoiseModel, _block_row_counts, _ou_phase_law,
                            ensemble_average, ou_decay_exponent, stream_generator)
-from zenosim.qubit import PureState, first_unphysical, plus_state
+from zenosim.qubit import PureState, plus_state, validate_density
 
 QS = NoiseModel.quasi_static(0.1)
 OU = NoiseModel.ornstein_uhlenbeck(0.1, 1.0)
@@ -201,7 +201,8 @@ class TestEnsembleAverage:
         assert np.allclose(result.rho01, rho01 * 2.0 * plus.rho01, rtol=0.0, atol=1e-15)
         assert np.allclose(result.stderr, abs(rho01) * 2.0 * plus.stderr, rtol=1e-12, atol=0.0)
         p00, p11 = rho.matrix.diagonal().real
-        assert first_unphysical(p00, p11, result.rho01, result.rho01.conj()) is None
+        for rho01 in result.rho01:
+            validate_density(np.array([[p00, rho01], [np.conj(rho01), p11]]))
 
     def test_quasi_static_gaussian_decay(self):
         # ensemble coherence matches the Gaussian-integral value
@@ -284,7 +285,8 @@ class TestEnsembleAverage:
         grid = np.linspace(0.0, 2.0, 21)
         result = ensemble_average(plus_state(), OU, grid, 2000, 8)
         p00, p11 = plus_state().density().matrix.diagonal().real
-        assert first_unphysical(p00, p11, result.rho01, result.rho01.conj()) is None
+        for rho01 in result.rho01:
+            validate_density(np.array([[p00, rho01], [np.conj(rho01), p11]]))
         assert np.abs(result.rho01[10]) <= 0.5
 
     def test_stderr_scales_with_ensemble_size(self):
