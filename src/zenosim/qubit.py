@@ -107,8 +107,7 @@ def validate_density(arr: np.ndarray) -> None:
     ``HERMITICITY_TOL``, and its smaller eigenvalue, taken in closed form, above
     -``POSITIVITY_TOL``.
     """
-    arr = np.asarray(arr)
-    p00, p11, rho01, rho10 = (complex(arr[i, j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)))
+    (p00, rho01), (rho10, p11) = np.asarray(arr, dtype=complex).tolist()
     if not all(map(cmath.isfinite, (p00, p11, rho01, rho10))):
         raise ValueError("matrix contains non-finite entries")
     trace = p00 + p11
