@@ -195,6 +195,14 @@ class TestInvariantEnforcement:
         assert float(str(info.value).split()[2]) == pytest.approx(np.linalg.eigvalsh(negative)[0],
                                                                   abs=1e-15)
 
+    def test_single_row_columns(self):
+        # a decay_curve at t_end = 0 has one grid state: columns of length 1
+        result = integrate(plus_state().density(), DecoherenceParams(1e-3, 0.05), 0.0, 0.1)
+        columns = (result.p00, result.p11, result.rho01)
+        assert [len(column) for column in columns] == [1, 1, 1]
+        p00, p11, rho01 = (complex(column[0]) for column in columns)
+        validate_density(np.array([[p00, rho01], [rho01.conjugate(), p11]]))
+
     def test_validate_density_tolerances(self):
         # eigenvalue -1e-9: outside POSITIVITY_TOL = 1e-10
         with pytest.raises(ValueError, match="eigenvalue"):
