@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, Plan, parse_config
-from .lindblad import DecoherenceParams, integrate
+from .lindblad import integrate
 from .noise import NoiseModel, ensemble_average, ou_decay_exponent
 from .qubit import SystemHamiltonian, _require, plus_state
 from .tables import Table, _cell, write_csv
@@ -26,8 +26,7 @@ from .zeno import NoiseReset, figure2_sweep, figure3_surface, pn_persistent
 
 def _run_decay_curve(settings, plan: Plan) -> tuple[Table, list[str]]:
     hs = SystemHamiltonian(settings["epsilon"], settings["delta"])
-    params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
-    result = integrate(plus_state().density(), params, settings["t_end"], settings["dt"])
+    result = integrate(plus_state().density(), plan.params, settings["t_end"], settings["dt"])
     times, p00, p11, coh = result.times, result.p00, result.p11, result.rho01
     # interaction-picture trace, Bloch vector and |+> fidelity; exp(-iHt) turns the
     # Bloch vector into the lab frame, and the fidelity undoes that turn
@@ -95,7 +94,7 @@ def _run_crossover_scan(settings, plan: Plan) -> tuple[Table, list[str]]:
     return table, summary
 
 
-def _mc_z(settings, table: Table) -> str:
+def _mc_z(settings, plan: Plan, table: Table) -> str:
     """``_max_z`` of P_mc against the analytic P_N of each MC row.
 
     Resampled noise: the row's P_analytic.  Persistent noise: E[q(f0)^N] of
@@ -104,18 +103,16 @@ def _mc_z(settings, table: Table) -> str:
     if settings["noise_reset"] == "resample":
         references = table["P_analytic"]
     else:
-        params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
-        references = [pn_persistent(params, t, n) for t, n in zip(table["t"], table["N"])]
+        references = [pn_persistent(plan.params, t, n) for t, n in zip(table["t"], table["N"])]
     return _max_z(table["P_mc"], references, table["P_mc_stderr"])
 
 
 def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
     mc, n_max = plan.mc_work > 0, settings["n_max"]
-    table = figure2_sweep(
-        DecoherenceParams.from_times(settings["t1"], settings["t2"]), plan.t, n_max,
-        trajectories=settings["trajectories"] if mc else None,
-        base_seed=settings["base_seed"] if mc else None,
-        noise_reset=NoiseReset(settings["noise_reset"]))
+    table = figure2_sweep(plan.params, plan.t, n_max,
+                          trajectories=settings["trajectories"] if mc else None,
+                          base_seed=settings["base_seed"] if mc else None,
+                          noise_reset=NoiseReset(settings["noise_reset"]))
     # rows run over N = 1..n_max within each t, t in grid order
     summary = [f"P(N={n_max}) at t={_cell(float(t))} ns: {_cell(p)}"
                for t, p in zip(plan.t, table["P_analytic"][n_max - 1::n_max])]
@@ -123,13 +120,13 @@ def _run_figure2(settings, plan: Plan) -> tuple[Table, list[str]]:
         status = ("consistency check" if settings["noise_reset"] == "resample"
                   else "consistency check against E[q(f0)^N] for persistent noise; "
                   "P_analytic is the resample closed form")
-        summary.append(f"max |MC - analytic| in stderr units: {_mc_z(settings, table)} ({status})")
+        z_max = _mc_z(settings, plan, table)
+        summary.append(f"max |MC - analytic| in stderr units: {z_max} ({status})")
     return table, summary
 
 
 def _figure3_table(settings, plan: Plan) -> Table:
-    return figure3_surface(DecoherenceParams.from_times(settings["t1"], settings["t2"]), plan.t,
-                           range(1, settings["n_max"] + 1))
+    return figure3_surface(plan.params, plan.t, range(1, settings["n_max"] + 1))
 
 
 def _run_figure3(settings, plan: Plan) -> tuple[Table, list[str]]:

@@ -12,7 +12,9 @@ in ns, ``inf`` is accepted where a decay channel can be switched off.
 ``ratio_plot`` runs on the ``figure3`` runner, so the two build their schemas
 from one shared block.  Parsing also plans the run (``Plan``): its t values,
 CSV rows and Monte Carlo work, counted exactly before anything is built and
-bounded below.
+bounded below, and ``Plan.params``, the one ``DecoherenceParams`` built from
+t1 and t2.  The planner checks its rules on those rates and the runners run
+on them, so a config that validates runs.
 """
 
 import math
@@ -80,7 +82,7 @@ _COMMON = {
     "base_seed": Field(int, DEFAULT_BASE_SEED, 0),
 }
 
-# t1 and t2 follow the library's rule (DecoherenceParams.from_times), checked in parse_config
+# t1 and t2 follow the library's rule (DecoherenceParams.from_times), built once in parse_config
 _RATE_BLOCK = {"t1": Field(float, 1000.0), "t2": Field(float, 20.0)}
 
 # figure3 and ratio_plot probe the long-T2 regime by default
@@ -128,6 +130,7 @@ class Plan:
     t: Any          # the t values the runner walks; None for decay_curve, laid by rk4_steps
     rows: int       # CSV rows
     mc_work: int    # MC trajectory-intervals or noise values; 0 for an analytic run
+    params: DecoherenceParams | None    # the rates of t1 and t2; None for crossover_scan
 
 
 @dataclass(frozen=True)
@@ -176,13 +179,14 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
 
+    params = None
     if "t1" in settings:        # the library's rule on T1 and T2, whose rates must be finite
         try:
-            DecoherenceParams.from_times(settings["t1"], settings["t2"])
+            params = DecoherenceParams.from_times(settings["t1"], settings["t2"])
         except ValueError as exc:
             key = str(exc).split(" ", 1)[0]         # the rule names t1 or t2 first
             raise ConfigError(f"line {raw[key][0]}: {exc}") from None
-    return ExperimentConfig(experiment, settings, _PLANNERS[experiment](settings))
+    return ExperimentConfig(experiment, settings, _PLANNERS[experiment](settings, params))
 
 
 def _bound(count, limit, asks: str, unit: str, fix: str):
@@ -199,7 +203,7 @@ def _count_text(count) -> str:
     return f"{Decimal(count):.3g}"
 
 
-def _decay_plan(settings: dict[str, Any]) -> Plan:
+def _decay_plan(settings: dict[str, Any], params: DecoherenceParams) -> Plan:
     t1, t2, t_end, epsilon, delta = (settings[k] for k in ("t1", "t2", "t_end", "epsilon", "delta"))
     if not dephasing_model_holds(epsilon, delta):
         raise ConfigError(f"delta = {delta!r} with epsilon = {epsilon!r} breaks the sigma_z "
@@ -211,16 +215,16 @@ def _decay_plan(settings: dict[str, Any]) -> Plan:
                           "than 1e-8 rad: lower epsilon, delta or t_end")
     scale = min(t1, t2) if min(t1, t2) < math.inf else max(t_end, 1.0)   # t_end if no decay
     dt = settings["dt"] = settings["dt"] or scale / 200.0
-    try:
-        steps = rk4_steps(t_end, dt, t1, t2)
+    try:        # integrate's rule, on the rates it steps with
+        steps = rk4_steps(t_end, dt, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return Plan(None, _bound(steps + 1, MAX_TABLE_ROWS, f"t_end/dt = {t_end!r}/{dt!r} asks for",
                              "table rows (RK4 steps + 1)",
-                             "lower t_end or raise dt (by default min(t1, t2)/200)"), 0)
+                             "lower t_end or raise dt (by default min(t1, t2)/200)"), 0, params)
 
 
-def _crossover_plan(settings: dict[str, Any]) -> Plan:
+def _crossover_plan(settings: dict[str, Any], params: None) -> Plan:
     """Reject a decay the fits cannot resolve, then lay the grid: dt-spaced to min(tau_c/10,
     t_end), then tau_c/10-spaced to t_end; steps count to 1e-9 (398.99999999999994 -> 399)."""
     coupling, tau_c, trajectories = (settings[k] for k in ("coupling", "tau_c", "trajectories"))
@@ -242,10 +246,11 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
                           "short-time fit resolves: raise coupling, tau_c or dt")
     coarse = tau_c / 10.0
     fine_end = min(coarse, t_end)
-    fine_steps, coarse_steps = fine_end / dt - 1e-9, (t_end - fine_end) / coarse
+    fine_steps = fine_end / dt - 1e-9
     if fine_steps <= 1.0:       # ceil(fine_steps) points lie in the short fit's (0, tau_c/10]
         raise ConfigError(f"dt ({dt!r}) leaves the short-time fit over t <= tau_c/10 "
                           f"({coarse!r}) fewer than two grid points: lower dt or raise tau_c")
+    coarse_steps = (t_end - fine_end) / coarse      # coarse >= fine_end > dt > 0 here
     fine, whole = ((math.ceil(fine_steps), math.floor(coarse_steps + 1e-9))
                    if math.isfinite(fine_steps + coarse_steps) else (math.inf, math.inf))
     tail = int(coarse_steps - whole > 1e-9)
@@ -272,17 +277,17 @@ def _crossover_plan(settings: dict[str, Any]) -> Plan:
                           f"{trajectories}): lower coupling, tau_c or t_end, or raise trajectories")
     grid = np.concatenate([dt * np.arange(fine), [fine_end],
                            fine_end + coarse * np.arange(1, whole + 1), [t_end] * tail])
-    return Plan(grid, points, work)
+    return Plan(grid, points, work, None)
 
 
-def _sweep_plan(settings: dict[str, Any]) -> Plan:
+def _sweep_plan(settings: dict[str, Any], params: DecoherenceParams) -> Plan:
     times, n_max = settings["times"], settings["n_max"]
     # a row per (t, N), and an MC run per (t, N) with engine=mc
     trajectories = settings["trajectories"] if settings["engine"] == "mc" else 0
     rows = _bound(len(times) * n_max, MAX_TABLE_ROWS, "times x n_max asks for", "table rows",
                   "lower times or n_max")
     if trajectories:        # the library's bound on the phases of the default noise
-        noise = _default_noise(DecoherenceParams.from_times(settings["t1"], settings["t2"]))
+        noise = _default_noise(params)
         try:
             _check_phase(noise.coupling, max(times), n_max)
         except ValueError:
@@ -293,22 +298,23 @@ def _sweep_plan(settings: dict[str, Any]) -> Plan:
                   f"trajectories x len(times) x n_max(n_max+1)/2 = {trajectories} x {len(times)} "
                   f"x {n_max}({n_max}+1)/2 asks for", "trajectory-intervals",
                   "lower trajectories, n_max or times")
-    return Plan(times, rows, work)
+    return Plan(times, rows, work, params)
 
 
-def _surface_plan(settings: dict[str, Any], t_min, t_max, points: int, keys) -> Plan:
+def _surface_plan(settings: dict[str, Any], params: DecoherenceParams, t_min, t_max,
+                  points: int, keys) -> Plan:
     if t_min > t_max:
         raise ConfigError(f"t_min ({t_min!r}) must not exceed t_max ({t_max!r})")
     rows = _bound(points * settings["n_max"], MAX_TABLE_ROWS, f"{' x '.join(keys)} asks for",
                   "table rows", f"lower {' or '.join(keys)}")
-    return Plan(np.linspace(t_min, t_max, points), rows, 0)
+    return Plan(np.linspace(t_min, t_max, points), rows, 0, params)
 
 
-_PLANNERS: dict[str, Callable[[dict[str, Any]], Plan]] = {
+_PLANNERS: dict[str, Callable[[dict[str, Any], DecoherenceParams | None], Plan]] = {
     "decay_curve": _decay_plan,
     "crossover_scan": _crossover_plan,
     "figure2": _sweep_plan,
-    "figure3": lambda s: _surface_plan(s, s["t_min"], s["t_max"], s["t_points"],
-                                       ("t_points", "n_max")),
-    "ratio_plot": lambda s: _surface_plan(s, s["t"], s["t"], 1, ("n_max",)),
+    "figure3": lambda s, p: _surface_plan(s, p, s["t_min"], s["t_max"], s["t_points"],
+                                          ("t_points", "n_max")),
+    "ratio_plot": lambda s, p: _surface_plan(s, p, s["t"], s["t"], 1, ("n_max",)),
 }

@@ -33,13 +33,16 @@ def dephasing_model_holds(epsilon: float, delta: float) -> bool:
     return delta == 0.0 or (epsilon > 0.0 and delta / epsilon <= 0.1)
 
 
-def rk4_steps(t_end: float, dt: float, t1: float, t2: float) -> int:
+def rk4_steps(t_end: float, dt: float, params: "DecoherenceParams") -> int:
     """Number of RK4 steps ``integrate`` takes over [0, t_end] at steps of at most dt.
 
     Raises ValueError when dt exceeds min(t1, t2)/100 or t_end/dt overflows.
+    T1 and T2 are read back from the rates that ``integrate`` steps with, so a
+    plan made with the same params accepts exactly the steps that run.
     Steps count to 1e-12, so a ratio that rounds just above a whole number
     takes no extra step; the step then shrinks to land on t_end.
     """
+    t1, t2 = params.t1, params.t2
     limit = min(t1, t2) / 100.0
     if dt > limit:
         raise ValueError(f"dt = {dt!r} too large; need dt <= min(t1, t2)/100 = {limit!r} "
@@ -136,7 +139,7 @@ def integrate(rho0: DensityMatrix, params: DecoherenceParams,
     enough that adaptivity buys nothing.
     """
     t_end = _require("t_end", t_end, 0.0)
-    steps = rk4_steps(t_end, _require("dt", dt, 0.0, above=True), params.t1, params.t2)
+    steps = rk4_steps(t_end, _require("dt", dt, 0.0, above=True), params)
     h = t_end / steps if steps else 0.0
 
     times = np.linspace(0.0, t_end, steps + 1)

@@ -653,6 +653,10 @@ class TestMainEntry:
         assert (tmp_path / "out" / "figure3.csv").read_bytes() == golden.read_bytes()
 
 
+# T1 or T2 log-uniform in [1e-3, 1e4] ns, or inf
+_LOG_UNIFORM_TIME = st.one_of(st.just(math.inf), st.floats(-3.0, 4.0).map(lambda x: 10.0 ** x))
+
+
 class TestDecayCurveRules:
     @pytest.mark.parametrize("text", ["delta=2\n", "epsilon=0\ndelta=0.01\n",
                                       "epsilon=1\ndelta=-0.2\n"],
@@ -671,19 +675,39 @@ class TestDecayCurveRules:
             warnings.simplefilter("error")
             run_experiment(config, out_dir=tmp_path)
 
-    @pytest.mark.parametrize("dt,accepted", [(0.2, True), (0.2 * (1.0 + 1e-15), False)])
-    def test_dt_limit_is_the_integrators(self, dt, accepted):
-        # min(t1, t2)/100 = 0.2 at the defaults; validate and integrate share the rule
-        text = f"experiment=decay_curve\nt_end=1\ndt={dt!r}\n"
-        if accepted:
+    @pytest.mark.parametrize("t2,dt,rows", [
+        (20.0, 0.2, 6), (20.0, 0.2 * (1.0 + 1e-15), None),
+        (29.319129045484303, 0.29319129045484305, None),     # dt = t2/100 > 1/(1/t2)/100
+        (61.43681648025261, 0.6143681648025262, 3),         # dt = 1/(1/t2)/100 > t2/100
+    ])
+    def test_dt_limit_is_the_integrators(self, t2, dt, rows):
+        # min(t1, t2)/100 = 0.2 at the defaults; validate checks the rule on the rates
+        # integrate steps with, whose T2 = 1/(1/t2) rounds to either side of t2
+        text = f"experiment=decay_curve\nt2={t2!r}\nt_end=1\ndt={dt!r}\n"
+        if rows:
             config = parse_config(text)
-            params = DecoherenceParams.from_times(config.settings["t1"], config.settings["t2"])
-            result = integrate(plus_state().density(), params, config.settings["t_end"],
-                               config.settings["dt"])
-            assert config.plan.rows == len(result.times) == 6
+            result = integrate(plus_state().density(), config.plan.params,
+                               config.settings["t_end"], config.settings["dt"])
+            assert config.plan.rows == len(result.times) == rows
         else:
             with pytest.raises(ConfigError, match=r"dt = .* min\(t1, t2\)/100"):
                 parse_config(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(t1=_LOG_UNIFORM_TIME, t2=_LOG_UNIFORM_TIME, steps=st.floats(0.0, 100.0))
+    def test_accepted_dt_at_the_limit_runs(self, t1, t2, steps):
+        # a dt at min(t1, t2)/100 sits on the step rule's edge, and 1/(1/T) rounds below T
+        # for about 4% of floats: validate checks the rule on the rates integrate steps with
+        dt = min(t1, t2) / 100.0
+        t_end = dt * steps if dt < math.inf else 10.0
+        text = f"experiment=decay_curve\nt1={t1!r}\nt2={t2!r}\ndt={dt!r}\nt_end={t_end!r}\n"
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            return
+        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+            warnings.simplefilter("error")
+            run_experiment(config, out_dir=out)
 
     def test_row_bound_run_peaks_near_the_default_run(self, tmp_path):
         """A decay_curve at the row bound stays within 20 MiB of the default run's peak RSS.
@@ -791,6 +815,23 @@ def _settings(draw, experiment):
     return values
 
 
+def _rejected_by_key_or_runs_as_planned(text):
+    """The fuzz's property: a config is rejected naming a key it sets, or runs as planned."""
+    keys = [line.partition("=")[0] for line in text.splitlines()[1:]]
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("error")
+        try:
+            config = parse_config(text)
+        except ConfigError as exc:
+            assert any(re.search(rf"\b{key}\b", str(exc)) for key in keys), (text, exc)
+            return
+        table = read_csv(run_experiment(config, out_dir=out)["csv"])
+    assert all(c is None or math.isfinite(c) for row in table.rows for c in row), text
+    assert len(table) == config.plan.rows, text
+    if config.experiment == "crossover_scan":
+        assert table["t"] == config.plan.t.tolist(), text
+
+
 class TestConfigFuzz:
     """Every config either is rejected by a key it sets, or runs as planned."""
 
@@ -800,16 +841,19 @@ class TestConfigFuzz:
     @given(data=st.data())
     def test_rejected_by_key_or_runs_as_planned(self, experiment, data):
         values = data.draw(_settings(experiment))
-        text = f"experiment={experiment}\n" + "".join(f"{k}={v}\n" for k, v in values.items())
-        with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
-            warnings.simplefilter("error")
-            try:
-                config = parse_config(text)
-            except ConfigError as exc:
-                assert any(re.search(rf"\b{key}\b", str(exc)) for key in values), (text, exc)
-                return
-            table = read_csv(run_experiment(config, out_dir=out)["csv"])
-        assert all(c is None or math.isfinite(c) for row in table.rows for c in row), text
-        assert len(table) == config.plan.rows, text
-        if experiment == "crossover_scan":
-            assert table["t"] == config.plan.t.tolist(), text
+        _rejected_by_key_or_runs_as_planned(
+            f"experiment={experiment}\n" + "".join(f"{k}={v}\n" for k, v in values.items()))
+
+    # configs the draws cannot reach: a dt at T2/100 where the run's T2 = 1/(1/T2) rounds
+    # below T2, a tau_c whose tau_c/10 underflows to 0, a T2 whose 2 gamma2^2 overflows, a
+    # run to 999 T2 at the row bound, and a closed form at a time past every decay
+    @pytest.mark.parametrize("text", [
+        "experiment=decay_curve\nt2=29.319129045484303\ndt=0.29319129045484305\nt_end=10\n",
+        "experiment=crossover_scan\ncoupling=6212.412921633794\ntau_c=5e-324\n"
+        "t_end=1.6841331747480042e-05\ndt=1.261865979069243e-09\n",
+        "experiment=decay_curve\nt2=1e-160\nt_end=1e-162\n",
+        "experiment=decay_curve\nt1=inf\nt2=1\ndt=0.01\nt_end=999\n",
+        "experiment=ratio_plot\nt=1e300\n",
+    ], ids=["dt_at_limit", "tiny_tau_c", "tiny_t2", "late_time", "huge_t"])
+    def test_edge_config_rejected_by_key_or_runs_as_planned(self, text):
+        _rejected_by_key_or_runs_as_planned(text)

@@ -138,7 +138,7 @@ class TestIntegrate:
         (12.0, 0.03, 400),      # 12/0.03 = 400.00000000000006 rounds up by one ulp only
     ])
     def test_step_count_lays_the_grid(self, t_end, dt, steps):
-        assert lindblad.rk4_steps(t_end, dt, 1000.0, 20.0) == steps
+        assert lindblad.rk4_steps(t_end, dt, FIG2) == steps
         result = integrate(plus_state().density(), FIG2, t_end, dt)
         assert len(result.times) == steps + 1
 
@@ -148,7 +148,7 @@ class TestIntegrate:
     ])
     def test_step_count_rejects(self, t_end, dt, match):
         with pytest.raises(ValueError, match=match):
-            lindblad.rk4_steps(t_end, dt, 1000.0, 20.0)
+            lindblad.rk4_steps(t_end, dt, FIG2)
 
     @pytest.mark.parametrize("epsilon,delta,holds", [
         (1.0, 0.0, True), (0.0, 0.0, True), (1.0, 0.1, True), (-2.0, 0.2, True),
